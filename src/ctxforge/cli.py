@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -30,6 +31,7 @@ from .records import (
     Episode,
     TAXONOMY_ORDER,
     _iter_jsonl,
+    is_container,
     load_embeddings,
     load_episodes,
     load_metadata,
@@ -93,12 +95,39 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     return cfg
 
 
-def _resolve(flag_value: Any, config: dict[str, Any], key: str, default: Any) -> Any:
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Settings resolved from a flag, then --config, then a default: key -> (what
+# a valid value is, its test).  A value failing its test is a usage error.
+_SETTINGS = {
+    "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "top_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "lambda": ("a number in [0, 1]", lambda v: _is_number(v) and 0.0 <= v <= 1.0),
+    "beta": ("a finite number > 0", lambda v: _is_number(v) and 0.0 < v < math.inf),
+    "taxonomy": ("a string", lambda v: isinstance(v, str)),
+    "subtask": ("a string", lambda v: isinstance(v, str)),
+    "min": ("a number", _is_number),
+    "max": ("a number", _is_number),
+}
+
+
+def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any) -> Any:
+    """Resolve ``key`` from its flag, then the config, then ``default``; exit 2
+    naming the key when the value has the wrong type or range.  A setting
+    whose default is ``None`` may stay unset."""
+    value = flag_value if flag_value is not None else config.get(key, default)
+    if value is None and default is None:
+        return None
+    what, valid = _SETTINGS[key]
+    if not valid(value):
+        raise UsageError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -141,17 +170,22 @@ def _read_query_ids(path: str) -> list[str]:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    k = _resolve(args.k, config, "k", DEFAULT_K)
-    taxonomy = _resolve(args.taxonomy, config, "taxonomy", None)
-    subtask = _resolve(args.subtask, config, "subtask", None)
+    k = _setting(args.k, config, "k", DEFAULT_K)
+    taxonomy = _setting(args.taxonomy, config, "taxonomy", None)
+    subtask = _setting(args.subtask, config, "subtask", None)
 
     if args.mode == "fusion":
         if not args.embeddings or not args.queries:
             raise UsageError("retrieve --mode fusion requires --embeddings and --queries")
-        lam = float(_resolve(args.lam, config, "lambda", fusion.DEFAULT_LAMBDA))
-        beta = float(_resolve(args.beta, config, "beta", fusion.DEFAULT_BETA))
-        top_n = int(_resolve(args.top_n, config, "top_n", DEFAULT_TOP_N))
+        lam = _setting(args.lam, config, "lambda", fusion.DEFAULT_LAMBDA)
+        beta = _setting(args.beta, config, "beta", fusion.DEFAULT_BETA)
+        top_n = _setting(args.top_n, config, "top_n", DEFAULT_TOP_N)
         cfg = fusion.FusionConfig(lam=lam, top_n=top_n)
+        if is_container(args.embeddings):
+            raise ValidationError(
+                f"{args.embeddings}: a binary container holds one modality; "
+                "fusion needs visual and text embeddings in a JSONL store"
+            )
         store = load_embeddings(args.embeddings, normalize=True)
         query_ids = _read_query_ids(args.queries)
         scores_by_scene: dict[str, dict[str, float]] = {}
@@ -161,6 +195,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             scores_by_scene = {m.scene_id: m.scores for m in load_metadata(args.metadata)}
         taxonomy = taxonomy or "Perception"
         subtask = subtask or "Visual Grounding"
+        visual = store.matrix("visual")
         episodes: list[Episode] = []
         for qid in query_ids:
             ranked = fusion.rank_top_n(qid, store, cfg)
@@ -177,15 +212,28 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             else:
                 scores = [s for _, s in ranked]
             selected: list[str] = []
-            if ids and k > 0:
+            if ids:
                 if k > len(ids):
                     _log(f"retrieve: {qid}: clamping k={k} to pool size {len(ids)}")
-                phi = np.array([store.require(cid, "visual").values for cid in ids])
                 pool = fusion.CandidatePool(
-                    ids=tuple(ids), phi=phi, scores=np.asarray(scores), beta=beta
+                    ids=tuple(ids),
+                    phi=visual[store.rows(ids, "visual")],
+                    scores=np.asarray(scores),
+                    beta=beta,
                 )
                 factor = fusion.build_dpp_factor(pool)
-                chosen = fusion.greedy_dpp_select(factor, min(k, len(ids)))
+                want = min(k, len(ids))
+                chosen = fusion.greedy_dpp_select(factor, want)
+                if len(chosen) < want:
+                    why = (
+                        "no remaining candidate's squared residual reaches it"
+                        if chosen
+                        else "every squared quality exp(2*beta*s) is below it"
+                    )
+                    _log(
+                        f"retrieve: {qid}: k={want}: returned {len(chosen)} shot(s); "
+                        f"stopped at the residual floor {fusion.RESIDUAL_EPS:g}: {why}"
+                    )
                 selected = [ids[i] for i in chosen]
             episodes.append(
                 Episode(
@@ -208,7 +256,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         rule = intent.parse_rule(rule_text)
         corpus = load_metadata(args.metadata)
         matched = intent.retrieve_by_rule(rule, corpus)
-        selected = matched[: max(k, 0)]
+        selected = matched[:k]
         episode_id = args.episode_id or "intent-0"
         taxonomy = taxonomy or "Conception"
         subtask = subtask or "Fast Concept Mapping"
@@ -236,8 +284,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    lo = _resolve(args.min, config, "min", None)
-    hi = _resolve(args.max, config, "max", None)
+    lo = _setting(args.min, config, "min", None)
+    hi = _setting(args.max, config, "max", None)
     records = load_metadata(args.metadata)
     kept = []
     missing = 0
@@ -271,6 +319,8 @@ def _taxonomy_rank(taxonomy: str) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _load_config(args)  # reserved for future knobs; validates the file if given
+    if args.report != "transfer" and not args.results:
+        raise UsageError(f"eval {args.report} requires --results")
     if args.report == "curves":
         rows = [r for r in metrics.load_results(args.results) if r.perturbation is None]
         rows.sort(key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality))
@@ -629,7 +679,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", parents=[common], help="select demonstrations")
     p.add_argument("--mode", choices=("fusion", "intent"), required=True)
-    p.add_argument("--embeddings", help="embedding store (JSONL or binary container)")
+    p.add_argument(
+        "--embeddings",
+        help="JSONL embedding store with visual and text vectors (the one-modality "
+        "binary container cannot serve fusion)",
+    )
     p.add_argument("--queries", help="JSONL of {'id': ...} query rows")
     p.add_argument("--metadata", help="scene metadata JSONL")
     p.add_argument("--rule", help="intent rule text")

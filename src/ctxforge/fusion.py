@@ -13,6 +13,7 @@ The compiled one is used when importable unless ``CTXFORGE_NO_EXT`` is set.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -37,11 +38,15 @@ else:
 
         KERNEL_BACKEND = "python"
 
-# exp(x) overflows float64 just above x = 709.78; guard a little below.
-QUALITY_EXP_LIMIT = 700.0
+# The kernel works on squared row norms |b_i|**2 = exp(2 * beta * s_i), and
+# exp(x) overflows float64 just above x = 709.78: guard a little below half.
+QUALITY_EXP_LIMIT = 350.0
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 8.0
+
+# fused_score's order: lambda weighs the first modality, 1 - lambda the second
+MODALITIES = ("visual", "text")
 
 # Squared-residual floor: selection stops once every remaining candidate's
 # residual norm**2 drops below this (the factor is numerically rank-deficient).
@@ -98,22 +103,47 @@ def rank_top_n(
     the store.  When ``candidates`` is omitted, every id with both modalities
     (except the query itself) is considered.  Returns ``(id, score)`` pairs
     sorted by descending score, ties broken by ascending id, truncated to
-    ``config.top_n``.
+    ``config.top_n``.  Scores are ``fused_score`` of the stored vectors.
     """
-    qv = store.require(query_id, "visual")
-    qt = store.require(query_id, "text")
+    query_rows = [store.rows([query_id], m)[0] for m in MODALITIES]
     if candidates is None:
-        text_ids = set(store.ids("text"))
-        pool = sorted(i for i in store.ids("visual") if i in text_ids and i != query_id)
+        pool, *rows = store.paired()
+        at = bisect.bisect_left(pool, query_id)
+        if at < len(pool) and pool[at] == query_id:
+            pool = pool[:at] + pool[at + 1 :]
+            rows = [np.delete(r, at) for r in rows]
     else:
-        pool = [c for c in candidates if c != query_id]
-    scored = []
+        given = [c for c in candidates if c != query_id]
+        pool = sorted(given)
+        try:
+            rows = [store.rows(pool, m) for m in MODALITIES]
+        except ValidationError:
+            _raise_first_failure(query_rows, store, given)
+            raise
+    cosines = []
+    for modality, q_row, c_rows in zip(MODALITIES, query_rows, rows):
+        vectors, norms = store.matrix(modality), store.row_norms(modality)
+        q_norm, c_norms = norms[q_row], norms[c_rows]
+        if pool and (q_norm == 0.0 or not c_norms.all()):
+            raise ValidationError("cosine: zero-norm input")
+        # einsum sums every row in the same order, so identical candidates get
+        # identical scores; a BLAS matvec may not, which would break exact ties.
+        dots = np.einsum("ij,j->i", vectors[c_rows], vectors[q_row])
+        cosines.append(dots / (q_norm * c_norms))
+    scores = config.lam * cosines[0] + (1.0 - config.lam) * cosines[1]
+    # pool is in ascending id order, so a stable sort breaks score ties by id
+    order = np.argsort(-scores, kind="stable")[: config.top_n]
+    return [(pool[i], float(scores[i])) for i in order]
+
+
+def _raise_first_failure(query_rows, store: EmbeddingStore, pool: list[str]) -> None:
+    """Raise what scoring ``pool`` one candidate at a time in the given order
+    hits first: a missing embedding or a zero-norm vector."""
+    query_zero = any(store.row_norms(m)[r] == 0.0 for m, r in zip(MODALITIES, query_rows))
     for cid in pool:
-        cv = store.require(cid, "visual")
-        ct = store.require(cid, "text")
-        scored.append((cid, fused_score(qv.values, qt.values, cv.values, ct.values, config.lam)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[: config.top_n]
+        rows = [store.rows([cid], m)[0] for m in MODALITIES]
+        if query_zero or any(store.row_norms(m)[r] == 0.0 for m, r in zip(MODALITIES, rows)):
+            raise ValidationError("cosine: zero-norm input")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +195,8 @@ class DppFactor:
 def build_dpp_factor(pool: CandidatePool) -> DppFactor:
     """Quality-weight the pool rows: ``b_i = exp(beta * s_i) * phi_i``.
 
-    Raises a numeric guard when any ``beta * s_i`` would overflow ``exp``.
+    Raises a numeric guard when any ``beta * s_i`` would overflow the squared
+    quality ``exp(2 * beta * s_i)``.
     """
     arg = pool.beta * pool.scores
     if arg.size and float(np.max(arg)) > QUALITY_EXP_LIMIT:

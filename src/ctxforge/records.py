@@ -23,8 +23,11 @@ import json
 import math
 import struct
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -318,7 +321,7 @@ class EmbeddingRecord:
             return EmbeddingRecord(
                 id=rid, modality=modality, dim=dim, values=tuple(float(v) for v in values)
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{path}.values: expected numbers") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
@@ -544,30 +547,57 @@ def save_metadata(records: Iterable[MetadataRecord], path: str) -> None:
 
 
 class EmbeddingStore:
-    """Embeddings keyed by (modality, id), with per-modality dim consistency."""
+    """Embeddings keyed by (modality, id), with per-modality dim consistency.
+
+    Each modality is one float64 ``(n, d)`` matrix, rows in insertion order,
+    plus an ``id -> row`` dict.  The matrix lives in a buffer that doubles in
+    rows as it fills.  ``EmbeddingRecord`` values are built on demand by
+    ``get``, ``require`` and iteration.
+    """
 
     def __init__(self) -> None:
-        self._by_modality: dict[str, dict[str, EmbeddingRecord]] = {
-            m: {} for m in EMBEDDING_MODALITIES
-        }
+        self._rows: dict[str, dict[str, int]] = {m: {} for m in EMBEDDING_MODALITIES}
+        self._buffers: dict[str, np.ndarray] = {m: np.empty((0, 0)) for m in EMBEDDING_MODALITIES}
+        # derived from the rows; dropped whenever a row is added
+        self._norms: dict[str, np.ndarray] = {}
+        self._paired: tuple[list[str], np.ndarray, np.ndarray] | None = None
+
+    def _append(self, item_id: str, modality: str, values: Sequence[float]) -> None:
+        """Store already checked ``values`` as the modality's next row."""
+        rows = self._rows[modality]
+        buf = self._buffers[modality]
+        n = len(rows)
+        if n == len(buf):
+            grown = np.empty((max(2 * n, 16), len(values)))
+            if n:
+                grown[:n] = buf
+            self._buffers[modality] = buf = grown
+        buf[n] = values
+        rows[item_id] = n
+        self._norms.pop(modality, None)
+        self._paired = None
 
     def add(self, record: EmbeddingRecord) -> None:
-        bucket = self._by_modality[record.modality]
-        if record.id in bucket:
+        if record.id in self._rows[record.modality]:
             raise ValidationError(
                 f"duplicate id {record.id!r} for modality {record.modality!r}"
             )
-        if bucket:
-            expect = next(iter(bucket.values())).dim
-            if record.dim != expect:
-                raise ValidationError(
-                    f"embedding {record.id!r}: dim {record.dim} inconsistent with "
-                    f"{record.modality} dim {expect}"
-                )
-        bucket[record.id] = record
+        expect = self.dim(record.modality)
+        if expect is not None and record.dim != expect:
+            raise ValidationError(
+                f"embedding {record.id!r}: dim {record.dim} inconsistent with "
+                f"{record.modality} dim {expect}"
+            )
+        self._append(record.id, record.modality, record.values)
 
     def get(self, item_id: str, modality: str) -> EmbeddingRecord | None:
-        return self._by_modality[modality].get(item_id)
+        row = self._rows[modality].get(item_id)
+        if row is None:
+            return None
+        values = self._buffers[modality][row]
+        return EmbeddingRecord(
+            id=item_id, modality=modality, dim=len(values), values=tuple(values.tolist())
+        )
 
     def require(self, item_id: str, modality: str) -> EmbeddingRecord:
         rec = self.get(item_id, modality)
@@ -576,20 +606,59 @@ class EmbeddingStore:
         return rec
 
     def ids(self, modality: str) -> list[str]:
-        return list(self._by_modality[modality])
+        return list(self._rows[modality])
 
     def dim(self, modality: str) -> int | None:
-        bucket = self._by_modality[modality]
-        if not bucket:
+        if not self._rows[modality]:
             return None
-        return next(iter(bucket.values())).dim
+        return self._buffers[modality].shape[1]
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._by_modality.values())
+        return sum(len(rows) for rows in self._rows.values())
 
     def __iter__(self) -> Iterator[EmbeddingRecord]:
         for modality in EMBEDDING_MODALITIES:
-            yield from self._by_modality[modality].values()
+            for item_id in self._rows[modality]:
+                yield self.get(item_id, modality)  # type: ignore[misc]
+
+    def matrix(self, modality: str) -> np.ndarray:
+        """The modality's ``(n, d)`` rows in ``ids`` order, as a read-only view."""
+        view = self._buffers[modality][: len(self._rows[modality])]
+        view.flags.writeable = False
+        return view
+
+    def rows(self, ids: Sequence[str], modality: str) -> np.ndarray:
+        """Row indices of ``ids`` in ``matrix(modality)``; a missing id raises
+        as ``require`` does."""
+        index = self._rows[modality]
+        try:
+            return np.fromiter((index[i] for i in ids), dtype=np.intp, count=len(ids))
+        except KeyError as exc:
+            raise ValidationError(
+                f"missing embedding for id {exc.args[0]!r} ({modality})"
+            ) from None
+
+    def row_norms(self, modality: str) -> np.ndarray:
+        """Euclidean norm of each row of ``matrix(modality)``, computed once per store state."""
+        norms = self._norms.get(modality)
+        if norms is None:
+            m = self.matrix(modality)
+            norms = self._norms[modality] = np.sqrt(np.einsum("ij,ij->i", m, m))
+        return norms
+
+    def paired(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Ids held in both modalities, ascending, with their visual and text rows."""
+        if self._paired is None:
+            text = self._rows["text"]
+            ids = sorted(i for i in self._rows["visual"] if i in text)
+            self._paired = (ids, self.rows(ids, "visual"), self.rows(ids, "text"))
+        return self._paired
+
+
+def is_container(path: str) -> bool:
+    """Whether the file at ``path`` starts with the binary container's magic."""
+    with open(path, "rb") as fh:
+        return fh.read(4) == CONTAINER_MAGIC
 
 
 def load_embeddings(
@@ -601,30 +670,101 @@ def load_embeddings(
     ``binary_modality``.  With ``normalize=True`` every vector is scaled to
     unit norm; zero vectors are rejected.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
     store = EmbeddingStore()
-    if magic == CONTAINER_MAGIC:
+    if is_container(path):
         with open(path, "rb") as fh:
             dim, entries = read_vector_block(fh)
             trailing = fh.read(1)
         if trailing:
             raise ValidationError(f"{path}: trailing bytes after container block")
         for rid, values in entries:
-            rec = EmbeddingRecord(
-                id=rid, modality=binary_modality, dim=dim, values=tuple(float(v) for v in values)
-            )
+            rec = EmbeddingRecord(id=rid, modality=binary_modality, dim=dim, values=values)
             store.add(rec.normalized() if normalize else rec)
         return store
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            rec = EmbeddingRecord.from_json(obj)
-            if normalize:
-                rec = rec.normalized()
-            store.add(rec)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    # Finiteness and zero norms are checked once over the filled matrices, so
+    # each row keeps its line number to report; an error on a later line is
+    # raised only after the rows before it pass those checks.
+    lines = {m: array("q") for m in EMBEDDING_MODALITIES}
+    try:
+        for lineno, obj in _iter_jsonl(path):
+            try:
+                modality = _add_jsonl_embedding(store, obj, normalize)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            lines[modality].append(lineno)
+    except ValidationError:
+        _check_rows(store, lines, normalize, path)
+        raise
+    _check_rows(store, lines, normalize, path)
+    if normalize:
+        for modality, rows in store._rows.items():
+            data = store._buffers[modality][: len(rows)]
+            data /= np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
     return store
+
+
+def _add_jsonl_embedding(store: EmbeddingStore, obj: Any, normalize: bool) -> str:
+    """Append one parsed JSONL embedding to ``store``; return its modality.
+
+    A well-formed line is written straight into its modality's matrix, and
+    its finiteness and norm are left to ``_check_rows``.  Any other line goes
+    through ``EmbeddingRecord.from_json``, which raises the record's own
+    error or converts what ``float`` accepts (such as numeric strings).
+    """
+    if type(obj) is dict:
+        rid, modality = obj.get("id"), obj.get("modality")
+        dim, values = obj.get("dim"), obj.get("values")
+        if (
+            type(rid) is str and rid
+            and type(modality) is str and modality in store._rows
+            and type(dim) is int and dim >= 1
+            and type(values) is list and len(values) == dim
+            and rid not in store._rows[modality]
+            and store.dim(modality) in (None, dim)
+        ):
+            try:
+                row = array("d", values)  # numbers only: strings and None take the slow path
+            except (TypeError, OverflowError):
+                pass
+            else:
+                store._append(rid, modality, row)
+                return modality
+    rec = EmbeddingRecord.from_json(obj)
+    if normalize:
+        rec.normalized()  # rejects a zero vector
+    store.add(rec)
+    return rec.modality
+
+
+def _check_rows(
+    store: EmbeddingStore, lines: dict[str, array], normalize: bool, path: str
+) -> None:
+    """Raise for the earliest line whose row holds a non-finite value or, with
+    ``normalize``, is a zero vector, as the per-record checks word it."""
+    first = None
+    for modality in EMBEDDING_MODALITIES:
+        data = store.matrix(modality)
+        bad = ~np.isfinite(data).all(axis=1)
+        if normalize:
+            bad |= np.einsum("ij,ij->i", data, data) == 0.0
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or lines[modality][hits[0]] < first[0]):
+            first = (lines[modality][hits[0]], modality, int(hits[0]))
+    if first is None:
+        return
+    lineno, modality, row = first
+    values = store.matrix(modality)[row]
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        raise ValidationError(
+            f"{path}: line {lineno}: embedding: values[{i}]: "
+            f"non-finite or non-numeric value {float(values[i])!r}"
+        )
+    item_id = list(store._rows[modality])[row]
+    raise ValidationError(
+        f"{path}: line {lineno}: embedding {item_id!r}: zero-norm vector cannot be normalized"
+    )
 
 
 def save_embeddings_jsonl(records: Iterable[EmbeddingRecord], path: str) -> None:

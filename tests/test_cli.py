@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ctxforge.cli import main
+from ctxforge.records import EmbeddingRecord, save_embeddings_binary
 
 
 def run_cli(args, **kwargs):
@@ -103,30 +104,64 @@ class TestRetrieveFusion:
         )
         assert code == 0
         assert "clamping" in err
+        assert "k=3: returned 2 shot(s); stopped at the residual floor" in err
         ep = json.loads(out.splitlines()[0])
         # 2-d embeddings: selection stops at numerical rank two
         assert len(ep["shots"]) == 2
 
-    def test_quality_overflow_exits_4(self, fusion_fixture, tmp_path):
-        emb, queries, _ = fusion_fixture
-        meta = tmp_path / "hot.jsonl"
+    @staticmethod
+    def _run_with_scores(emb, queries, meta, score):
         with open(meta, "w") as f:
             for rid in ("cand1", "cand2", "cand3"):
                 f.write(
                     json.dumps(
-                        {"scene_id": rid, "instances": [], "scene_attributes": {}, "scores": {"rel": 1000.0}}
+                        {"scene_id": rid, "instances": [], "scene_attributes": {}, "scores": {"rel": score}}
                     )
                     + "\n"
                 )
-        code, _, err = run_cli(
+        return run_cli(
             [
                 "retrieve", "--mode", "fusion",
                 "--embeddings", str(emb), "--queries", str(queries),
                 "--metadata", str(meta), "--s-field", "rel", "--k", "2",
             ]
         )
-        assert code == 4
-        assert "rescale" in err
+
+    def test_quality_overflow_exits_4(self, fusion_fixture, tmp_path):
+        emb, queries, _ = fusion_fixture
+        # s=50 overflows the squared quality exp(2*beta*s) the kernel uses,
+        # though exp(beta*s) itself is finite
+        for score in (1000.0, 50.0):
+            code, _, err = self._run_with_scores(emb, queries, tmp_path / "hot.jsonl", score)
+            assert code == 4
+            assert "rescale" in err
+
+    def test_quality_underflow_is_reported(self, fusion_fixture, tmp_path):
+        emb, queries, _ = fusion_fixture
+        code, out, err = self._run_with_scores(emb, queries, tmp_path / "cold.jsonl", -50.0)
+        assert code == 0
+        assert json.loads(out)["shots"] == []
+        # exp(2*beta*s) underflows to 0 for every candidate
+        assert "retrieve: query: k=2: returned 0 shot(s); stopped at the residual floor" in err
+        assert "every squared quality" in err
+
+    def test_binary_container_is_rejected(self, tmp_path):
+        store = tmp_path / "store.bin"
+        save_embeddings_binary(
+            [EmbeddingRecord(id=rid, modality="visual", dim=2, values=(1.0, 0.5)) for rid in ("a", "b")],
+            store,
+        )
+        queries = tmp_path / "q.jsonl"
+        queries.write_text(json.dumps({"id": "a"}) + "\n")
+        code, out, err = run_cli(
+            ["retrieve", "--mode", "fusion", "--embeddings", str(store), "--queries", str(queries)]
+        )
+        assert code == 3
+        assert out == ""
+        assert "holds one modality" in err and "JSONL" in err
+        code, out, _ = run_cli(["validate", "--embeddings", str(store)])
+        assert code == 0
+        assert json.loads(out)["records"] == 2
 
     def test_determinism_large_corpus(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -251,6 +286,12 @@ class TestEval:
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         return path
+
+    @pytest.mark.parametrize("report", ["curves", "stability", "align", "human"])
+    def test_missing_results_is_usage_error(self, report):
+        code, _, err = run_cli(["eval", report])
+        assert code == 2
+        assert f"eval {report} requires --results" in err
 
     def test_curves_efficiency_gold_value(self, results):
         code, out, err = run_cli(["eval", "curves", "--results", str(results)])
@@ -387,6 +428,32 @@ class TestConfigMerge:
              "--queries", str(queries), "--config", str(cfg), "--k", "2"]
         )
         assert len(json.loads(out)["shots"]) == 2  # flag wins
+
+    @pytest.mark.parametrize(
+        "flags, config, key",
+        [
+            (["--k", "-3"], {}, "k"),
+            ([], {"k": "4"}, "k"),
+            ([], {"k": True}, "k"),
+            ([], {"lambda": "x"}, "lambda"),
+            (["--lambda", "1.5"], {}, "lambda"),
+            ([], {"top_n": 2.5}, "top_n"),
+            ([], {"beta": 0}, "beta"),
+        ],
+        ids=["negative-k", "string-k", "bool-k", "string-lambda", "lambda-above-1",
+             "fractional-top-n", "zero-beta"],
+    )
+    def test_bad_setting_exits_2(self, fusion_fixture, tmp_path, flags, config, key):
+        emb, queries, _ = fusion_fixture
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["retrieve", "--mode", "fusion", "--embeddings", str(emb),
+             "--queries", str(queries), "--config", str(cfg), *flags]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"usage error: {key} must be" in err
 
     def test_bad_config_exits_3(self, fusion_fixture, tmp_path):
         emb, queries, _ = fusion_fixture

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxforge.errors import ValidationError
 from ctxforge.fusion import FusionConfig, cosine, fused_score, rank_top_n
@@ -107,3 +109,92 @@ def test_rank_top_n_random_agrees_with_direct_formula():
             assert score == pytest.approx(expected[rid], abs=1e-12)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
+
+
+def oracle_rank(query_id, pairs, lam, top_n, candidates=None):
+    """One scalar fused_score per candidate, sorted by (score desc, id asc)."""
+    if candidates is None:
+        pool = sorted(rid for rid in pairs if rid != query_id)
+    else:
+        pool = [c for c in candidates if c != query_id]
+    qv, qt = pairs[query_id]
+    scored = [(c, fused_score(qv, qt, pairs[c][0], pairs[c][1], lam)) for c in pool]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:top_n]
+
+
+@st.composite
+def ranking_cases(draw):
+    # Small integer components keep every dot product and squared norm exact,
+    # so both sides compute bit-identical scores and the order must match
+    # exactly; items drawn from a few distinct vectors force exact ties.
+    dims = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vector = lambda d: st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)
+    distinct = draw(st.lists(st.tuples(vector(dims[0]), vector(dims[1])), min_size=1, max_size=4))
+    n = draw(st.integers(2, 14))
+    ids = draw(st.permutations([f"c{i:02d}" for i in range(n)]))  # insertion order != id order
+    pairs = {rid: draw(st.sampled_from(distinct)) for rid in ids}
+    query_id = draw(st.sampled_from(ids))
+    lam = draw(st.floats(0.0, 1.0))
+    top_n = draw(st.integers(0, n + 2))
+    candidates = draw(st.none() | st.lists(st.sampled_from(ids), max_size=2 * n))
+    return pairs, query_id, lam, top_n, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_cases())
+def test_rank_top_n_matches_scalar_oracle(case):
+    pairs, query_id, lam, top_n, candidates = case
+    store = store_with(pairs)
+    ranked = rank_top_n(query_id, store, FusionConfig(lam=lam, top_n=top_n), candidates)
+    expected = oracle_rank(query_id, pairs, lam, top_n, candidates)
+    assert [rid for rid, _ in ranked] == [rid for rid, _ in expected]
+    np.testing.assert_allclose([s for _, s in ranked], [s for _, s in expected], rtol=0, atol=1e-12)
+
+
+def test_rank_top_n_float_vectors_match_oracle_scores():
+    # Random float vectors, with one vector pair shared by every third item
+    # and by the last ones, so exact ties fall on the final rows too, where a
+    # blocked BLAS matvec sums in another order than on the rows before.
+    rng = np.random.default_rng(5)
+    for n in (41, 42, 43, 102, 103, 203):
+        for dv, dt in ((8, 16), (33, 64)):
+            pairs = {f"c{i:03d}": (rng.standard_normal(dv), rng.standard_normal(dt)) for i in range(n)}
+            qv, qt = pairs["c000"]
+            twin = (qv + 0.1 * rng.standard_normal(dv), qt + 0.1 * rng.standard_normal(dt))
+            for i in [*range(1, n, 3), n - 3, n - 2, n - 1]:
+                pairs[f"c{i:03d}"] = twin
+            top_n = n // 2
+            ranked = rank_top_n("c000", store_with(pairs), FusionConfig(lam=0.3, top_n=top_n))
+            expected = oracle_rank("c000", pairs, 0.3, top_n)
+            assert [rid for rid, _ in ranked] == [rid for rid, _ in expected]
+            np.testing.assert_allclose(
+                [s for _, s in ranked], [s for _, s in expected], rtol=0, atol=1e-12
+            )
+
+
+@pytest.mark.parametrize(
+    "candidates, match",
+    [
+        (["b", "ghost"], r"missing embedding for id 'ghost' \(visual\)"),
+        (["vis-only", "ghost"], r"missing embedding for id 'vis-only' \(text\)"),
+        (["zero", "ghost"], "cosine: zero-norm input"),  # scored before the missing id
+        (["ghost", "zero"], r"missing embedding for id 'ghost' \(visual\)"),
+        (["b", "zero"], "cosine: zero-norm input"),
+        (None, "cosine: zero-norm input"),
+    ],
+)
+def test_rank_top_n_errors(candidates, match):
+    store = store_with(
+        {"q": ((1.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0)), "zero": ((1.0, 0.0), (0.0, 0.0))}
+    )
+    store.add(EmbeddingRecord(id="vis-only", modality="visual", dim=2, values=(1.0, 0.0)))
+    with pytest.raises(ValidationError, match=match):
+        rank_top_n("q", store, FusionConfig(), candidates)
+
+
+def test_rank_top_n_zero_norm_query():
+    store = store_with({"q": ((0.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0))})
+    with pytest.raises(ValidationError, match="zero-norm"):
+        rank_top_n("q", store, FusionConfig())
+    assert rank_top_n("q", store, FusionConfig(), candidates=["q"]) == []

@@ -303,3 +303,84 @@ def test_loader_normalize_flag(tmp_path):
     )
     store = load_embeddings(path, normalize=True)
     np.testing.assert_allclose(store.require("a", "visual").values, (0.6, 0.8))
+
+
+GOOD_LINES = (
+    '{"id": "a", "modality": "visual", "dim": 2, "values": [1.0, 2.0]}\n'
+    '{"id": "a", "modality": "text", "dim": 2, "values": [3.0, 4.0]}\n'
+    "\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, normalize, message",
+    [
+        ('{"id": "b", "modality": "visual", "dim": true, "values": [1.0]}', False,
+         "embedding.dim: expected an integer"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [1.0, NaN]}', False,
+         "embedding: values[1]: non-finite or non-numeric value nan"),
+        ('{"id": "b", "modality": "text", "dim": 2, "values": [1e400, 1.0]}', True,
+         "embedding: values[0]: non-finite or non-numeric value inf"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": ["x", 1.0]}', False,
+         "embedding.values: expected numbers"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [null, 1.0]}', True,
+         "embedding.values: expected numbers"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [1' + "0" * 400 + ", 1.0]}",
+         False, "embedding.values: expected numbers"),
+        ('{"id": "b", "modality": "visual", "dim": 3, "values": [1.0, 1.0, 1.0]}', False,
+         "embedding 'b': dim 3 inconsistent with visual dim 2"),
+        ('{"id": "b", "modality": "visual", "dim": 3, "values": [1.0, 1.0]}', False,
+         "embedding: values: length 2 does not match dim 3"),
+        ('{"id": "a", "modality": "visual", "dim": 2, "values": [5.0, 6.0]}', False,
+         "duplicate id 'a' for modality 'visual'"),
+        ('{"id": "a", "modality": "visual", "dim": 2, "values": [NaN, 6.0]}', False,
+         "embedding: values[0]: non-finite or non-numeric value nan"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [0.0, 0.0]}', True,
+         "embedding 'b': zero-norm vector cannot be normalized"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [0.0, 0.0]}\n{"id": ', True,
+         "embedding 'b': zero-norm vector cannot be normalized"),
+        ('{"id": "b", "modality": "audio", "dim": 2, "values": [1.0, 1.0]}', False,
+         "embedding: modality: 'audio' is not one of ('visual', 'text')"),
+    ],
+    ids=["bool-dim", "nan", "inf", "string", "null", "huge-int", "dim-mismatch",
+         "length-mismatch", "duplicate-id", "duplicate-id-and-nan", "zero-vector",
+         "zero-vector-before-parse-error", "unknown-modality"],
+)
+def test_loader_reports_bad_line(tmp_path, line, normalize, message):
+    # The rows are checked for finiteness and zero norms after the last line,
+    # so an error found later in the file must still name the earliest line.
+    path = tmp_path / "emb.jsonl"
+    path.write_text(GOOD_LINES + line + "\n")
+    with pytest.raises(ValidationError) as info:
+        load_embeddings(path, normalize=normalize)
+    assert str(info.value) == f"{path}: line 4: {message}"
+
+
+def test_loader_takes_what_float_takes(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        GOOD_LINES + '{"id": "b", "modality": "visual", "dim": 2, "values": ["1.5", true]}\n'
+    )
+    store = load_embeddings(path)
+    assert store.require("b", "visual").values == (1.5, 1.0)
+    assert store.require("a", "text").values == (3.0, 4.0)
+
+
+def test_store_add_after_load(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(GOOD_LINES)
+    store = load_embeddings(path, normalize=True)
+    np.testing.assert_allclose(store.row_norms("visual"), [1.0])
+    for i in range(40):  # past the loaded matrix's capacity
+        store.add(EmbeddingRecord(id=f"n{i}", modality="visual", dim=2, values=(0.0, float(i + 1))))
+    assert len(store) == 42
+    assert store.ids("visual")[:2] == ["a", "n0"]
+    np.testing.assert_allclose(store.require("a", "visual").values, (0.2**0.5, 0.8**0.5))
+    assert store.require("n39", "visual").values == (0.0, 40.0)
+    assert store.matrix("visual").shape == (41, 2)
+    assert store.row_norms("visual")[-1] == 40.0
+    assert [r.id for r in store] == ["a", *(f"n{i}" for i in range(40)), "a"]
+    with pytest.raises(ValidationError, match="duplicate id 'n3'"):
+        store.add(EmbeddingRecord(id="n3", modality="visual", dim=2, values=(1.0, 0.0)))
+    with pytest.raises(ValidationError, match="inconsistent"):
+        store.add(EmbeddingRecord(id="z", modality="text", dim=3, values=(1.0, 0.0, 0.0)))
