@@ -3,8 +3,7 @@
 The package bundles four pieces that share one record model:
 
 * :mod:`ctxforge.fusion` — fused visual/text similarity ranking and diverse
-  subset selection via a greedy determinantal kernel (compiled fast path with
-  a pure-NumPy fallback).
+  subset selection via a greedy determinantal kernel.
 * :mod:`ctxforge.intent` — a small boolean rule language over scene metadata
   with a parser, printer, and total evaluator.
 * :mod:`ctxforge.capm` — a context-aware probe module: encode demonstrations
@@ -54,7 +53,6 @@ from .fusion import (
     CandidatePool,
     DppFactor,
     FusionConfig,
-    KERNEL_BACKEND,
     brute_force_map,
     build_dpp_factor,
     cosine,
@@ -120,7 +118,6 @@ __all__ = [
     "FusionConfig",
     "CandidatePool",
     "DppFactor",
-    "KERNEL_BACKEND",
     "cosine",
     "fused_score",
     "rank_top_n",

@@ -3,12 +3,10 @@
 Candidates are scored against a query by a convex combination of visual and
 text cosine similarities.  The scores lift into a quality-weighted low-rank
 kernel ``L = B @ B.T`` with rows ``B_i = exp(beta * s_i) * phi_i``, and a
-diverse subset is chosen by greedy residual-norm selection (an incremental
-Cholesky of ``L``), which maximizes ``det(L_Y)`` greedily.
-
-The greedy kernel has two interchangeable backends: a compiled extension
-(``ctxforge._greedy``) and a pure numpy fallback (``ctxforge._greedy_py``).
-The compiled one is used when importable unless ``CTXFORGE_NO_EXT`` is set.
+diverse subset is chosen by greedy residual-norm selection, which maximizes
+``det(L_Y)`` greedily.  The selector is the Fast Greedy MAP form of Chen,
+Zhang & Zhou (NeurIPS 2018): an incremental Cholesky of ``L`` restricted to
+the picked rows, grown one row of ``C`` per step without copying ``B``.
 """
 
 from __future__ import annotations
@@ -16,27 +14,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericGuardError, ValidationError
 from .records import EmbeddingStore
-
-if os.environ.get("CTXFORGE_NO_EXT"):
-    from . import _greedy_py as _kernel
-
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _greedy as _kernel  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _greedy_py as _kernel  # type: ignore[no-redef]
-
-        KERNEL_BACKEND = "python"
 
 # The kernel works on squared row norms |b_i|**2 = exp(2 * beta * s_i), and
 # exp(x) overflows float64 just above x = 709.78: guard a little below half.
@@ -210,17 +193,50 @@ def greedy_dpp_select(factor: DppFactor, k: int, return_gains: bool = False):
 
     Returns the selected row indices in selection order (possibly fewer than
     ``k`` when the factor runs out of numerical rank; the product of the
-    per-step gains equals ``det(L_Y)``).  Ties go to the smallest index.
+    per-step gains equals ``det(L_Y)``).  Ties go to the smallest index, also
+    between identical rows.  ``factor.b`` is only read.
     """
     n = factor.b.shape[0]
     if n == 0:
         raise ValidationError("greedy_dpp_select: empty pool")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
         raise ValidationError(f"greedy_dpp_select: k must lie in [1, {n}], got {k!r}")
-    indices, gains = _kernel.greedy_select(factor.b, k, RESIDUAL_EPS)
+    indices, gains = greedy_select(factor.b, k, RESIDUAL_EPS)
     if return_gains:
-        return list(indices), np.asarray(gains, dtype=np.float64)
-    return list(indices)
+        return indices, np.asarray(gains, dtype=np.float64)
+    return indices
+
+
+def greedy_select(b, k: int, eps: float) -> tuple[list[int], list[float]]:
+    """Pick up to ``k`` rows of ``b`` by largest squared residual norm.
+
+    ``d2[j]`` is row ``j``'s squared residual after projecting out the picked
+    rows, and ``C[i]`` holds every row's coordinate on the ``i``-th Cholesky
+    direction, so step ``i`` costs one pass over ``b`` and one over ``C[:i]``.
+    Stops once the best squared residual is below ``eps``; ``gains[i]`` is
+    the squared residual of the row picked at step ``i``.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    d2 = np.einsum("ij,ij->i", b, b)
+    c = np.empty((k, b.shape[0]))
+    picked: list[int] = []
+    gains: list[float] = []
+    for i in range(k):
+        j = int(np.argmax(d2))  # argmax keeps the smallest index on ties
+        gain = float(d2[j])
+        if gain < eps:
+            break
+        # einsum sums every row (and every column of C) in the same order, so
+        # identical rows keep identical residuals; a BLAS gemv may not.
+        proj = np.einsum("ij,j->i", b, b[j]) - np.einsum("ij,i->j", c[:i], c[:i, j])
+        c[i] = proj / math.sqrt(gain)
+        picked.append(j)
+        gains.append(gain)
+        d2 = np.maximum(d2 - c[i] * c[i], 0.0)
+        # a picked row's residual is only zero up to rounding, which can
+        # exceed eps at large qualities: take picked rows out of the argmax
+        d2[picked] = -np.inf
+    return picked, gains
 
 
 def brute_force_map(factor: DppFactor, k: int) -> tuple[tuple[int, ...], float]:

@@ -163,6 +163,38 @@ class TestRetrieveFusion:
         assert code == 0
         assert json.loads(out)["records"] == 2
 
+    def test_duplicate_items_resolve_to_smallest_id(self, tmp_path):
+        # every item is stored twice, as itNNNa and itNNNb with identical
+        # vectors, so each twin pair ties exactly in score and residual
+        rng = np.random.default_rng(3)
+        emb = tmp_path / "twins.jsonl"
+        n_items, n_queries = 20, 40
+        with open(emb, "w") as f:
+            for i in range(n_items + n_queries):
+                vectors = {"visual": rng.standard_normal(16), "text": rng.standard_normal(8)}
+                names = [f"q{i - n_items:02d}"] if i >= n_items else [f"it{i:03d}a", f"it{i:03d}b"]
+                for name in names:
+                    for modality, vec in vectors.items():
+                        record = {"id": name, "modality": modality, "dim": len(vec), "values": vec.tolist()}
+                        f.write(json.dumps(record) + "\n")
+        queries = tmp_path / "q.jsonl"
+        queries.write_text("".join(json.dumps({"id": f"q{q:02d}"}) + "\n" for q in range(n_queries)))
+        code, out, _ = run_cli(
+            [
+                "retrieve", "--mode", "fusion",
+                "--embeddings", str(emb), "--queries", str(queries),
+                "--k", "4", "--top-n", "8",
+            ]
+        )
+        assert code == 0
+        episodes = [json.loads(line) for line in out.splitlines()]
+        assert len(episodes) == n_queries
+        for ep in episodes:
+            shots = [s["id"] for s in ep["shots"]]
+            for at, sid in enumerate(shots):
+                if sid.endswith("b"):
+                    assert sid[:-1] + "a" in shots[:at], f"{ep['episode_id']}: {sid} before its twin: {shots}"
+
     def test_determinism_large_corpus(self, tmp_path):
         rng = np.random.default_rng(0)
         emb = tmp_path / "big.jsonl"
