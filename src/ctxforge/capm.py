@@ -1,7 +1,10 @@
 """Context-adaptive modulation: encode demos, build a prototype bank, route
 per-token context, and gate an attention output.
 
-Pipeline over ``N`` demonstrations and a ``T``-token backbone segment:
+Pipeline over ``N`` demonstrations and a ``T``-token backbone segment.  Demos
+may differ in length: each is checked, then all are zero-padded into one
+``(N, L_max, d_b)`` batch with a token mask, and every demo-side stage runs
+once over that batch (padded tokens get exactly zero attention weight).
 
 1. ``encode_demo``   — segment-masked cross-attention reads each demo's
    tokens into ``K + 2`` slots: an input summary ``c_in`` (user tokens only),
@@ -281,7 +284,7 @@ class CapmTrace:
 
     h: np.ndarray
     y: np.ndarray
-    slots: tuple[DemoSlots, ...]
+    slots: np.ndarray  # (N, K + 2, d_p): c_in, c_out, then the K context rows
     z: np.ndarray  # (N, d_p)
     z_hat: np.ndarray  # (N, d_p)
     bank: np.ndarray  # (S, d_p)
@@ -379,8 +382,10 @@ def _rms_backward(dout, cache):
     return dx, dgain
 
 
-def _l2rows_forward(x):
+def _l2rows_forward(x, zero_msg):
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise NumericGuardError(zero_msg)
     return x / norms, (x, norms)
 
 
@@ -390,52 +395,55 @@ def _l2rows_backward(dout, cache):
     return dout / norms - x * dot / norms**3
 
 
+def _heads(x, heads):
+    """``(B, n, d)`` rows -> ``(B, heads, n, d // heads)`` per-head view."""
+    b, n, d = x.shape
+    return x.reshape(b, n, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, heads, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, heads * dh)
+
+
+def _flat(x):
+    return x.reshape(-1, x.shape[-1])
+
+
 def _mha_forward(q_rows, kv_rows, wq, wk, wv, wo, heads, mask=None):
-    """Multi-head scaled dot-product attention.  ``mask[i, j]`` true means
-    query row ``i`` may attend key ``j``; masked scores become -inf, so the
-    masked positions get exactly zero weight."""
-    m, d = q_rows.shape
-    l = kv_rows.shape[0]
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-    q = q_rows @ wq
-    k = kv_rows @ wk
-    v = kv_rows @ wv
-    qh = q.reshape(m, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(l, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(l, heads, dh).transpose(1, 0, 2)
-    scores = np.einsum("hmd,hld->hml", qh, kh) * scale
+    """Batched multi-head scaled dot-product attention over ``(B, m, d)``
+    query rows and ``(B, l, d)`` key/value rows.  ``mask[b, i, j]`` true
+    means query row ``i`` of batch ``b`` may attend key ``j``; masked scores
+    become -inf, so the masked positions get exactly zero weight."""
+    scale = 1.0 / math.sqrt(q_rows.shape[-1] // heads)
+    qh = _heads(q_rows @ wq, heads)
+    kh = _heads(kv_rows @ wk, heads)
+    vh = _heads(kv_rows @ wv, heads)
+    scores = np.einsum("bhmd,bhld->bhml", qh, kh) * scale
     if mask is not None:
-        scores = np.where(mask[None, :, :], scores, -np.inf)
+        scores = np.where(mask[:, None], scores, -np.inf)
     p = _softmax_last(scores)
-    oh = np.einsum("hml,hld->hmd", p, vh)
-    concat = oh.transpose(1, 0, 2).reshape(m, d)
+    concat = _merge_heads(np.einsum("bhml,bhld->bhmd", p, vh))
     out = concat @ wo
-    cache = (q_rows, kv_rows, wq, wk, wv, wo, qh, kh, vh, p, concat, scale, heads)
+    cache = (q_rows, kv_rows, wq, wk, wv, wo, qh, kh, vh, p, concat, scale)
     return out, cache
 
 
 def _mha_backward(dout, cache):
-    q_rows, kv_rows, wq, wk, wv, wo, qh, kh, vh, p, concat, scale, heads = cache
-    m, d = concat.shape
-    l = kv_rows.shape[0]
-    dh = d // heads
-    dwo = concat.T @ dout
-    dconcat = dout @ wo.T
-    doh = dconcat.reshape(m, heads, dh).transpose(1, 0, 2)
-    dp = np.einsum("hmd,hld->hml", doh, vh)
-    dvh = np.einsum("hml,hmd->hld", p, doh)
+    q_rows, kv_rows, wq, wk, wv, wo, qh, kh, vh, p, concat, scale = cache
+    dwo = _flat(concat).T @ _flat(dout)
+    doh = _heads(dout @ wo.T, qh.shape[1])
+    dp = np.einsum("bhmd,bhld->bhml", doh, vh)
+    dvh = np.einsum("bhml,bhmd->bhld", p, doh)
     ds = _softmax_backward(dp, p)
-    dqh = np.einsum("hml,hld->hmd", ds, kh) * scale
-    dkh = np.einsum("hml,hmd->hld", ds, qh) * scale
-    dq = dqh.transpose(1, 0, 2).reshape(m, d)
-    dk = dkh.transpose(1, 0, 2).reshape(l, d)
-    dv = dvh.transpose(1, 0, 2).reshape(l, d)
+    dq = _merge_heads(np.einsum("bhml,bhld->bhmd", ds, kh) * scale)
+    dk = _merge_heads(np.einsum("bhml,bhmd->bhld", ds, qh) * scale)
+    dv = _merge_heads(dvh)
     dq_rows = dq @ wq.T
     dkv_rows = dk @ wk.T + dv @ wv.T
-    dwq = q_rows.T @ dq
-    dwk = kv_rows.T @ dk
-    dwv = kv_rows.T @ dv
+    dwq = _flat(q_rows).T @ _flat(dq)
+    dwk = _flat(kv_rows).T @ _flat(dk)
+    dwv = _flat(kv_rows).T @ _flat(dv)
     return dq_rows, dkv_rows, dwq, dwk, dwv, dwo
 
 
@@ -460,52 +468,64 @@ def _check_demo(tokens, segments, hyper: CapmHyper) -> tuple[np.ndarray, np.ndar
     return tok, is_user
 
 
-def _encode_forward(tokens, segments, params: CapmParams, hyper: CapmHyper):
-    tok, is_user = _check_demo(tokens, segments, hyper)
-    xp = tok @ params.w_in
-    mask = np.ones((hyper.K + 2, tok.shape[0]), dtype=bool)
-    mask[0] = is_user  # c_in reads the user segment only
-    mask[1] = ~is_user  # c_out reads the assistant segment only
-    y, mha_cache = _mha_forward(
-        params.queries, xp, params.enc_wq, params.enc_wk, params.enc_wv, params.enc_wo,
-        hyper.heads, mask,
+def _stack_demos(demos, hyper: CapmHyper):
+    """Check each demo, then zero-pad them into one ``(N, L_max, d_b)`` batch.
+
+    Returns the tokens plus two ``(N, L_max)`` masks: ``valid`` marks real
+    tokens, ``user`` marks the user-segment ones."""
+    checked = [_check_demo(tokens, segments, hyper) for tokens, segments in demos]
+    lengths = np.array([len(is_user) for _, is_user in checked])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    tokens = np.zeros(valid.shape + (hyper.d_b,))
+    user = np.zeros(valid.shape, dtype=bool)
+    tokens[valid] = np.concatenate([tok for tok, _ in checked])
+    user[valid] = np.concatenate([is_user for _, is_user in checked])
+    return tokens, valid, user
+
+
+def _encode_forward(tokens, valid, user, params: CapmParams, hyper: CapmHyper):
+    """``(N, L, d_b)`` padded demos -> ``(N, K + 2, d_p)`` slots."""
+    mask = np.repeat(valid[:, None], hyper.K + 2, axis=1)
+    mask[:, 0] &= user  # c_in reads the user segment only
+    mask[:, 1] &= ~user  # c_out reads the assistant segment only
+    queries = np.broadcast_to(params.queries, (len(tokens),) + params.queries.shape)
+    slots, mha_cache = _mha_forward(
+        queries, tokens @ params.w_in,
+        params.enc_wq, params.enc_wk, params.enc_wv, params.enc_wo, hyper.heads, mask,
     )
-    slots = DemoSlots(c_in=y[0], c_out=y[1], context=y[2:])
-    return slots, (tok, mha_cache)
+    return slots, (tokens, mha_cache)
 
 
 def _encode_backward(d_slots, cache, params: CapmParams, grads: dict[str, np.ndarray]):
-    dc_in, dc_out, dcontext = d_slots
-    tok, mha_cache = cache
-    dy = np.vstack([dc_in[None, :], dc_out[None, :], dcontext])
-    dq_rows, dxp, dwq, dwk, dwv, dwo = _mha_backward(dy, mha_cache)
-    grads["queries"] += dq_rows
+    tokens, mha_cache = cache
+    dq_rows, dxp, dwq, dwk, dwv, dwo = _mha_backward(d_slots, mha_cache)
+    grads["queries"] += dq_rows.sum(axis=0)
     grads["enc_wq"] += dwq
     grads["enc_wk"] += dwk
     grads["enc_wv"] += dwv
     grads["enc_wo"] += dwo
-    grads["w_in"] += tok.T @ dxp
-    return dxp @ params.w_in.T  # d tokens
+    grads["w_in"] += _flat(tokens).T @ _flat(dxp)
+    return dxp @ params.w_in.T  # d tokens, zero on padding
 
 
-def _modulate_forward(slots: DemoSlots, params: CapmParams, hyper: CapmHyper):
-    cn, rms_cache = _rms_forward(slots.context, params.rms_gain)
-    g = cn.mean(axis=0)
-    delta = slots.c_out - slots.c_in
-    pi = slots.c_in * slots.c_out
-    cat = np.concatenate([slots.c_in, slots.c_out, delta, pi])
+def _modulate_forward(slots, params: CapmParams, hyper: CapmHyper):
+    """``(N, K + 2, d_p)`` slots -> ``(N, d_p)`` latent tokens."""
+    c_in, c_out, context = slots[:, 0], slots[:, 1], slots[:, 2:]
+    cn, rms_cache = _rms_forward(context, params.rms_gain)
+    g = cn.mean(axis=1)
+    cat = np.concatenate([c_in, c_out, c_out - c_in, c_in * c_out], axis=1)
     phi, ln_cache = _ln_forward(cat, params.phi_ln_gain, params.phi_ln_bias)
     pre1 = phi @ params.hcoef_w1 + params.hcoef_b1
     hid = _gelu(pre1)
     out = hid @ params.hcoef_w2 + params.hcoef_b2
-    rdp = hyper.r * hyper.d_p
-    u = out[:rdp].reshape(hyper.r, hyper.d_p)
-    v = out[rdp : 2 * rdp].reshape(hyper.r, hyper.d_p)
-    alpha = out[2 * rdp :]
+    n, rdp = len(slots), hyper.r * hyper.d_p
+    u = out[:, :rdp].reshape(n, hyper.r, hyper.d_p)
+    v = out[:, rdp : 2 * rdp].reshape(n, hyper.r, hyper.d_p)
+    alpha = out[:, 2 * rdp :]
     a = params.u_base * u
     b = params.v_base * v
-    s = b @ g
-    z = g + hyper.eta * (alpha * s) @ a
+    s = np.einsum("nrd,nd->nr", b, g)
+    z = g + hyper.eta * np.einsum("nr,nrd->nd", alpha * s, a)
     cache = (slots, rms_cache, ln_cache, phi, pre1, hid, u, v, alpha, a, b, s, g)
     return z, cache
 
@@ -513,103 +533,77 @@ def _modulate_forward(slots: DemoSlots, params: CapmParams, hyper: CapmHyper):
 def _modulate_backward(dz, cache, params: CapmParams, grads, hyper: CapmHyper):
     slots, rms_cache, ln_cache, phi, pre1, hid, u, v, alpha, a, b, s, g = cache
     eta = hyper.eta
-    dg = dz.copy()
-    da = eta * (alpha * s)[:, None] * dz[None, :]
-    d_as = eta * (a @ dz)  # (r,), gradient of (alpha_k * s_k)
+    da = eta * (alpha * s)[:, :, None] * dz[:, None, :]
+    d_as = eta * np.einsum("nrd,nd->nr", a, dz)  # gradient of (alpha_k * s_k)
     dalpha = d_as * s
     ds = d_as * alpha
-    db = ds[:, None] * g[None, :]
-    dg += ds @ b
-    grads["u_base"] += da * u
+    db = ds[:, :, None] * g[:, None, :]
+    dg = dz + np.einsum("nr,nrd->nd", ds, b)
+    grads["u_base"] += (da * u).sum(axis=0)
     du = da * params.u_base
-    grads["v_base"] += db * v
+    grads["v_base"] += (db * v).sum(axis=0)
     dv = db * params.v_base
-    dout = np.concatenate([du.ravel(), dv.ravel(), dalpha])
-    grads["hcoef_w2"] += np.outer(hid, dout)
-    grads["hcoef_b2"] += dout
+    n = len(dz)
+    dout = np.concatenate([du.reshape(n, -1), dv.reshape(n, -1), dalpha], axis=1)
+    grads["hcoef_w2"] += hid.T @ dout
+    grads["hcoef_b2"] += dout.sum(axis=0)
     dhid = dout @ params.hcoef_w2.T
     dpre1 = dhid * _gelu_grad(pre1)
-    grads["hcoef_w1"] += np.outer(phi, dpre1)
-    grads["hcoef_b1"] += dpre1
+    grads["hcoef_w1"] += phi.T @ dpre1
+    grads["hcoef_b1"] += dpre1.sum(axis=0)
     dphi = dpre1 @ params.hcoef_w1.T
     dcat, dgain, dbias = _ln_backward(dphi, ln_cache)
     grads["phi_ln_gain"] += dgain
     grads["phi_ln_bias"] += dbias
-    d1, d2, d3, d4 = np.split(dcat, 4)
-    dc_in = d1 - d3 + d4 * slots.c_out
-    dc_out = d2 + d3 + d4 * slots.c_in
-    k = slots.context.shape[0]
-    dcn = np.tile(dg / k, (k, 1))
-    dcontext, drms_gain = _rms_backward(dcn, rms_cache)
+    d1, d2, d3, d4 = np.split(dcat, 4, axis=1)
+    d_slots = np.empty_like(slots)
+    d_slots[:, 0] = d1 - d3 + d4 * slots[:, 1]
+    d_slots[:, 1] = d2 + d3 + d4 * slots[:, 0]
+    dcn = np.broadcast_to(dg[:, None] / hyper.K, d_slots[:, 2:].shape)
+    d_slots[:, 2:], drms_gain = _rms_backward(dcn, rms_cache)
     grads["rms_gain"] += drms_gain
-    return dc_in, dc_out, dcontext
+    return d_slots
 
 
 def _interact_forward(z_rows, params: CapmParams, hyper: CapmHyper):
     ln, ln_cache = _ln_forward(z_rows, params.int_ln_gain, params.int_ln_bias)
     attn, mha_cache = _mha_forward(
-        ln, ln, params.int_wq, params.int_wk, params.int_wv, params.int_wo, hyper.heads
+        ln[None], ln[None], params.int_wq, params.int_wk, params.int_wv, params.int_wo,
+        hyper.heads,
     )
-    return z_rows + attn, (ln_cache, mha_cache)
+    return z_rows + attn[0], (ln_cache, mha_cache)
 
 
 def _interact_backward(dzhat, cache, params: CapmParams, grads):
     ln_cache, mha_cache = cache
-    dq_rows, dkv_rows, dwq, dwk, dwv, dwo = _mha_backward(dzhat, mha_cache)
+    dq_rows, dkv_rows, dwq, dwk, dwv, dwo = _mha_backward(dzhat[None], mha_cache)
     grads["int_wq"] += dwq
     grads["int_wk"] += dwk
     grads["int_wv"] += dwv
     grads["int_wo"] += dwo
-    dln = dq_rows + dkv_rows
-    dz, dgain, dbias = _ln_backward(dln, ln_cache)
+    dz, dgain, dbias = _ln_backward(dq_rows[0] + dkv_rows[0], ln_cache)
     grads["int_ln_gain"] += dgain
     grads["int_ln_bias"] += dbias
     return dzhat + dz
 
 
-def _bank_forward(z_hat, slots_list, params: CapmParams, hyper: CapmHyper):
-    rows = []
-    kinds = []
-    for i, slots in enumerate(slots_list):
-        rows.append(z_hat[i])
-        kinds.append(_KIND_Z)
-        rows.append(slots.c_in)
-        kinds.append(_KIND_C_IN)
-        rows.append(slots.c_out)
-        kinds.append(_KIND_C_OUT)
-        for kk in range(hyper.K):
-            rows.append(slots.context[kk])
-            kinds.append(_KIND_CONTEXT)
-    raw = np.vstack(rows)
-    kind_idx = np.asarray(kinds, dtype=np.intp)
-    cal = raw * params.cal_scale[kind_idx] + params.cal_shift[kind_idx]
-    norms = np.linalg.norm(cal, axis=1)
-    if np.any(norms == 0.0):
-        raise NumericGuardError("assemble_bank: zero-norm row after calibration")
-    bank = cal / norms[:, None]
-    return bank, (raw, kind_idx, cal, norms)
+def _bank_forward(z_hat, slots, params: CapmParams, hyper: CapmHyper):
+    """Rows ``[z_hat[i], c_in, c_out, context...]`` per demo, calibrated by
+    slot kind, l2-normalized, flattened demo-major to ``(N * (K + 3), d_p)``."""
+    raw = np.concatenate([z_hat[:, None], slots], axis=1)
+    kind = np.array([_KIND_Z, _KIND_C_IN, _KIND_C_OUT] + [_KIND_CONTEXT] * hyper.K)
+    cal = raw * params.cal_scale[kind] + params.cal_shift[kind]
+    bank, l2_cache = _l2rows_forward(cal, "assemble_bank: zero-norm row after calibration")
+    return bank.reshape(-1, hyper.d_p), (raw, kind, l2_cache)
 
 
-def _bank_backward(dbank, cache, params: CapmParams, grads, hyper: CapmHyper, n_demos: int):
-    raw, kind_idx, cal, norms = cache
-    dot = (dbank * cal).sum(axis=1, keepdims=True)
-    dcal = dbank / norms[:, None] - cal * dot / norms[:, None] ** 3
-    for kind in range(4):
-        sel = kind_idx == kind
-        if sel.any():
-            grads["cal_scale"][kind] += (dcal[sel] * raw[sel]).sum(axis=0)
-            grads["cal_shift"][kind] += dcal[sel].sum(axis=0)
-    draw = dcal * params.cal_scale[kind_idx]
-    stride = hyper.K + 3
-    d_zhat = np.zeros((n_demos, hyper.d_p))
-    slot_grads = []
-    for i in range(n_demos):
-        base = i * stride
-        d_zhat[i] = draw[base]
-        slot_grads.append(
-            (draw[base + 1], draw[base + 2], draw[base + 3 : base + 3 + hyper.K].copy())
-        )
-    return d_zhat, slot_grads
+def _bank_backward(dbank, cache, params: CapmParams, grads):
+    raw, kind, l2_cache = cache
+    dcal = _l2rows_backward(dbank.reshape(raw.shape), l2_cache)
+    np.add.at(grads["cal_scale"], kind, (dcal * raw).sum(axis=0))
+    np.add.at(grads["cal_shift"], kind, dcal.sum(axis=0))
+    draw = dcal * params.cal_scale[kind]
+    return draw[:, 0], draw[:, 1:]  # d z_hat, d slots
 
 
 def _route_forward(h, bank, z_hat, params: CapmParams, hyper: CapmHyper):
@@ -619,10 +613,7 @@ def _route_forward(h, bank, z_hat, params: CapmParams, hyper: CapmHyper):
     tval = (t1 @ params.tau_w2 + params.tau_b2).item()
     sig = float(expit(tval))
     tau = hyper.tau_min + (hyper.tau_max - hyper.tau_min) * sig
-    q = h @ params.psi
-    if np.any(np.linalg.norm(q, axis=1) == 0.0):
-        raise NumericGuardError("route: zero-norm query projection")
-    qhat, l2_cache = _l2rows_forward(q)
+    qhat, l2_cache = _l2rows_forward(h @ params.psi, "route: zero-norm query projection")
     scores = qhat @ bank.T / tau
     weights = _softmax_last(scores)
     context = weights @ bank
@@ -689,16 +680,20 @@ def _gate_backward(dyp, cache, params: CapmParams, grads):
 # public stage operations
 
 
+def _slot_rows(slots: DemoSlots) -> np.ndarray:
+    return np.vstack([slots.c_in, slots.c_out, slots.context])
+
+
 def encode_demo(tokens, segments, params: CapmParams, hyper: CapmHyper) -> DemoSlots:
     """Read one demo into slots via segment-masked cross-attention."""
-    slots, _ = _encode_forward(tokens, segments, params, hyper)
-    return slots
+    slots, _ = _encode_forward(*_stack_demos([(tokens, segments)], hyper), params, hyper)
+    return DemoSlots(c_in=slots[0, 0], c_out=slots[0, 1], context=slots[0, 2:])
 
 
 def modulate(slots: DemoSlots, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
     """Compress slots into the demo's latent token ``z``."""
-    z, _ = _modulate_forward(slots, params, hyper)
-    return z
+    z, _ = _modulate_forward(_slot_rows(slots)[None], params, hyper)
+    return z[0]
 
 
 def interact(z_rows: np.ndarray, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
@@ -729,7 +724,7 @@ def assemble_bank(
         )
     if z.shape[0] == 0:
         return np.zeros((0, hyper.d_p))
-    bank, _ = _bank_forward(z, slots_list, params, hyper)
+    bank, _ = _bank_forward(z, np.array([_slot_rows(s) for s in slots_list]), params, hyper)
     return bank
 
 
@@ -783,43 +778,34 @@ def capm_forward(
             f"capm_forward: h and y must share shape, got {hv.shape} vs {yv.shape}"
         )
     t_len = hv.shape[0]
-    n = len(demos)
 
-    slots_list: list[DemoSlots] = []
-    enc_caches = []
-    for tokens, segments in demos:
-        slots, cache = _encode_forward(tokens, segments, params, hyper)
-        slots_list.append(slots)
-        enc_caches.append(cache)
-
-    if n > 0:
-        mod_caches = []
-        z_rows = np.empty((n, hyper.d_p))
-        for i, slots in enumerate(slots_list):
-            z, cache = _modulate_forward(slots, params, hyper)
-            z_rows[i] = z
-            mod_caches.append(cache)
+    if len(demos) > 0:
+        tokens, valid, user = _stack_demos(demos, hyper)
+        slots, enc_cache = _encode_forward(tokens, valid, user, params, hyper)
+        z_rows, mod_cache = _modulate_forward(slots, params, hyper)
         z_hat, int_cache = _interact_forward(z_rows, params, hyper)
-        bank, bank_cache = _bank_forward(z_hat, slots_list, params, hyper)
+        bank, bank_cache = _bank_forward(z_hat, slots, params, hyper)
         route_result, route_cache = _route_forward(hv, bank, z_hat, params, hyper)
         context = route_result.context
         tau: float | None = route_result.tau
         weights = route_result.weights
+        lengths = valid.sum(axis=1)
     else:
-        mod_caches = []
-        int_cache = bank_cache = route_cache = None
+        enc_cache = mod_cache = int_cache = bank_cache = route_cache = None
+        slots = np.zeros((0, hyper.K + 2, hyper.d_p))
         z_rows = np.zeros((0, hyper.d_p))
         z_hat = np.zeros((0, hyper.d_p))
         bank = np.zeros((0, hyper.d_p))
         context = np.zeros((t_len, hyper.d_p))
         tau = None
         weights = np.zeros((t_len, 0))
+        lengths = []
 
     y_prime, m, gate_cache = _gate_forward(hv, context, yv, params)
     trace = CapmTrace(
         h=hv,
         y=yv,
-        slots=tuple(slots_list),
+        slots=slots,
         z=z_rows,
         z_hat=z_hat,
         bank=bank,
@@ -829,13 +815,13 @@ def capm_forward(
         m=m,
         y_prime=y_prime,
         caches={
-            "enc": enc_caches,
-            "mod": mod_caches,
+            "enc": enc_cache,
+            "mod": mod_cache,
             "int": int_cache,
             "bank": bank_cache,
             "route": route_cache,
             "gate": gate_cache,
-            "n": n,
+            "lengths": lengths,
         },
     )
     return y_prime, trace
@@ -857,29 +843,17 @@ def capm_backward(
         )
     grads = {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
     caches = trace.caches
-    n = caches["n"]
 
     dh, dcontext, dy = _gate_backward(g, caches["gate"], params, grads)
     d_tokens: list[np.ndarray] = []
-    if n > 0:
+    if len(caches["lengths"]):
         dh2, dbank, d_zhat = _route_backward(dcontext, caches["route"], params, grads, hyper)
         dh += dh2
-        d_zhat2, slot_grads = _bank_backward(dbank, caches["bank"], params, grads, hyper, n)
-        d_zhat += d_zhat2
-        dz = _interact_backward(d_zhat, caches["int"], params, grads)
-        for i in range(n):
-            dc_in, dc_out, dcontext_rows = _modulate_backward(
-                dz[i], caches["mod"][i], params, grads, hyper
-            )
-            b_in, b_out, b_ctx = slot_grads[i]
-            d_tokens.append(
-                _encode_backward(
-                    (dc_in + b_in, dc_out + b_out, dcontext_rows + b_ctx),
-                    caches["enc"][i],
-                    params,
-                    grads,
-                )
-            )
+        d_zhat2, d_slots = _bank_backward(dbank, caches["bank"], params, grads)
+        dz = _interact_backward(d_zhat + d_zhat2, caches["int"], params, grads)
+        d_slots += _modulate_backward(dz, caches["mod"], params, grads, hyper)
+        d_tok = _encode_backward(d_slots, caches["enc"], params, grads)
+        d_tokens = [d_tok[i, :length] for i, length in enumerate(caches["lengths"])]
     return CapmGrads(params=grads, d_h=dh, d_y=dy, d_tokens=d_tokens)
 
 
@@ -972,9 +946,12 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
             head, _, shape_s = rid.partition(" ")
             if head != name:
                 raise ValidationError(f"{path}: expected tensor {name!r}, found {head!r}")
-            shape = tuple(int(x) for x in shape_s.split("x")) if shape_s else ()
+            dims = shape_s.split("x") if shape_s else []
+            if not all(d.isdecimal() for d in dims):
+                raise ValidationError(f"{path}: tensor {name!r} has a bad shape {shape_s!r}")
+            shape = tuple(int(d) for d in dims)
             arr = np.asarray(values, dtype=np.float64)
-            if arr.size != int(np.prod(shape, dtype=np.int64)):
+            if arr.size != math.prod(shape):
                 raise ValidationError(f"{path}: tensor {name!r} size does not match its shape")
             arrays[name] = arr.reshape(shape)
         if fh.read(1):

@@ -81,15 +81,22 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8 text") from None
+
+
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: config parse error: {exc.msg}") from None
+    try:
+        cfg = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: config parse error: {exc.msg}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return cfg
@@ -132,18 +139,23 @@ def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any) ->
 
 def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.seed
     if "seed" in config:
         seed = config["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValidationError(f"config seed must be an integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValidationError(f"config seed must be a non-negative integer, got {seed!r}")
         return seed
     env = os.environ.get("FORGE_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
-            raise ValidationError(f"FORGE_SEED must be an integer, got {env!r}") from None
+            seed = None
+        if seed is None or seed < 0:
+            raise ValidationError(f"FORGE_SEED must be a non-negative integer, got {env!r}")
+        return seed
     return 0
 
 
@@ -251,8 +263,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             raise UsageError("retrieve --mode intent requires --rule or --rule-file")
         rule_text = args.rule
         if rule_text is None:
-            with open(args.rule_file, "r", encoding="utf-8") as fh:
-                rule_text = fh.read().strip()
+            rule_text = _read_text(args.rule_file).strip()
         rule = intent.parse_rule(rule_text)
         corpus = load_metadata(args.metadata)
         matched = intent.retrieve_by_rule(rule, corpus)
@@ -578,6 +589,8 @@ def cmd_capm(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "gradcheck":
+        if not (math.isfinite(args.step) and args.step > 0):
+            raise UsageError(f"--step must be a finite number > 0, got {args.step!r}")
         params = capm.random_params(hyper, param_rng)
         demos, h, y = _capm_inputs(args, hyper, rng, max(shots, 1))
         grad_out = rng.standard_normal(y.shape)

@@ -150,6 +150,8 @@ class CandidatePool:
             raise ValidationError(f"scores: expected ({n},) array, got {scores.shape}")
         if not np.all(np.isfinite(scores)):
             raise ValidationError("scores: must be finite")
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("phi: must be finite")
         if not (isinstance(self.beta, (int, float)) and self.beta > 0):
             raise ValidationError(f"beta must be > 0, got {self.beta!r}")
         if n:

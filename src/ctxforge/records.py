@@ -475,13 +475,16 @@ class ShotCurve:
 
 def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8 text") from None
 
 
 def _write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
@@ -831,6 +834,9 @@ def read_vector_block(fh: BinaryIO) -> tuple[int, list[tuple[str, tuple[float, .
         payload = fh.read(4 * dim)
         if len(payload) != 4 * dim:
             raise ValidationError(f"truncated values at record {i}")
-        values = struct.unpack(f"<{dim}f", payload)
-        entries.append((ident.decode("utf-8"), values))
+        try:
+            ident = ident.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"id at record {i} is not valid UTF-8") from None
+        entries.append((ident, struct.unpack(f"<{dim}f", payload)))
     return dim, entries

@@ -158,13 +158,24 @@ def oracle_forward(demos, h, y, p, hyper):
     return y_prime
 
 
+# demos of lengths 3, 6 and 9 whose segments interleave: the batched forward
+# pads them to one length and masks the padding
+INTERLEAVED = [
+    ["assistant", "user", "assistant"],
+    ["user", "assistant"] * 3,
+    ["assistant", "user", "user"] * 3,
+]
+
+
 def test_full_pipeline_matches_monolithic_oracle():
     rng = np.random.default_rng(123)
     params = random_params(HYPER, rng)
     demos, h, y = make_inputs(rng, n_demos=3)
-    y_impl, _ = capm_forward(demos, h, y, params, HYPER)
-    y_oracle = oracle_forward(demos, h, y, params.as_dict(), HYPER)
-    np.testing.assert_allclose(y_impl, y_oracle, atol=1e-9)
+    unequal = [(rng.standard_normal((len(segs), HYPER.d_b)), segs) for segs in INTERLEAVED]
+    for demo_set in (demos, unequal):
+        y_impl, _ = capm_forward(demo_set, h, y, params, HYPER)
+        y_oracle = oracle_forward(demo_set, h, y, params.as_dict(), HYPER)
+        np.testing.assert_allclose(y_impl, y_oracle, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

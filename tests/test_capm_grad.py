@@ -34,6 +34,20 @@ def test_all_tensors_match_central_differences():
     # the report covers every parameter tensor plus h, y, and each demo's tokens
     assert len(report.per_tensor) == 34 + 2 + len(demos)
 
+    # demos of lengths 3, 6 and 9 with interleaved segments: the forward pads
+    # them into one batch, the backward slices each d_tokens back to its demo
+    hyper = CapmHyper(d_b=6, d_p=4, K=2, r=1, heads=2)
+    params, _, h, y, grad_out = setup(8, n_demos=0, t_len=3, hyper=hyper)
+    rng = np.random.default_rng(8)
+    segments = [["assistant", "user", "assistant"], ["user", "assistant"] * 3,
+                ["assistant", "user", "user"] * 3]
+    demos = [(rng.standard_normal((len(segs), hyper.d_b)), segs) for segs in segments]
+    _, trace = capm_forward(demos, h, y, params, hyper)
+    grads = capm_backward(trace, grad_out, params, hyper)
+    assert [d.shape for d in grads.d_tokens] == [tokens.shape for tokens, _ in demos]
+    report = gradient_check(params, hyper, demos, h, y, grad_out)
+    assert report.passed, report.per_tensor
+
 
 def test_single_demo_and_single_probe_config():
     hyper = CapmHyper(d_b=6, d_p=4, K=1, r=1, heads=1)

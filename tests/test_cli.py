@@ -443,6 +443,45 @@ class TestCapmCli:
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["tau"] == pytest.approx(b["tau"], rel=1e-4)
 
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_gradcheck_step_must_be_positive_and_finite(self, step):
+        code, out, err = run_cli(["capm", "gradcheck", "--seed", "7", "--step", step])
+        assert code == 2
+        assert out == ""
+        assert "usage error: --step must be a finite number > 0" in err
+
+    def test_negative_seed_is_usage_error(self):
+        code, out, err = run_cli(["capm", "demo", "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be >= 0" in err
+
+    def test_params_with_non_integer_shape_exit_3(self, tmp_path):
+        path = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        blob = path.read_bytes()
+        assert blob.count(b"w_in 12x8") == 1
+        path.write_bytes(blob.replace(b"w_in 12x8", b"w_in 12xa"))
+        code, out, err = run_cli(["capm", "demo", "--params", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "tensor 'w_in' has a bad shape '12xa'" in err
+
+    def test_container_id_not_utf8_exit_3(self, tmp_path):
+        params = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(params)])[0] == 0
+        params.write_bytes(params.read_bytes().replace(b"w_in 12x8", b"\xff_in 12x8"))
+        store = tmp_path / "store.bin"
+        save_embeddings_binary(
+            [EmbeddingRecord(id="itm0", modality="visual", dim=2, values=(1.0, 0.0))], str(store)
+        )
+        store.write_bytes(store.read_bytes().replace(b"itm0", b"it\xc3\x28"))
+        for argv in (["capm", "demo", "--params", str(params)],
+                     ["validate", "--embeddings", str(store)]):
+            code, out, err = run_cli(argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "id at record 0 is not valid UTF-8" in err
+
 
 class TestConfigMerge:
     def test_config_supplies_defaults_flags_win(self, fusion_fixture, tmp_path):
@@ -517,6 +556,20 @@ class TestValidate:
     def test_no_inputs_is_usage_error(self):
         code, _, _ = run_cli(["validate"])
         assert code == 2
+
+    def test_text_inputs_not_utf8_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b'{"scene_id": "\xff"}\n')
+        for argv in (
+            ["validate", "--metadata", str(bad)],
+            ["eval", "curves", "--results", str(bad)],
+            ["capm", "demo", "--config", str(bad)],
+            ["retrieve", "--mode", "intent", "--metadata", str(bad), "--rule-file", str(bad)],
+        ):
+            code, out, err = run_cli(argv)
+            assert code == 3, argv
+            assert out == ""
+            assert f"{bad}: not valid UTF-8 text" in err
 
     def test_missing_file_exits_3(self):
         code, _, _ = run_cli(["validate", "--metadata", "/nonexistent/x.jsonl"])

@@ -1,0 +1,230 @@
+"""Exit-code contract of ``forge``: whatever the argv, ``main()`` returns 0, 2,
+3 or 4 and never raises.
+
+Argv is drawn from ``build_parser()``'s own option table: a subcommand, its
+positional choices, and any of its options with a value of the option's type,
+pointing file options at tiny generated data files (some of them corrupted)
+and ``--config`` at a random JSON config.  CAPM sizes stay tiny (d_b, d_p <= 4,
+K, r, heads, shots <= 2, T and L <= 3), so even a gradcheck costs milliseconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from ctxforge import capm
+from ctxforge.cli import build_parser, main
+from ctxforge.records import write_vector_block
+
+CONTRACT = {0, 2, 3, 4}
+
+# options whose value names a file to write
+OUT_FILES = {"out", "save_params"}
+# CAPM sizes and lengths: always given, each by flag or (when --config names the
+# generated config) by config, so a run never falls back to the larger defaults
+CAPM_KEYS = ("d_b", "d_p", "K", "r", "heads", "shots", "t_len", "l_len")
+CAPM_SIZES = CAPM_KEYS[:5]
+
+SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+# argv text: no NUL (a shell cannot pass one) and no lone surrogates
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+RULES = st.sampled_from([
+    'exists(category == "mug" and color == "red")',
+    "exists(bbox within box(0.1, 0.2, 0.8, 0.9))",
+    "not exists(category == \"a\")",
+]) | TEXT
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, 1e-300, 0.5, 1.0, 8.0])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-5, 10) | FLOATS
+                | st.text(max_size=4) | st.lists(st.integers(0, 3), max_size=2))
+IDS = ["a", "b", "c", "q"]
+CONFIG_VALUES = {
+    "k": st.integers(1, 4),
+    "top_n": st.integers(0, 4),
+    "lambda": st.floats(0.0, 1.0),
+    "beta": st.floats(0.5, 8.0),
+    "seed": st.integers(0, 4),
+    "taxonomy": st.sampled_from(["Perception", "Conception"]),
+    "subtask": st.sampled_from(["Visual Grounding", "Fast Concept Mapping"]),
+}
+USUAL_TEXT = {"taxonomy": CONFIG_VALUES["taxonomy"], "subtask": CONFIG_VALUES["subtask"],
+              "s_field": st.just("rel"), "score_field": st.just("rel")}
+# the file an input option usually names; any other file is drawn too
+USUAL_FILE = {"config": "config.json", "embeddings": "emb.jsonl", "queries": "queries.jsonl",
+              "metadata": "meta.jsonl", "rule_file": "rule.txt", "results": "results.jsonl",
+              "base": "results.jsonl", "variant": "results.jsonl", "params": "params.capm",
+              "episodes": "episodes.jsonl"}
+
+
+def _tiny_params() -> bytes:
+    hyper = capm.CapmHyper(d_b=2, d_p=2, K=1, r=1, heads=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.capm")
+        capm.save_params(capm.random_params(hyper, np.random.default_rng(0)), hyper, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+PARAMS = _tiny_params()
+
+
+def _mostly(draw, usual, other):
+    """``usual`` nine times in ten, else a draw from ``other``."""
+    return draw(usual) if draw(st.integers(0, 9)) else draw(other)
+
+
+def _container(ids: list[bytes], values: list[list[float]]) -> bytes:
+    fh = io.BytesIO()
+    write_vector_block(fh, [("x" * len(i), v) for i, v in zip(ids, values)], dim=len(values[0]))
+    blob = fh.getvalue()
+    # write placeholder ids of the same lengths, then swap in the raw id bytes;
+    # the header and the small-integer float payloads hold no b"x"
+    for i in ids:
+        blob = blob.replace(b"x" * len(i), i, 1)
+    return blob
+
+
+def _jsonl(rows) -> bytes:
+    return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+
+@st.composite
+def data_files(draw) -> dict[str, bytes]:
+    vec = st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=2)
+    emb = [{"id": i, "modality": m, "dim": 2, "values": draw(vec)}
+           for i in _mostly(draw, st.just(IDS), st.lists(st.sampled_from(IDS), unique=True))
+           for m in ("visual", "text")]
+    scene_ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
+    score = st.sampled_from([-50.0, -2.0, 0.0, 0.1, 1.0, 50.0, 500.0])
+    instance = {"category": "mug", "attributes": {"color": "red"}, "bbox": [0.1, 0.2, 0.3, 0.4]}
+    meta = [{"scene_id": s, "instances": draw(st.sampled_from([[], [instance]])),
+             "scene_attributes": {}, "scores": {"rel": draw(score)}} for s in scene_ids]
+    curve = st.sampled_from([([0, 1, 2, 4, 8], [10.0, 20.0, 20.0, 20.0, 20.0]),
+                             ([1, 2, 4, 8], [18.0, 18.0, 18.0, 18.0]), ([0], [1.0]), ([], [])])
+    results = []
+    for _ in range(draw(st.integers(0, 3))):
+        shots, values = draw(curve)
+        results.append({"model": draw(st.sampled_from(["m1", "m2"])), "task": "t1",
+                        "taxonomy": draw(st.sampled_from(["Perception", "Bogus"])), "modality": "und",
+                        "perturbation": draw(st.sampled_from(["clean", "interference", None])),
+                        "shots": shots, "values": values})
+    episode = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
+               "shots": [{"id": "a", "image_ref": "a"}], "query": {"id": "q", "image_ref": "q"}}
+    ids = draw(st.lists(st.sampled_from([b"a", b"b", b"\xff", b"\xc3("]), min_size=1, max_size=3))
+    files = {
+        "emb.jsonl": _jsonl(emb),
+        "store.bin": _container(ids, [draw(vec) for _ in ids]),
+        "queries.jsonl": _jsonl({"id": i} for i in draw(st.lists(st.sampled_from(IDS + ["zz"]), max_size=2))),
+        "meta.jsonl": _jsonl(meta),
+        "results.jsonl": _jsonl(results),
+        "episodes.jsonl": _jsonl(draw(st.sampled_from([[], [episode], [episode, episode]]))),
+        "params.capm": PARAMS,
+        "rule.txt": draw(RULES).encode(),
+        "junk.bin": draw(st.binary(max_size=32)),
+    }
+    if draw(st.integers(0, 3)) == 0:  # corrupt one file: cut it short or overwrite one byte
+        name = draw(st.sampled_from(sorted(files)))
+        blob = files[name]
+        pos = draw(st.integers(0, max(len(blob) - 1, 0)))
+        files[name] = blob[:pos] if draw(st.booleans()) else blob[:pos] + draw(st.binary(min_size=1, max_size=1)) + blob[pos + 1:]
+    return files
+
+
+def _option_value(draw, action, files):
+    if action.choices:
+        return _mostly(draw, st.sampled_from(sorted(action.choices)), TEXT)
+    if action.dest in USUAL_FILE:
+        other = st.sampled_from(sorted(files) + ["config.json", "missing.jsonl", ""])
+        return "{dir}/" + _mostly(draw, st.just(USUAL_FILE[action.dest]), other)
+    if action.dest in OUT_FILES:  # "{dir}/" itself is a directory: writing it fails
+        return "{dir}/" + _mostly(draw, st.just("written.out"), st.just(""))
+    if action.dest == "rule":
+        return draw(RULES)
+    if action.dest in USUAL_TEXT:
+        return _mostly(draw, USUAL_TEXT[action.dest], TEXT)
+    if action.type is int:
+        usual = st.just(action.default) if action.default is not None else st.integers(1, 4)
+        return str(_mostly(draw, usual, st.integers(-3, 10) | st.integers()))
+    if action.type is float:
+        usual = st.just(action.default) if action.default is not None else st.floats(0.05, 1.0)
+        return repr(_mostly(draw, usual, FLOATS))
+    return draw(TEXT)
+
+
+def _capm_sizes(draw) -> dict[str, int]:
+    """Tiny valid sizes nine times in ten, else an invalid one."""
+    def pick(low, high):
+        return _mostly(draw, st.integers(low, high), st.integers(-1, 0))
+    heads = pick(1, 2)
+    d_p = _mostly(draw, st.integers(1, 2).map(lambda m: m * max(heads, 1)), st.integers(-1, 4))
+    return {"d_b": pick(1, 4), "d_p": d_p, "K": pick(1, 2), "r": pick(1, 2), "heads": heads,
+            "shots": _mostly(draw, st.integers(0, 2), st.just(-1)), "t_len": pick(1, 3),
+            "l_len": _mostly(draw, st.integers(2, 3), st.integers(0, 1))}
+
+
+@st.composite
+def plans(draw) -> tuple[dict[str, bytes], list[str]]:
+    """``(files, argv)``: file contents by name, and argv where ``{dir}``
+    stands for the directory the files are written to."""
+    files = draw(data_files())
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [name]
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True))
+    config = {k: _mostly(draw, CONFIG_VALUES[k], JSON_SCALARS) for k in keys}
+    options = {}
+    for action in SUBCOMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            argv.append(_mostly(draw, st.sampled_from(sorted(action.choices)), TEXT))
+        elif action.dest in CAPM_KEYS:
+            continue
+        elif draw(st.integers(0, 9)) < (9 if action.required else 6):
+            options[action.dest] = (action.option_strings[-1], _option_value(draw, action, files))
+    for dest, (flag, value) in options.items():
+        argv += [flag, value]
+    if name == "capm":
+        by_config = options.get("config", (None, ""))[1].endswith("/config.json")
+        config["capm"] = {}
+        for dest, value in _capm_sizes(draw).items():
+            if dest in CAPM_SIZES and by_config and draw(st.booleans()):
+                config["capm"][dest] = value
+            elif dest != "shots" or draw(st.booleans()):
+                argv += ["--" + dest.replace("_", "-"), str(value)]
+    files["config.json"] = json.dumps(config).encode()
+    return files, argv
+
+
+def _run(files: dict[str, bytes], argv: list[str]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main([a.replace("{dir}", tmp) for a in argv])
+
+
+TINY = ["--d-b", "2", "--d-p", "2", "--heads", "1", "--K", "1", "--r", "1",
+        "--shots", "1", "--t-len", "1", "--l-len", "2"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans())
+@example(({}, ["capm", "gradcheck", "--step", "0", *TINY]))
+@example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"w_in 2xa")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
+@example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"\xff_in 2x2")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
+@example(({"s.bin": _container([b"\xc3("], [[1.0, 0.0]])}, ["validate", "--embeddings", "{dir}/s.bin"]))
+def test_main_returns_a_contract_code(plan):
+    files, argv = plan
+    assert _run(files, argv) in CONTRACT

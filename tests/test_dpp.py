@@ -165,6 +165,13 @@ class TestKernelProperties:
         with pytest.raises(ValidationError):
             CandidatePool(ids=("a",), phi=np.array([[2.0, 0.0]]), scores=np.zeros(1), beta=8.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pool_rejects_non_finite_rows(self, bad):
+        # a NaN row's norm check compares false, so only a finiteness check catches it
+        phi = np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="phi: must be finite"):
+            CandidatePool(ids=("a", "b", "c"), phi=phi, scores=np.zeros(3), beta=8.0)
+
 
 class TestBruteForce:
     def test_brute_force_is_true_map_on_small_instances(self):
