@@ -19,6 +19,8 @@ over JSONL and binary container files.
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -61,18 +63,6 @@ from .fusion import (
     rank_top_n,
 )
 from .intent import evaluate, parse_rule, pretty_print, retrieve_by_rule
-from .capm import (
-    CapmHyper,
-    CapmParams,
-    capm_backward,
-    capm_forward,
-    forward_diagnostics,
-    gradient_check,
-    init_params,
-    load_params,
-    random_params,
-    save_params,
-)
 from .metrics import (
     CurveSummary,
     ResultRow,
@@ -152,3 +142,25 @@ __all__ = [
     "relative_change",
     "win_tie_lose",
 ]
+
+# capm imports scipy, so it and its names load on first use (PEP 562): only
+# the commands that run CAPM pay for the import
+_CAPM_NAMES = frozenset({
+    "CapmHyper",
+    "CapmParams",
+    "init_params",
+    "random_params",
+    "capm_forward",
+    "capm_backward",
+    "forward_diagnostics",
+    "gradient_check",
+    "save_params",
+    "load_params",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name == "capm" or name in _CAPM_NAMES:
+        capm = importlib.import_module(".capm", __name__)
+        return capm if name == "capm" else getattr(capm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,11 +20,11 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, capm, fusion, intent, metrics
+from . import __version__, fusion, intent, metrics
 from .errors import NumericGuardError, UsageError, ValidationError
 from .records import (
     Demonstration,
@@ -36,6 +36,9 @@ from .records import (
     load_episodes,
     load_metadata,
 )
+
+if TYPE_CHECKING:
+    from . import capm
 
 DEFAULT_K = 4
 DEFAULT_TOP_N = 50
@@ -65,8 +68,25 @@ def _emit_lines(lines: Sequence[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _jsonl(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+def _non_finite_fields(obj: Any, path: str) -> Iterator[str]:
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield path
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite_fields(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _non_finite_fields(value, f"{path}[{i}]")
+
+
+def _jsonl(obj: dict[str, Any], report: str) -> str:
+    """One strict JSON line: RFC 8259 has no NaN or Infinity, so a
+    non-finite value trips the numeric guard instead of reaching stdout."""
+    try:
+        return json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        fields = ", ".join(_non_finite_fields(obj, ""))
+        raise NumericGuardError(f"{report}: {fields} is not finite") from None
 
 
 def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -284,7 +304,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         ]
         _log(f"retrieve: rule matched {len(matched)} scene(s), kept {len(selected)}")
 
-    _emit_lines([_jsonl(ep.to_json()) for ep in episodes], args.out)
+    _emit_lines([_jsonl(ep.to_json(), "retrieve") for ep in episodes], args.out)
     _log(f"retrieve: wrote {len(episodes)} episode(s)")
     return 0
 
@@ -312,7 +332,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         kept.append(rec)
     if missing:
         _log(f"filter: warning: {missing} record(s) lack score {args.score_field!r}")
-    _emit_lines([_jsonl(rec.to_json()) for rec in kept], args.out)
+    _emit_lines([_jsonl(rec.to_json(), "filter") for rec in kept], args.out)
     _log(
         f"filter: kept={len(kept)} dropped={missing + out_of_range} "
         f"(missing_field={missing}, out_of_range={out_of_range})"
@@ -329,6 +349,7 @@ def _taxonomy_rank(taxonomy: str) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    report = f"eval {args.report}"
     _load_config(args)  # reserved for future knobs; validates the file if given
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
@@ -349,7 +370,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                         "zero_shot": summary.zero_shot,
                         "peak": summary.peak,
                         "efficiency": summary.efficiency,
-                    }
+                    },
+                    report,
                 )
             )
             table.append(
@@ -391,7 +413,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 values = tuple(base.value_at(s) for s in row.curve.shots)
                 base_sub = type(base)(shots=row.curve.shots, values=values)
             deviation = metrics.stability_score(base_sub, row.curve)
-            report = metrics.StabilityReport(
+            stability = metrics.StabilityReport(
                 perturbation=row.perturbation, deviation_percent=deviation
             )
             out_lines.append(
@@ -400,9 +422,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
                         "model": row.model,
                         "task": row.task,
                         "modality": row.modality,
-                        "perturbation": report.perturbation,
-                        "deviation_percent": report.deviation_percent,
-                    }
+                        "perturbation": stability.perturbation,
+                        "deviation_percent": stability.deviation_percent,
+                    },
+                    report,
                 )
             )
             table.append(
@@ -435,7 +458,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             r = metrics.pearson(xs, ys)
             rho = metrics.spearman(xs, ys)
             out_lines.append(
-                _jsonl({"task": task, "n": len(xs), "pearson": r, "spearman": rho})
+                _jsonl({"task": task, "n": len(xs), "pearson": r, "spearman": rho}, report)
             )
             table.append([task, str(len(xs)), f"{r:.4f}", f"{rho:.4f}"])
         _emit_lines(out_lines, args.out)
@@ -452,6 +475,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if set(base_map) != set(var_map):
             missing = set(base_map) ^ set(var_map)
             raise ValidationError(f"transfer: unmatched curves for {sorted(missing)}")
+        if not base_map:
+            raise ValidationError(f"transfer: no result rows in {args.base} or {args.variant}")
         per_tax: dict[str, list[tuple[Any, Any]]] = {}
         for key in sorted(base_map):
             row = base_map[key]
@@ -465,10 +490,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             pairs = per_tax[taxonomy]
             delta = metrics.relative_change([b for b, _ in pairs], [v for _, v in pairs])
             deltas.append(delta)
-            out_lines.append(_jsonl({"taxonomy": taxonomy, "relative_change_percent": delta}))
+            out_lines.append(_jsonl({"taxonomy": taxonomy, "relative_change_percent": delta}, report))
             table.append([taxonomy, f"{delta:+.3f}"])
         average = float(np.mean(deltas))
-        out_lines.append(_jsonl({"taxonomy": "Average", "relative_change_percent": average}))
+        out_lines.append(_jsonl({"taxonomy": "Average", "relative_change_percent": average}, report))
         table.append(["Average", f"{average:+.3f}"])
         _emit_lines(out_lines, args.out)
         _log(_format_table(["Taxonomy", "RelChange%"], table))
@@ -489,10 +514,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = []
     for metric in sorted(by_metric):
         win, tie, lose = metrics.win_tie_lose(by_metric[metric])
-        out_lines.append(_jsonl({"metric": metric, "win": win, "tie": tie, "lose": lose}))
+        out_lines.append(_jsonl({"metric": metric, "win": win, "tie": tie, "lose": lose}, report))
         table.append([metric, f"{win:.1f}", f"{tie:.1f}", f"{lose:.1f}"])
     win, tie, lose = metrics.win_tie_lose(pooled)
-    out_lines.append(_jsonl({"metric": "Overall", "win": win, "tie": tie, "lose": lose}))
+    out_lines.append(_jsonl({"metric": "Overall", "win": win, "tie": tie, "lose": lose}, report))
     table.append(["Overall", f"{win:.1f}", f"{tie:.1f}", f"{lose:.1f}"])
     _emit_lines(out_lines, args.out)
     _log(_format_table(["Metric", "Win%", "Tie%", "Lose%"], table))
@@ -504,6 +529,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _capm_hyper(args: argparse.Namespace, config: dict[str, Any]) -> capm.CapmHyper:
+    from . import capm
+
     sub = config.get("capm", {})
     if not isinstance(sub, dict):
         raise ValidationError("config 'capm' section must be an object")
@@ -549,6 +576,9 @@ def _capm_inputs(
 
 
 def cmd_capm(args: argparse.Namespace) -> int:
+    # imported here: capm pulls in scipy, which no other command needs
+    from . import capm
+
     config = _load_config(args)
     hyper = _capm_hyper(args, config)
     seed = _resolve_seed(args, config)
@@ -584,7 +614,7 @@ def cmd_capm(args: argparse.Namespace) -> int:
             },
             "output_sha256": digest,
         }
-        _emit_lines([_jsonl(report)], args.out)
+        _emit_lines([_jsonl(report, "capm demo")], args.out)
         _log(f"capm demo: shots={shots} tau={trace.tau} sha256={digest[:16]}...")
         return 0
 
@@ -608,7 +638,8 @@ def cmd_capm(args: argparse.Namespace) -> int:
                         "max_rel_err": report.max_rel_err,
                         "tolerance": report.tolerance,
                         "tensors": len(report.per_tensor),
-                    }
+                    },
+                    "capm gradcheck",
                 )
             ],
             args.out,
@@ -638,7 +669,8 @@ def cmd_capm(args: argparse.Namespace) -> int:
                     "stage": stage,
                     "mean_norm": st.mean_norm,
                     "representation_shift": st.representation_shift,
-                }
+                },
+                "capm diagnose",
             )
         )
         table.append([stage, f"{st.mean_norm:.4f}", f"{st.representation_shift:.4f}"])
@@ -658,17 +690,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.episodes:
         episodes = load_episodes(args.episodes, max_shots=args.max_shots)
         lines.append(
-            _jsonl({"file": args.episodes, "kind": "episodes", "records": len(episodes), "status": "ok"})
+            _jsonl(
+                {"file": args.episodes, "kind": "episodes", "records": len(episodes), "status": "ok"},
+                "validate",
+            )
         )
     if args.embeddings:
         store = load_embeddings(args.embeddings)
         lines.append(
-            _jsonl({"file": args.embeddings, "kind": "embeddings", "records": len(store), "status": "ok"})
+            _jsonl(
+                {"file": args.embeddings, "kind": "embeddings", "records": len(store), "status": "ok"},
+                "validate",
+            )
         )
     if args.metadata:
         records = load_metadata(args.metadata)
         lines.append(
-            _jsonl({"file": args.metadata, "kind": "metadata", "records": len(records), "status": "ok"})
+            _jsonl(
+                {"file": args.metadata, "kind": "metadata", "records": len(records), "status": "ok"},
+                "validate",
+            )
         )
     _emit_lines(lines, args.out)
     return 0

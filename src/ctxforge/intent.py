@@ -20,18 +20,30 @@ instance's bbox center lies in the closed box, and is legal only inside
 ``exists``; nesting ``exists`` within ``exists`` is a scope error.
 
 Evaluation is total: missing fields make ``==`` and the orderings false and
-``!=`` true; failing numeric coercion makes the predicate false.  Empty
-conjunctions are true and empty disjunctions false.
+``!=`` true.  A float literal compares numerically; so does an ordering
+against a string literal (``count < "9"``), which coerces both sides to
+float.  Failing numeric coercion makes the predicate false.  ``==`` and
+``!=`` against a string literal compare the stored value as it is.  Empty
+conjunctions are true and empty disjunctions false.  ``evaluate`` also takes
+ASTs the parser rejects: a ``bbox within`` outside ``exists`` is false, and
+an ``exists`` nested in another ranges over the scene's instances again.
+
+A rule is evaluated column-wise over the whole corpus, not scene by scene:
+each field is factorized once into integer codes, each predicate runs once
+per distinct value, and each connective is one array operation.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import RuleScopeError, RuleSyntaxError, ValidationError
-from .records import Instance, MetadataRecord
+from .records import MetadataRecord
 
 RESERVED_WORDS = frozenset(
     {"and", "or", "not", "true", "false", "exists", "bbox", "within", "box"}
@@ -413,79 +425,136 @@ def _pp(node: Rule, level: int) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluator
+#
+# Each node yields a bool array with one entry per scene (scene scope) or one
+# per instance of the corpus (instance scope, inside ``exists``).
+
+_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _holds(pred: Pred, value: object) -> bool:
+    """Whether one field value (None when absent) satisfies the predicate."""
+    if value is None:
+        # absent field: inequality holds, everything else fails
+        return pred.op == "!="
+    if isinstance(pred.literal, str):
+        if pred.op == "==":
+            return value == pred.literal
+        if pred.op == "!=":
+            return value != pred.literal
+    # numeric literal, or an ordering against a string literal: coerce both
+    # sides numerically; a value that does not coerce fails the predicate
+    try:
+        return _OPS[pred.op](float(value), float(pred.literal))  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _factorize(values: list[object]) -> tuple[np.ndarray, list[object]]:
+    """An integer code per value, and the distinct values in code order.
+
+    Codes are keyed by type and value, so ``1``, ``1.0`` and ``True`` never
+    share one; absent (None) gets a code like any other value.
+    """
+    index: dict[tuple[type, object], int] = {}
+    try:
+        codes = [index.setdefault((type(v), v), len(index)) for v in values]
+    except TypeError:
+        # an unhashable value (only hand-built records hold one): every value
+        # gets a code of its own
+        return np.arange(len(values)), values
+    return np.array(codes, dtype=np.intp), [v for _, v in index]
+
+
+class _CorpusView:
+    """Columns of one corpus, built once per evaluation: the flat instance
+    list, the scene index of each instance, and field codes on first use."""
+
+    def __init__(self, corpus: Sequence[MetadataRecord]):
+        self.scenes = corpus
+        self.instances = [inst for meta in corpus for inst in meta.instances]
+        counts = np.fromiter((len(meta.instances) for meta in corpus), dtype=np.intp, count=len(corpus))
+        self.owner = np.repeat(np.arange(len(corpus)), counts)
+        self._columns: dict[tuple[str, bool], tuple[np.ndarray, list[object]]] = {}
+        self._centers: tuple[np.ndarray, np.ndarray] | None = None
+
+    def size(self, in_exists: bool) -> int:
+        return len(self.instances) if in_exists else len(self.scenes)
+
+    def column(self, field: str, in_exists: bool) -> tuple[np.ndarray, list[object]]:
+        key = (field, in_exists)
+        if key not in self._columns:
+            if not in_exists:
+                values = [meta.scene_attributes.get(field) for meta in self.scenes]
+            elif field == "category":
+                values = [inst.category for inst in self.instances]
+            else:
+                values = [inst.attributes.get(field) for inst in self.instances]
+            self._columns[key] = _factorize(values)
+        return self._columns[key]
+
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bbox centres of the instances, as ``Instance.center`` computes them."""
+        if self._centers is None:
+            boxes = np.array([inst.bbox for inst in self.instances], dtype=np.float64).reshape(-1, 4)
+            self._centers = (boxes[:, 0] + boxes[:, 2]) / 2.0, (boxes[:, 1] + boxes[:, 3]) / 2.0
+        return self._centers
+
+
+def _mask(node: Rule, view: _CorpusView, in_exists: bool) -> np.ndarray:
+    if isinstance(node, TrueRule):
+        return np.ones(view.size(in_exists), dtype=bool)
+    if isinstance(node, FalseRule):
+        return np.zeros(view.size(in_exists), dtype=bool)
+    if isinstance(node, Not):
+        return ~_mask(node.child, view, in_exists)
+    if isinstance(node, And):
+        out = np.ones(view.size(in_exists), dtype=bool)
+        for child in node.children:
+            out &= _mask(child, view, in_exists)
+        return out
+    if isinstance(node, Or):
+        out = np.zeros(view.size(in_exists), dtype=bool)
+        for child in node.children:
+            out |= _mask(child, view, in_exists)
+        return out
+    if isinstance(node, Exists):
+        hit = np.zeros(len(view.scenes), dtype=bool)
+        hit[view.owner[_mask(node.body, view, True)]] = True
+        # a nested exists (hand-built ASTs only) ranges over the bound
+        # instance's scene, so its result is that scene's
+        return hit[view.owner] if in_exists else hit
+    if isinstance(node, Within):
+        if not in_exists:
+            return np.zeros(len(view.scenes), dtype=bool)  # unscoped bbox test is vacuously false
+        cx, cy = view.centers()
+        x0, y0, x1, y1 = node.box
+        return (x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1)
+    if isinstance(node, Pred):
+        codes, values = view.column(node.field, in_exists)
+        truth = np.fromiter((_holds(node, v) for v in values), dtype=bool, count=len(values))
+        return truth[codes]
+    raise ValidationError(f"evaluate: unknown node {type(node).__name__}")
+
+
+def _matches(rule: Rule, corpus: Sequence[MetadataRecord]) -> np.ndarray:
+    """One bool per scene of the corpus: whether it satisfies the rule."""
+    return _mask(rule, _CorpusView(corpus), False)
 
 
 def evaluate(rule: Rule, meta: MetadataRecord) -> bool:
     """Decide whether a scene satisfies the rule.  Total: never raises on
     well-formed ASTs, whatever the metadata contents."""
-    return _eval(rule, meta, None)
-
-
-def _compare(lhs: float, op: str, rhs: float) -> bool:
-    if op == "==":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    return lhs >= rhs
-
-
-def _eval(node: Rule, meta: MetadataRecord, instance: Instance | None) -> bool:
-    if isinstance(node, TrueRule):
-        return True
-    if isinstance(node, FalseRule):
-        return False
-    if isinstance(node, Not):
-        return not _eval(node.child, meta, instance)
-    if isinstance(node, And):
-        return all(_eval(c, meta, instance) for c in node.children)
-    if isinstance(node, Or):
-        return any(_eval(c, meta, instance) for c in node.children)
-    if isinstance(node, Exists):
-        return any(_eval(node.body, meta, inst) for inst in meta.instances)
-    if isinstance(node, Within):
-        if instance is None:
-            return False  # unscoped bbox test is vacuously false
-        cx, cy = instance.center()
-        x0, y0, x1, y1 = node.box
-        return x0 <= cx <= x1 and y0 <= cy <= y1
-    if isinstance(node, Pred):
-        return _eval_pred(node, meta, instance)
-    raise ValidationError(f"evaluate: unknown node {type(node).__name__}")
-
-
-def _eval_pred(pred: Pred, meta: MetadataRecord, instance: Instance | None) -> bool:
-    if instance is None:
-        value = meta.scene_attributes.get(pred.field)
-    elif pred.field == "category":
-        value = instance.category
-    else:
-        value = instance.attributes.get(pred.field)
-    if value is None:
-        # absent field: inequality holds, everything else fails
-        return pred.op == "!="
-    if isinstance(pred.literal, float):
-        try:
-            num = float(value)
-        except ValueError:
-            return False
-        return _compare(num, pred.op, pred.literal)
-    if pred.op == "==":
-        return value == pred.literal
-    if pred.op == "!=":
-        return value != pred.literal
-    # ordering against a string literal: coerce both sides numerically
-    try:
-        return _compare(float(value), pred.op, float(pred.literal))
-    except ValueError:
-        return False
+    return bool(_matches(rule, [meta])[0])
 
 
 def retrieve_by_rule(rule: Rule, corpus: Sequence[MetadataRecord]) -> list[str]:
     """Scene ids of all records satisfying the rule, in corpus order."""
-    return [meta.scene_id for meta in corpus if evaluate(rule, meta)]
+    return [meta.scene_id for meta, hit in zip(corpus, _matches(rule, corpus)) if hit]

@@ -379,6 +379,25 @@ class TestEval:
         overall = [json.loads(l) for l in out.splitlines() if json.loads(l)["metric"] == "Overall"]
         assert overall[0]["win"] == 50.0
 
+    def test_non_finite_value_exits_4_naming_report_and_field(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        row = {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
+               "shots": [0, 1, 2], "values": [1e308, -1e308, 1e308]}
+        path.write_text(json.dumps(row) + "\n")
+        code, out, err = run_cli(["eval", "curves", "--results", str(path)])
+        assert code == 4
+        assert out == ""
+        assert "eval curves: efficiency is not finite" in err
+
+    def test_transfer_without_rows_exits_3(self, tmp_path):
+        base, var = tmp_path / "b.jsonl", tmp_path / "v.jsonl"
+        base.write_text("")
+        var.write_text("")
+        code, out, err = run_cli(["eval", "transfer", "--base", str(base), "--variant", str(var)])
+        assert code == 3
+        assert out == ""
+        assert "no result rows" in err
+
     def test_missing_clean_curve_exits_3(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text(
@@ -591,6 +610,11 @@ class TestTopLevel:
     def test_unknown_subcommand_exits_2(self):
         proc = run_proc(["transmogrify"])
         assert proc.returncode == 2
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, ctxforge.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_stdout_carries_only_data(self, tmp_path):
         meta = tmp_path / "m.jsonl"

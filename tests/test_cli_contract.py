@@ -1,5 +1,5 @@
 """Exit-code contract of ``forge``: whatever the argv, ``main()`` returns 0, 2,
-3 or 4 and never raises.
+3 or 4 and never raises; on exit 0 every stdout line is strict JSON.
 
 Argv is drawn from ``build_parser()``'s own option table: a subcommand, its
 positional choices, and any of its options with a value of the option's type,
@@ -205,14 +205,20 @@ def plans(draw) -> tuple[dict[str, bytes], list[str]]:
     return files, argv
 
 
-def _run(files: dict[str, bytes], argv: list[str]) -> int:
+def _run(files: dict[str, bytes], argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``main``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, blob in files.items():
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(blob)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return main([a.replace("{dir}", tmp) for a in argv])
+            code = main([a.replace("{dir}", tmp) for a in argv])
+        return code, out.getvalue()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 TINY = ["--d-b", "2", "--d-p", "2", "--heads", "1", "--K", "1", "--r", "1",
@@ -225,6 +231,14 @@ TINY = ["--d-b", "2", "--d-p", "2", "--heads", "1", "--K", "1", "--r", "1",
 @example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"w_in 2xa")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
 @example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"\xff_in 2x2")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
 @example(({"s.bin": _container([b"\xc3("], [[1.0, 0.0]])}, ["validate", "--embeddings", "{dir}/s.bin"]))
+@example(({"r.jsonl": _jsonl([{"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
+                               "shots": [0, 1, 2], "values": [1e308, -1e308, 1e308]}])},
+          ["eval", "curves", "--results", "{dir}/r.jsonl"]))
+@example(({"b.jsonl": b"", "v.jsonl": b""}, ["eval", "transfer", "--base", "{dir}/b.jsonl", "--variant", "{dir}/v.jsonl"]))
 def test_main_returns_a_contract_code(plan):
     files, argv = plan
-    assert _run(files, argv) in CONTRACT
+    code, stdout = _run(files, argv)
+    assert code in CONTRACT
+    if code == 0:  # the data stream is strict JSON, one object a line
+        for line in stdout.splitlines():
+            json.loads(line, parse_constant=_reject_constant)

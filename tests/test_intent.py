@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxforge.errors import RuleScopeError, RuleSyntaxError, ValidationError
 from ctxforge.intent import (
@@ -188,6 +190,8 @@ def naive_eval(rule, meta, instance=None):
     if isinstance(rule, Exists):
         return any(naive_eval(rule.body, meta, i) for i in meta.instances)
     if isinstance(rule, Within):
+        if instance is None:
+            return False
         cx = (instance.bbox[0] + instance.bbox[2]) / 2.0
         cy = (instance.bbox[1] + instance.bbox[3]) / 2.0
         x0, y0, x1, y1 = rule.box
@@ -200,15 +204,12 @@ def naive_eval(rule, meta, instance=None):
     if value is None:
         return rule.op == "!="
     lit = rule.literal
-    if isinstance(lit, float):
+    if isinstance(lit, float) or rule.op in ("<", "<=", ">", ">="):
+        # numeric semantics, also for an ordering against a string literal
         try:
-            value = float(value)
-        except (TypeError, ValueError):
+            value, lit = float(value), float(lit)
+        except (TypeError, ValueError, OverflowError):
             return False
-    elif rule.op in ("<", "<=", ">", ">="):
-        value, lit = str(value), str(lit)
-    else:
-        value = str(value)
     if rule.op == "==":
         return value == lit
     if rule.op == "!=":
@@ -304,3 +305,127 @@ def test_retrieve_by_rule_preserves_corpus_order():
         scene("s3", [inst(category="mug")]),
     ]
     assert retrieve_by_rule(parse_rule('exists(category == "mug")'), corpus) == ["s1", "s3"]
+
+
+class TestHandBuiltAsts:
+    """ASTs the parser rejects still evaluate (``evaluate`` takes any AST)."""
+
+    def test_within_outside_exists_is_false(self):
+        meta = scene(instances=[inst(bbox=(0.0, 0.0, 1.0, 1.0))])
+        everywhere = Within((0.0, 0.0, 1.0, 1.0))
+        assert evaluate(everywhere, meta) is False
+        assert evaluate(Not(everywhere), meta) is True
+        assert evaluate(Or((Pred("room", "==", "kitchen"), everywhere)), meta) is False
+
+    def test_nested_exists_ranges_over_the_scene(self):
+        rule = Exists(And((Pred("category", "==", "mug"), Exists(Pred("category", "==", "bowl")))))
+        both = scene("both", [inst(category="mug"), inst(category="bowl")])
+        mug_only = scene("mug", [inst(category="mug")])
+        bowl_only = scene("bowl", [inst(category="bowl")])
+        assert evaluate(rule, both) is True
+        assert evaluate(rule, mug_only) is False
+        assert evaluate(rule, bowl_only) is False
+        # the inner result is the bound instance's own scene's, never a neighbour's
+        corpus = [mug_only, bowl_only, both, scene("empty")]
+        assert retrieve_by_rule(rule, corpus) == ["both"]
+        assert retrieve_by_rule(Exists(Not(Exists(Pred("category", "==", "bowl")))), corpus) == ["mug"]
+
+    def test_within_under_nested_exists(self):
+        centred = inst(bbox=(0.4, 0.4, 0.6, 0.6))
+        corner = inst(bbox=(0.0, 0.0, 0.1, 0.1))
+        rule = Exists(Exists(Within((0.3, 0.3, 0.7, 0.7))))
+        assert evaluate(rule, scene(instances=[corner, centred])) is True
+        assert evaluate(rule, scene(instances=[corner])) is False
+
+
+class TestTotality:
+    def test_coercion_type_error_is_false(self):
+        meta = MetadataRecord("s", scene_attributes={"count": [1]})
+        assert evaluate(parse_rule("count > 1.0"), meta) is False
+        assert evaluate(parse_rule('count < "5"'), meta) is False
+        assert evaluate(parse_rule("count != 1.0"), meta) is False
+        assert evaluate(parse_rule('count != "5"'), meta) is True
+
+    def test_coercion_overflow_is_false(self):
+        meta = scene(attrs={"count": 10**400})
+        assert evaluate(parse_rule("count > 1.0"), meta) is False
+        assert evaluate(parse_rule('count >= "1"'), meta) is False
+
+    def test_unhashable_values_among_hashable_ones(self):
+        corpus = [
+            scene("a", [inst(size="2")], attrs={"count": "3"}),
+            scene("b", [inst(size={"n": 2})], attrs={"count": [3]}),
+            scene("c", [inst(size="7")], attrs={"count": "3"}),
+        ]
+        assert retrieve_by_rule(parse_rule("count == 3.0"), corpus) == ["a", "c"]
+        assert retrieve_by_rule(parse_rule('exists(size < "5")'), corpus) == ["a"]
+        assert retrieve_by_rule(parse_rule('exists(size != "2")'), corpus) == ["b", "c"]
+
+    def test_codes_keep_types_apart(self):
+        from ctxforge.intent import _factorize
+
+        codes, values = _factorize([1, 1.0, True, None, "1", 1, None])
+        assert codes.tolist() == [0, 1, 2, 3, 4, 0, 3]
+        assert [type(v) for v in values] == [int, float, bool, type(None), str]
+
+
+# --- differential property test: the columnar evaluator against naive_eval ---
+
+FIELDS = ["category", "color", "size", "count"]
+STRING_VALUES = ["mug", "red", "nan", "1_0", "-0", "10", "9", "2.5", "", " 3 ", "inf"]
+VALUES = st.sampled_from(STRING_VALUES) | st.floats(allow_nan=True) | st.integers(-3, 12)
+LITERALS = st.sampled_from(STRING_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def attrs_strategy():
+    return st.dictionaries(st.sampled_from(FIELDS[1:]), VALUES, max_size=3)
+
+
+# bboxes and within-boxes share corners, so centres land on box edges too
+BOXES = st.sampled_from([
+    (0.0, 0.0, 1.0, 1.0),
+    (0.0, 0.0, 0.5, 0.4),
+    (0.25, 0.2, 0.75, 0.6),
+    (0.5, 0.4, 1.0, 1.0),
+    (0.1, 0.1, 0.1, 0.1),
+    (0.0, 0.6, 0.25, 1.0),
+])
+
+
+@st.composite
+def corpora(draw):
+    instance = st.builds(
+        Instance,
+        category=st.sampled_from(["mug", "bowl", "9", "nan"]),
+        attributes=attrs_strategy(),
+        bbox=BOXES,
+    )
+    n = draw(st.integers(0, 6))
+    return [
+        MetadataRecord(
+            scene_id=f"s{i}",
+            instances=tuple(draw(st.lists(instance, max_size=3))),
+            scene_attributes=draw(attrs_strategy()),
+        )
+        for i in range(n)
+    ]
+
+
+PREDS = st.builds(Pred, field=st.sampled_from(FIELDS), op=st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                  literal=LITERALS)
+RULES = st.recursive(
+    PREDS | st.just(TrueRule()) | st.just(FalseRule()) | BOXES.map(Within),
+    lambda kids: (
+        kids.map(Not)
+        | kids.map(Exists)
+        | st.lists(kids, max_size=3).map(lambda cs: And(tuple(cs)))
+        | st.lists(kids, max_size=3).map(lambda cs: Or(tuple(cs)))
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RULES, corpora())
+def test_retrieve_by_rule_matches_naive_eval(rule, corpus):
+    assert retrieve_by_rule(rule, corpus) == [m.scene_id for m in corpus if naive_eval(rule, m)]
