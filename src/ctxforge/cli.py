@@ -444,7 +444,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             try:
                 x = float(obj[args.x_field])
                 y = float(obj[args.y_field])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValidationError(
                     f"{args.results}: line {lineno}: needs numeric "
                     f"{args.x_field!r} and {args.y_field!r}"

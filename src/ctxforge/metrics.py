@@ -8,13 +8,14 @@ trapezoid rule on the given grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .records import ShotCurve, TAXONOMIES, _iter_jsonl
+from .records import ShotCurve, TAXONOMIES, _iter_jsonl, _unchecked
 
 PERTURBATION_KINDS = ("random_replace", "reverse_order", "interference")
 RESULT_MODALITIES = ("und", "gen")
@@ -111,12 +112,33 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     y = np.asarray(ys, dtype=np.float64)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("pearson: non-finite input")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx, syy, sxy = float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    if not (tiny <= sxx <= huge and tiny <= syy <= huge and abs(sxy) <= huge):
+        # The sums overflow (or underflow) at extreme magnitudes.  The
+        # correlation does not change with scale, so take it from the
+        # centred inputs brought to a largest magnitude of 1.
+        xc, yc = _unit_centred(x), _unit_centred(y)
+        sxx, syy, sxy = float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    denom = math.sqrt(sxx) * math.sqrt(syy)
     if denom == 0.0:
         raise ValidationError("pearson: constant input")
-    return float(xc @ yc) / denom
+    return sxy / denom
+
+
+def _unit_centred(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean, divided by the largest magnitude, with no
+    intermediate overflow; all zeros for constant ``v``."""
+    top = np.max(np.abs(v))
+    if top == 0.0:
+        return v
+    c = v / top  # in [-1, 1], so the mean and the differences stay finite
+    c = c - c.mean()
+    top = np.max(np.abs(c))
+    return c / top if top else c
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -200,13 +222,16 @@ class ResultRow:
         for name in ("model", "task"):
             if not isinstance(getattr(self, name), str) or not getattr(self, name):
                 raise ValidationError(f"{name}: must be a non-empty string")
-        if self.taxonomy not in TAXONOMIES:
+        # a string test first: a list or dict cannot be looked up in a frozenset
+        if not isinstance(self.taxonomy, str) or self.taxonomy not in TAXONOMIES:
             raise ValidationError(f"taxonomy: {self.taxonomy!r} is not one of {sorted(TAXONOMIES)}")
-        if self.modality not in RESULT_MODALITIES:
+        if not isinstance(self.modality, str) or self.modality not in RESULT_MODALITIES:
             raise ValidationError(
                 f"modality: {self.modality!r} is not one of {RESULT_MODALITIES}"
             )
-        if self.perturbation is not None and self.perturbation not in PERTURBATION_KINDS:
+        if self.perturbation is not None and (
+            not isinstance(self.perturbation, str) or self.perturbation not in PERTURBATION_KINDS
+        ):
             raise ValidationError(
                 f"perturbation: {self.perturbation!r} is not one of {PERTURBATION_KINDS}"
             )
@@ -224,7 +249,7 @@ class ResultRow:
             raise ValidationError(f"{path}: shots and values must be lists")
         try:
             curve = ShotCurve(shots=tuple(shots), values=tuple(float(v) for v in values))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{path}.values: expected numbers") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
@@ -247,8 +272,53 @@ class ResultRow:
 def load_results(path: str) -> list[ResultRow]:
     rows = []
     for lineno, obj in _iter_jsonl(path):
-        try:
-            rows.append(ResultRow.from_json(obj))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        row = _exact_result(obj)
+        if row is None:
+            try:
+                row = ResultRow.from_json(obj)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        rows.append(row)
     return rows
+
+
+def _exact_result(obj: Any) -> ResultRow | None:
+    """The row ``ResultRow.from_json(obj)`` returns, built without checking a
+    field twice, when every field already has its exact JSON type and is in
+    range; ``None`` for any other object, which ``from_json`` then converts
+    (ints, numeric strings) or rejects with its own message."""
+    if type(obj) is not dict:
+        return None
+    model, task = obj.get("model"), obj.get("task")
+    taxonomy, modality = obj.get("taxonomy"), obj.get("modality")
+    shots, values = obj.get("shots"), obj.get("values")
+    pert = obj.get("perturbation")
+    if pert == "clean":
+        pert = None
+    if not (
+        type(model) is str and model
+        and type(task) is str and task
+        and type(taxonomy) is str and taxonomy in TAXONOMIES
+        and type(modality) is str and modality in RESULT_MODALITIES
+        and (pert is None or type(pert) is str and pert in PERTURBATION_KINDS)
+        and type(shots) is list and type(values) is list and len(shots) == len(values)
+    ):
+        return None
+    prev = -1
+    for s in shots:
+        if type(s) is not int or not prev < s <= sys.float_info.max:
+            return None
+        prev = s
+    for v in values:
+        if type(v) is not float or v - v != 0.0:  # NaN and +-inf give NaN
+            return None
+    curve = _unchecked(ShotCurve, shots=tuple(shots), values=tuple(values))
+    return _unchecked(
+        ResultRow,
+        model=model,
+        task=task,
+        taxonomy=taxonomy,
+        modality=modality,
+        curve=curve,
+        perturbation=pert,
+    )

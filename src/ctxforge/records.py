@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -73,6 +74,27 @@ CONTAINER_VERSION = 1
 
 class UnknownSubtaskWarning(UserWarning):
     """A subtask name outside the canonical table was encountered."""
+
+
+def _unchecked(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without running ``__post_init__``: for values already checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        # set one by one, as the dataclass's __init__ does: filling __dict__
+        # directly would give each instance a larger, unshared dict
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _str_dict(obj: Any) -> bool:
+    """Whether ``obj`` is a plain dict whose values are all plain strings."""
+    if type(obj) is not dict:
+        return False
+    for v in obj.values():
+        if type(v) is not str:
+            return False
+    return True
 
 
 def _check_finite(values: Sequence[float], path: str) -> None:
@@ -378,7 +400,7 @@ class Instance:
                 attributes=dict(attributes),
                 bbox=tuple(float(v) for v in bbox),  # type: ignore[arg-type]
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{path}.bbox: expected numbers") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
@@ -437,7 +459,7 @@ class MetadataRecord:
                 scene_attributes=dict(scene_attributes),
                 scores={k: float(v) for k, v in scores.items()},
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{path}.scores: expected numbers") from None
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
@@ -458,6 +480,8 @@ class ShotCurve:
         for i, s in enumerate(self.shots):
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ValidationError(f"shots[{i}]: must be a non-negative integer, got {s!r}")
+            if s > sys.float_info.max:  # the curve metrics compute in float64
+                raise ValidationError(f"shots[{i}]: too large for float arithmetic")
             if i > 0 and s <= self.shots[i - 1]:
                 raise ValidationError(f"shots[{i}]: grid must be strictly increasing")
         _check_finite(self.values, "values")
@@ -473,6 +497,25 @@ class ShotCurve:
 # JSONL plumbing
 
 
+# ``json.loads`` skips leading whitespace and rejects trailing data around this
+# same call; a line that needs neither is decoded in one scan.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)``.  A line holding one value followed by nothing
+    but JSON whitespace is decoded by ``raw_decode`` alone; any other line
+    goes to ``json.loads``, so its value or error is json's own."""
+    try:
+        obj, end = _RAW_DECODE(line)
+    except ValueError:
+        pass
+    else:
+        if not line[end:].strip(" \t\n\r"):
+            return obj
+    return json.loads(line)
+
+
 def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -480,9 +523,12 @@ def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
                 if not line.strip():
                     continue
                 try:
-                    yield lineno, json.loads(line)
+                    obj = _decode_line(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                    raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
+                yield lineno, obj
         except UnicodeDecodeError:
             raise ValidationError(f"{path}: not valid UTF-8 text") from None
 
@@ -530,15 +576,69 @@ def load_metadata(path: str) -> list[MetadataRecord]:
     records: list[MetadataRecord] = []
     seen: set[str] = set()
     for lineno, obj in _iter_jsonl(path):
-        try:
-            rec = MetadataRecord.from_json(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+        rec = _exact_metadata(obj)
+        if rec is None:
+            try:
+                rec = MetadataRecord.from_json(obj)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
         if rec.scene_id in seen:
             raise ValidationError(f"{path}: line {lineno}: duplicate scene_id {rec.scene_id!r}")
         seen.add(rec.scene_id)
         records.append(rec)
     return records
+
+
+def _exact_metadata(obj: Any) -> MetadataRecord | None:
+    """The record ``MetadataRecord.from_json(obj)`` returns, built without
+    checking a field twice, when every field already has its exact JSON type
+    and is in range; ``None`` for any other object, which ``from_json`` then
+    converts (ints, numeric strings) or rejects with its own message."""
+    if type(obj) is not dict:
+        return None
+    scene_id = obj.get("scene_id")
+    inst_objs = obj.get("instances", [])
+    scene_attributes = obj.get("scene_attributes", {})
+    scores = obj.get("scores", {})
+    if not (
+        type(scene_id) is str and scene_id
+        and type(inst_objs) is list
+        and _str_dict(scene_attributes)
+        and type(scores) is dict
+    ):
+        return None
+    for v in scores.values():
+        if type(v) is not float or v - v != 0.0:  # NaN and +-inf give NaN
+            return None
+    instances = []
+    for inst in inst_objs:
+        if type(inst) is not dict:
+            return None
+        category = inst.get("category")
+        attributes = inst.get("attributes", {})
+        bbox = inst.get("bbox")
+        if not (
+            type(category) is str and category
+            and _str_dict(attributes)
+            and type(bbox) is list and len(bbox) == 4
+        ):
+            return None
+        x0, y0, x1, y1 = bbox
+        if not (
+            type(x0) is float and type(y0) is float and type(x1) is float and type(y1) is float
+            and 0.0 <= x0 <= x1 <= 1.0 and 0.0 <= y0 <= y1 <= 1.0
+        ):
+            return None
+        instances.append(
+            _unchecked(Instance, category=category, attributes=attributes, bbox=(x0, y0, x1, y1))
+        )
+    return _unchecked(
+        MetadataRecord,
+        scene_id=scene_id,
+        instances=tuple(instances),
+        scene_attributes=scene_attributes,
+        scores=scores,
+    )
 
 
 def save_metadata(records: Iterable[MetadataRecord], path: str) -> None:

@@ -411,6 +411,69 @@ class TestEval:
         assert code == 3
         assert "clean" in err
 
+    def test_align_survives_overflowing_sums(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        pairs = [(1e200, 1.0), (-1e200, 3.0), (1e200, 2.0)]
+        path.write_text(
+            "".join(json.dumps({"task": "t", "primary": x, "auxiliary": y}) + "\n" for x, y in pairs)
+        )
+        code, out, err = run_cli(["eval", "align", "--results", str(path)])
+        assert code == 0
+        assert json.loads(out)["pearson"] == pytest.approx(-(0.75**0.5), abs=1e-12)
+        assert "Warning" not in err
+
+    def test_list_taxonomy_exits_3(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        row = {"model": "m", "task": "t", "taxonomy": ["Perception"], "modality": "und",
+               "shots": [0, 1], "values": [1.0, 2.0]}
+        path.write_text(json.dumps(row) + "\n")
+        code, out, err = run_cli(["eval", "curves", "--results", str(path)])
+        assert (code, out) == (3, "")
+        assert "line 1: result: taxonomy: ['Perception'] is not one of" in err
+
+
+HUGE = 10**400  # json.dumps writes it in full; float() of it overflows
+RESULT_ROW = {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
+              "shots": [0, 1, 2], "values": [1.0, 2.0, 3.0], "primary": 1.0, "auxiliary": 2.0}
+
+
+@pytest.mark.parametrize(
+    "name, obj, argv, message",
+    [
+        ("m.jsonl", {"scene_id": "s", "instances": [{"category": "c", "bbox": [0, 0, HUGE, 1]}]},
+         ["validate", "--metadata"], "metadata.instances[0].bbox: expected numbers"),
+        ("m.jsonl", {"scene_id": "s", "scores": {"q": HUGE}},
+         ["validate", "--metadata"], "metadata.scores: expected numbers"),
+        ("r.jsonl", dict(RESULT_ROW, values=[1.0, HUGE, 3.0]),
+         ["eval", "curves", "--results"], "result.values: expected numbers"),
+        ("r.jsonl", dict(RESULT_ROW, shots=[0, 1, HUGE]),
+         ["eval", "curves", "--results"], "result: shots[2]: too large for float arithmetic"),
+        ("r.jsonl", dict(RESULT_ROW, primary=HUGE),
+         ["eval", "align", "--results"], "needs numeric 'primary' and 'auxiliary'"),
+    ],
+    ids=["metadata-bbox", "metadata-scores", "results-values", "results-shots", "align-field"],
+)
+def test_huge_integer_exits_3(tmp_path, name, obj, argv, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj) + "\n")
+    code, out, err = run_cli([*argv, str(path)])
+    assert (code, out) == (3, "")
+    assert f"{path}: line 1: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1" * 5000, "parse error: Exceeds the limit (4300 digits)"),
+     ("[" * 100_000, "parse error: maximum recursion depth exceeded")],
+    ids=["integer-digits", "nesting"],
+)
+def test_unparseable_number_or_nesting_exits_3(tmp_path, text, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(["validate", "--metadata", str(path)])
+    assert (code, out) == (3, "")
+    assert f"{path}: line 1: {message}" in err
+
 
 class TestCapmCli:
     def test_gradcheck_passes(self):

@@ -48,6 +48,7 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers(-5, 10) | FLOATS
                 | st.text(max_size=4) | st.lists(st.integers(0, 3), max_size=2))
 IDS = ["a", "b", "c", "q"]
+HUGE = 10**400  # a JSON integer that float() cannot convert
 CONFIG_VALUES = {
     "k": st.integers(1, 4),
     "top_n": st.integers(0, 4),
@@ -105,19 +106,24 @@ def data_files(draw) -> dict[str, bytes]:
            for i in _mostly(draw, st.just(IDS), st.lists(st.sampled_from(IDS), unique=True))
            for m in ("visual", "text")]
     scene_ids = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
-    score = st.sampled_from([-50.0, -2.0, 0.0, 0.1, 1.0, 50.0, 500.0])
+    score = st.sampled_from([-50.0, -2.0, 0.0, 0.1, 1.0, 50.0, 500.0, HUGE])
     instance = {"category": "mug", "attributes": {"color": "red"}, "bbox": [0.1, 0.2, 0.3, 0.4]}
-    meta = [{"scene_id": s, "instances": draw(st.sampled_from([[], [instance]])),
+    huge_box = dict(instance, bbox=[0.1, 0.2, HUGE, 0.4])
+    meta = [{"scene_id": s, "instances": draw(st.sampled_from([[], [instance], [huge_box]])),
              "scene_attributes": {}, "scores": {"rel": draw(score)}} for s in scene_ids]
     curve = st.sampled_from([([0, 1, 2, 4, 8], [10.0, 20.0, 20.0, 20.0, 20.0]),
-                             ([1, 2, 4, 8], [18.0, 18.0, 18.0, 18.0]), ([0], [1.0]), ([], [])])
+                             ([1, 2, 4, 8], [18.0, 18.0, 18.0, 18.0]), ([0], [1.0]), ([], []),
+                             ([0, 1, HUGE], [1.0, 2.0, 3.0]), ([0, 1, 2], [1.0, HUGE, 3.0])])
+    number = st.sampled_from([1.0, 2.0, 3.5, 1e200, -1e200, HUGE])
     results = []
     for _ in range(draw(st.integers(0, 3))):
         shots, values = draw(curve)
         results.append({"model": draw(st.sampled_from(["m1", "m2"])), "task": "t1",
-                        "taxonomy": draw(st.sampled_from(["Perception", "Bogus"])), "modality": "und",
+                        "taxonomy": draw(st.sampled_from(["Perception", "Bogus", ["Perception"]])),
+                        "modality": "und",
                         "perturbation": draw(st.sampled_from(["clean", "interference", None])),
-                        "shots": shots, "values": values})
+                        "shots": shots, "values": values,
+                        "primary": draw(number), "auxiliary": draw(number)})
     episode = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
                "shots": [{"id": "a", "image_ref": "a"}], "query": {"id": "q", "image_ref": "q"}}
     ids = draw(st.lists(st.sampled_from([b"a", b"b", b"\xff", b"\xc3("]), min_size=1, max_size=3))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,37 @@ class TestCorrelation:
             assert pearson(x, y) == pytest.approx(scipy_stats.pearsonr(x, y).statistic, abs=1e-12)
             assert spearman(x, y) == pytest.approx(scipy_stats.spearmanr(x, y).statistic, abs=1e-12)
 
+    def test_ordinary_inputs_keep_the_plain_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 100)
+            y = rng.standard_normal(n) + 0.5 * x
+            xc, yc = x - x.mean(), y - y.mean()
+            plain = float(xc @ yc) / (math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc)))
+            assert pearson(x, y) == plain
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-165, 1e200, 1e305])
+    def test_extreme_magnitudes_match_scipy(self, scale):
+        # The plain sums of squares underflow or overflow at these scales.
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            x = rng.standard_normal(n) * scale
+            y = rng.standard_normal(n) + 0.5 * x / scale
+            assert pearson(x, y) == pytest.approx(scipy_stats.pearsonr(x, y).statistic, abs=1e-12)
+            assert pearson(y, x) == pytest.approx(scipy_stats.pearsonr(y, x).statistic, abs=1e-12)
+
+    def test_overflowing_sums_give_the_correlation(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        x, y = [1e200, -1e200, 1e200], [1.0, 3.0, 2.0]
+        assert pearson(x, y) == pytest.approx(scipy_stats.pearsonr(x, y).statistic, abs=1e-12)
+        # centring alone overflows here; the correlation is that of [1, 1, -1, ~0]
+        assert pearson([1.7e308, 1.7e308, -1.7e308, 3.0], [1, 2, 3, 4]) == pytest.approx(
+            -2.5 / math.sqrt(2.75 * 5.0), abs=1e-12
+        )
+
     def test_spearman_with_ties_matches_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(8)
@@ -128,6 +161,11 @@ class TestCorrelation:
     def test_constant_input_rejected(self):
         with pytest.raises(ValidationError, match="constant"):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("value", [1e-200, 1e308])
+    def test_constant_extreme_input_rejected(self, value):
+        with pytest.raises(ValidationError, match="constant"):
+            pearson([value] * 3, [1, 2, 3])
 
 
 class TestRelativeChange:

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
+import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxforge.errors import ValidationError
+from ctxforge.metrics import ResultRow, _exact_result, load_results
 from ctxforge.records import (
     CONTAINER_MAGIC,
     DemoOutput,
@@ -23,6 +29,8 @@ from ctxforge.records import (
     SUBTASK_TO_TAXONOMY,
     TAXONOMIES,
     UnknownSubtaskWarning,
+    _exact_metadata,
+    _iter_jsonl,
     load_embeddings,
     load_episodes,
     load_metadata,
@@ -384,3 +392,204 @@ def test_store_add_after_load(tmp_path):
         store.add(EmbeddingRecord(id="n3", modality="visual", dim=2, values=(1.0, 0.0)))
     with pytest.raises(ValidationError, match="inconsistent"):
         store.add(EmbeddingRecord(id="z", modality="text", dim=3, values=(1.0, 0.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# one-pass loaders against the plain from_json path
+
+# Replacements by the type of the value they replace: values from_json
+# converts (ints, bools, numeric strings), values it rejects (NaN, inf,
+# 400-digit ints, null, ...) and values of the right type out of range or order.
+SPOILERS = {
+    float: [0, 1, True, "0.5", "nan", 10**400, math.nan, math.inf, -0.5, 1.5, None, -0.0, 0.75, 1.0],
+    int: [True, 1.0, "1", -1, 0, 1, 5, 10**400, None],
+    str: ["", "x", "Perception", "und", "clean", 1, None, ["Perception"]],
+    list: [None, "x", {}, [], [0.5], ["x"]],
+    dict: [None, "x", [], {"a": 1}, {"a": "b"}],
+}
+REMOVE = object()
+NOT_AN_OBJECT = [None, 1, "x", [], [{"scene_id": "s"}]]
+
+SCENE_EXAMPLE = {
+    "scene_id": "s1",
+    "instances": [{"category": "mug", "attributes": {"color": "red"}, "bbox": [0.0, 0.25, 0.5, 1.0]},
+                  {"category": "cup", "bbox": [0.5, 0.5, 0.5, 0.5]}],
+    "scene_attributes": {"place": "kitchen"},
+    "scores": {"q": 0.5},
+}
+RESULT_EXAMPLES = [
+    {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
+     "perturbation": "interference", "shots": [0, 2, 4], "values": [1.0, 2.0, 3.0]},
+    {"model": "m", "task": "t", "taxonomy": "Analogy", "modality": "gen",
+     "perturbation": "clean", "shots": [1], "values": [0.5]},
+]
+
+
+def _slots(obj):
+    """(container, key) of every value nested in ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in list(items):
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _spoil(container, key, value):
+    if value is REMOVE:
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(value)  # later spoils must not edit SPOILERS
+
+
+def _spoilers(container, key):
+    value = container[key]
+    return ([REMOVE] if isinstance(container, dict) else []) + SPOILERS.get(type(value), SPOILERS[str])
+
+
+@st.composite
+def spoiled(draw, valid):
+    """A valid record object with up to two nested values replaced or removed."""
+    obj = draw(valid)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        slots = list(_slots(obj))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        _spoil(container, key, draw(st.sampled_from(_spoilers(container, key))))
+    return obj
+
+
+UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, -0.0])
+PAIR = st.tuples(UNIT, UNIT).map(sorted)
+STR_DICT = st.dictionaries(st.sampled_from(["color", "size"]), st.sampled_from(["red", "big"]),
+                           max_size=1)
+SCENE = st.fixed_dictionaries({
+    "scene_id": st.sampled_from(["s1", "s2", "s3", "s4", "s5"]),
+    "instances": st.lists(st.fixed_dictionaries({
+        "category": st.sampled_from(["mug", "cup"]),
+        "attributes": STR_DICT,
+        "bbox": st.tuples(PAIR, PAIR).map(lambda p: [p[0][0], p[1][0], p[0][1], p[1][1]]),
+    }), max_size=2),
+    "scene_attributes": STR_DICT,
+    "scores": st.dictionaries(st.sampled_from(["q", "rel"]), st.floats(-1e6, 1e6), max_size=1),
+})
+
+
+@st.composite
+def result_row(draw):
+    shots = draw(st.lists(st.integers(0, 16), unique=True, max_size=3).map(sorted))
+    row = {
+        "model": draw(st.sampled_from(["m1", "m2"])),
+        "task": "t1",
+        "taxonomy": draw(st.sampled_from(["Perception", "Analogy"])),
+        "modality": draw(st.sampled_from(["und", "gen"])),
+        "shots": shots,
+        "values": draw(st.lists(st.floats(0.0, 100.0), min_size=len(shots), max_size=len(shots))),
+    }
+    pert = draw(st.sampled_from(["clean", "interference", "reverse_order", None, "absent"]))
+    if pert != "absent":
+        row["perturbation"] = pert
+    return row
+
+
+def _outcome(load, path):
+    """repr of what ``load`` returns (which tells 1 from 1.0), or its error."""
+    try:
+        return repr(load(path))
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _plain_load(from_json, key=None):
+    """A loader that parses with ``json.loads`` and builds with ``from_json``."""
+    def load(path):
+        out, seen = [], set()
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = from_json(json.loads(line))
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+                if key is not None:
+                    if getattr(rec, key) in seen:
+                        raise ValidationError(
+                            f"{path}: line {lineno}: duplicate {key} {getattr(rec, key)!r}"
+                        )
+                    seen.add(getattr(rec, key))
+                out.append(rec)
+        return out
+    return load
+
+
+PLAIN_METADATA = _plain_load(MetadataRecord.from_json, "scene_id")
+PLAIN_RESULTS = _plain_load(ResultRow.from_json)
+
+
+def _assert_same(objs, load, plain, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(o) + "\n" for o in objs))
+    assert _outcome(load, path) == _outcome(plain, path), objs
+
+
+@pytest.mark.parametrize(
+    "examples, load, plain",
+    [([SCENE_EXAMPLE], load_metadata, PLAIN_METADATA), (RESULT_EXAMPLES, load_results, PLAIN_RESULTS)],
+    ids=["metadata", "results"],
+)
+def test_each_single_spoil_matches_from_json(tmp_path, examples, load, plain):
+    path = tmp_path / "records.jsonl"
+    for example in examples:
+        _assert_same([example], load, plain, path)
+        for i, (container, key) in enumerate(_slots(example)):
+            for value in _spoilers(container, key):
+                obj = copy.deepcopy(example)
+                _spoil(*list(_slots(obj))[i], value)
+                _assert_same([obj], load, plain, path)
+    for obj in NOT_AN_OBJECT:
+        _assert_same([obj], load, plain, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(spoiled(SCENE) | st.sampled_from(NOT_AN_OBJECT), min_size=1, max_size=3))
+def test_load_metadata_matches_from_json(scenes):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same(scenes, load_metadata, PLAIN_METADATA, os.path.join(tmp, "m.jsonl"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(spoiled(result_row()) | st.sampled_from(NOT_AN_OBJECT), min_size=1, max_size=3))
+def test_load_results_matches_from_json(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_same(rows, load_results, PLAIN_RESULTS, os.path.join(tmp, "r.jsonl"))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['  {"a": 1}', '{"a": 1} \t\r', '{"a": 1} x', '{"a": 1}{"b": 2}', '{"a": 1}\x0c', '\ufeff{"a": 1}',
+     '{"a": 1', '[1, 2] 3', '"\\ud800"', "1" * 5000, "[" * 100_000],
+    ids=["leading-space", "trailing-space", "extra-data", "two-values", "form-feed", "bom",
+         "truncated", "array-extra", "lone-surrogate", "integer-digits", "nesting"],
+)
+def test_line_reader_matches_json_loads(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        expected = [(1, json.loads(line + "\n"))]
+    except json.JSONDecodeError as exc:
+        expected = f"{path}: line 1: parse error: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        expected = f"{path}: line 1: parse error: {exc}"
+    try:
+        got = list(_iter_jsonl(str(path)))
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_exact_types_take_the_one_pass_path():
+    assert _exact_metadata(SCENE_EXAMPLE) == MetadataRecord.from_json(SCENE_EXAMPLE)
+    for row in RESULT_EXAMPLES:
+        assert _exact_result(row) == ResultRow.from_json(row)
+    # an int where a float belongs goes to from_json, which converts it
+    assert _exact_metadata(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
+    assert _exact_result(dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0])) is None
