@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .errors import NumericGuardError, ValidationError
-from .records import read_vector_block, write_vector_block
+from .records import is_finite_number, read_vector_block, write_vector_block
 
 SEGMENT_LABELS = ("user", "assistant")
 
@@ -78,16 +78,18 @@ class CapmHyper:
         for name in ("d_b", "d_p", "K", "r", "heads"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"{name}: must be a positive integer, got {v!r}")
+                raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
         if self.d_p % self.heads != 0:
-            raise ValidationError(f"heads ({self.heads}) must divide d_p ({self.d_p})")
+            raise ValidationError(
+                f"heads must be a divisor of d_p ({self.d_p}), got {self.heads!r}"
+            )
         for name in ("eta", "tau_min", "tau_max", "b2_init"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError(f"{name}: must be a finite number, got {v!r}")
+            if not is_finite_number(v):
+                raise ValidationError(f"{name} must be a finite number, got {v!r}")
         if not 0 < self.tau_min < self.tau_max:
             raise ValidationError(
-                f"need 0 < tau_min < tau_max, got {self.tau_min!r}, {self.tau_max!r}"
+                f"tau_min must be > 0 and < tau_max ({self.tau_max!r}), got {self.tau_min!r}"
             )
 
     @property
@@ -937,6 +939,8 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
             hyper = CapmHyper(**manifest["hyper"])
         except (TypeError, KeyError):
             raise ValidationError(f"{path}: bad hyperparameter manifest") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: manifest: {exc}") from None
         arrays: dict[str, np.ndarray] = {}
         for name in PARAM_FIELDS:
             _, entries = read_vector_block(fh)

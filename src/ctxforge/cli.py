@@ -15,6 +15,7 @@ environment variable.  Exit codes: 0 success, 2 usage, 3 data/validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,6 +33,7 @@ from .records import (
     TAXONOMY_ORDER,
     _iter_jsonl,
     is_container,
+    is_finite_number,
     load_embeddings,
     load_episodes,
     load_metadata,
@@ -42,17 +44,8 @@ if TYPE_CHECKING:
 
 DEFAULT_K = 4
 DEFAULT_TOP_N = 50
-DEFAULT_CAPM = {
-    "d_b": 12,
-    "d_p": 8,
-    "K": 2,
-    "r": 2,
-    "heads": 2,
-    "eta": 0.1,
-    "tau_min": 0.05,
-    "tau_max": 2.0,
-    "b2_init": 4.0,
-}
+# CAPM sizes; the other CAPM defaults are ``capm.CapmHyper``'s own
+DEFAULT_CAPM = {"d_b": 12, "d_p": 8, "K": 2, "r": 2}
 
 
 def _log(message: str) -> None:
@@ -117,6 +110,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
         cfg = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: config parse error: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise ValidationError(f"{path}: config parse error: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return cfg
@@ -130,25 +125,46 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Settings resolved from a flag, then --config, then a default: key -> (what
-# a valid value is, its test).  A value failing its test is a usage error.
+def _int_at_least(low: int) -> tuple[str, Any]:
+    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
+
+
+_POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0)
+_NOT_NAN = ("a number that is not NaN", lambda v: _is_number(v) and v == v)  # NaN != NaN
+_STRING = ("a string", lambda v: isinstance(v, str))
+
+# The rule of each setting that ``_setting`` resolves: key -> (what a valid
+# value is, its test).  The CAPM sizes and schedule are checked by
+# ``capm.CapmHyper`` instead, which also checks parameter-file manifests.
 _SETTINGS = {
-    "k": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "top_n": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "k": _int_at_least(1),
+    "top_n": _int_at_least(0),
     "lambda": ("a number in [0, 1]", lambda v: _is_number(v) and 0.0 <= v <= 1.0),
-    "beta": ("a finite number > 0", lambda v: _is_number(v) and 0.0 < v < math.inf),
-    "taxonomy": ("a string", lambda v: isinstance(v, str)),
-    "subtask": ("a string", lambda v: isinstance(v, str)),
-    "min": ("a number", _is_number),
-    "max": ("a number", _is_number),
+    "beta": _POSITIVE,
+    "taxonomy": _STRING,
+    "subtask": _STRING,
+    "min": _NOT_NAN,
+    "max": _NOT_NAN,
+    "seed": _int_at_least(0),
+    "shots": _int_at_least(0),
+    "t_len": _int_at_least(1),
+    "l_len": _int_at_least(2),  # one token per segment
+    "step": _POSITIVE,
+    "tolerance": _POSITIVE,
+    "max_shots": _int_at_least(0),
 }
 
 
-def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any) -> Any:
-    """Resolve ``key`` from its flag, then the config, then ``default``; exit 2
-    naming the key when the value has the wrong type or range.  A setting
-    whose default is ``None`` may stay unset."""
-    value = flag_value if flag_value is not None else config.get(key, default)
+def _resolve(flag_value: Any, config: dict[str, Any], key: str, default: Any) -> Any:
+    """The precedence of every setting: its flag, then the config, then ``default``."""
+    return flag_value if flag_value is not None else config.get(key, default)
+
+
+def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any = None) -> Any:
+    """Resolve ``key`` and exit 2 naming it when the value breaks its rule in
+    ``_SETTINGS``.  A setting whose default is ``None`` may stay unset.
+    Flag-only settings pass an empty config."""
+    value = _resolve(flag_value, config, key, default)
     if value is None and default is None:
         return None
     what, valid = _SETTINGS[key]
@@ -157,26 +173,16 @@ def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any) ->
     return value
 
 
-def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        return args.seed
-    if "seed" in config:
-        seed = config["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValidationError(f"config seed must be a non-negative integer, got {seed!r}")
-        return seed
-    env = os.environ.get("FORGE_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            seed = None
-        if seed is None or seed < 0:
-            raise ValidationError(f"FORGE_SEED must be a non-negative integer, got {env!r}")
-        return seed
-    return 0
+def _env_int(name: str, default: int) -> Any:
+    """Environment variable ``name`` as an integer, its text when it is not
+    one (for the setting's rule to reject), or ``default`` when it is unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +535,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _capm_hyper(args: argparse.Namespace, config: dict[str, Any]) -> capm.CapmHyper:
+    """Each ``CapmHyper`` field from its flag, then the config's ``capm``
+    section, then its default; a value ``CapmHyper`` rejects is a usage error."""
     from . import capm
 
-    sub = config.get("capm", {})
-    if not isinstance(sub, dict):
+    section = config.get("capm", {})
+    if not isinstance(section, dict):
         raise ValidationError("config 'capm' section must be an object")
-    def pick(flag: Any, key: str) -> Any:
-        if flag is not None:
-            return flag
-        if key in sub:
-            return sub[key]
-        return DEFAULT_CAPM[key]
-    return capm.CapmHyper(
-        d_b=pick(args.d_b, "d_b"),
-        d_p=pick(args.d_p, "d_p"),
-        K=pick(args.K, "K"),
-        r=pick(args.r, "r"),
-        eta=pick(args.eta, "eta"),
-        tau_min=pick(args.tau_min, "tau_min"),
-        tau_max=pick(args.tau_max, "tau_max"),
-        b2_init=pick(args.b2_init, "b2_init"),
-        heads=pick(args.heads, "heads"),
-    )
+    values = {
+        f.name: _resolve(getattr(args, f.name), section, f.name, DEFAULT_CAPM.get(f.name, f.default))
+        for f in dataclasses.fields(capm.CapmHyper)
+    }
+    try:
+        return capm.CapmHyper(**values)
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _capm_inputs(
@@ -559,12 +558,8 @@ def _capm_inputs(
     rng: np.random.Generator,
     shots: int,
 ) -> tuple[list[tuple[np.ndarray, list[str]]], np.ndarray, np.ndarray]:
-    t_len = args.t_len
-    l_len = args.l_len
-    if t_len < 1:
-        raise UsageError("--t-len must be >= 1")
-    if l_len < 2:
-        raise UsageError("--l-len must be >= 2 (one token per segment)")
+    t_len = _setting(args.t_len, {}, "t_len")
+    l_len = _setting(args.l_len, {}, "l_len")
     h = rng.standard_normal((t_len, hyper.d_b))
     y = rng.standard_normal((t_len, hyper.d_b))
     demos = []
@@ -581,15 +576,13 @@ def cmd_capm(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     hyper = _capm_hyper(args, config)
-    seed = _resolve_seed(args, config)
+    seed = _setting(args.seed, config, "seed", _env_int("FORGE_SEED", 0))
     # independent streams so loading parameters from a file does not shift
     # the input draws, and extra demos do not shift h/y
     param_seed, input_seed = np.random.SeedSequence(seed).spawn(2)
     param_rng = np.random.default_rng(param_seed)
     rng = np.random.default_rng(input_seed)
-    shots = args.shots if args.shots is not None else 2
-    if shots < 0:
-        raise UsageError("--shots must be >= 0")
+    shots = _setting(args.shots, {}, "shots", 2)
 
     if args.action == "demo":
         if args.params:
@@ -619,13 +612,13 @@ def cmd_capm(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "gradcheck":
-        if not (math.isfinite(args.step) and args.step > 0):
-            raise UsageError(f"--step must be a finite number > 0, got {args.step!r}")
+        step = _setting(args.step, {}, "step")
+        tolerance = _setting(args.tolerance, {}, "tolerance")
         params = capm.random_params(hyper, param_rng)
         demos, h, y = _capm_inputs(args, hyper, rng, max(shots, 1))
         grad_out = rng.standard_normal(y.shape)
         report = capm.gradient_check(
-            params, hyper, demos, h, y, grad_out, step=args.step, tolerance=args.tolerance
+            params, hyper, demos, h, y, grad_out, step=step, tolerance=tolerance
         )
         worst = sorted(report.per_tensor.items(), key=lambda kv: -kv[1])[:8]
         _log(_format_table(["Tensor", "RelErr"], [[n, f"{e:.3e}"] for n, e in worst]))
@@ -688,7 +681,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         raise UsageError("validate requires at least one of --episodes/--embeddings/--metadata")
     lines = []
     if args.episodes:
-        episodes = load_episodes(args.episodes, max_shots=args.max_shots)
+        max_shots = _setting(args.max_shots, {}, "max_shots")
+        episodes = load_episodes(args.episodes, max_shots=max_shots)
         lines.append(
             _jsonl(
                 {"file": args.episodes, "kind": "episodes", "records": len(episodes), "status": "ok"},

@@ -97,6 +97,17 @@ def _str_dict(obj: Any) -> bool:
     return True
 
 
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or float, not a bool, that float arithmetic
+    holds: not NaN, not infinite, and not an int too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_finite(values: Sequence[float], path: str) -> None:
     for i, v in enumerate(values):
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):

@@ -512,6 +512,15 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_params(path)
 
+    def test_manifest_value_too_large_for_float_rejected(self, tmp_path):
+        path = tmp_path / "p.capm"
+        save_params(random_params(HYPER, np.random.default_rng(25)), HYPER, path)
+        blob = path.read_bytes()
+        assert blob.count(b'"eta": 0.1,') == 1
+        path.write_bytes(blob.replace(b'"eta": 0.1,', b'"eta": ' + str(10**400).encode() + b","))
+        with pytest.raises(ValidationError, match=f"{path}: manifest: eta must be a finite number"):
+            load_params(path)
+
 
 # ---------------------------------------------------------------------------
 # hyper validation
@@ -525,6 +534,13 @@ class TestHyper:
     def test_tau_bounds_ordered(self):
         with pytest.raises(ValidationError):
             CapmHyper(d_b=8, d_p=8, K=2, r=2, tau_min=2.0, tau_max=0.5)
+
+    @pytest.mark.parametrize("name", ["eta", "tau_min", "tau_max", "b2_init"])
+    @pytest.mark.parametrize("value", [True, 10**400, math.nan, math.inf, "0.1"],
+                             ids=["bool", "huge-int", "nan", "inf", "string"])
+    def test_schedule_must_be_a_finite_number(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number, got "):
+            CapmHyper(d_b=8, d_p=8, K=2, r=2, **{name: value})
 
     def test_coef_width(self):
         assert HYPER.coef_width == 2 * 2 * 8 + 2

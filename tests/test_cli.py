@@ -530,12 +530,22 @@ class TestCapmCli:
         code, out, err = run_cli(["capm", "gradcheck", "--seed", "7", "--step", step])
         assert code == 2
         assert out == ""
-        assert "usage error: --step must be a finite number > 0" in err
+        assert "usage error: step must be a finite number > 0" in err
 
     def test_negative_seed_is_usage_error(self):
         code, out, err = run_cli(["capm", "demo", "--seed", "-1"])
         assert code == 2
-        assert "--seed must be >= 0" in err
+        assert "usage error: seed must be an integer >= 0, got -1" in err
+
+    def test_params_manifest_value_too_large_for_float_exits_3(self, tmp_path):
+        path = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        blob = path.read_bytes()
+        assert blob.count(b'"eta": 0.1,') == 1
+        path.write_bytes(blob.replace(b'"eta": 0.1,', b'"eta": ' + str(HUGE).encode() + b","))
+        code, out, err = run_cli(["capm", "demo", "--params", str(path)])
+        assert (code, out) == (3, "")
+        assert f"{path}: manifest: eta must be a finite number, got 1000" in err
 
     def test_params_with_non_integer_shape_exit_3(self, tmp_path):
         path = tmp_path / "w.capm"
@@ -592,9 +602,10 @@ class TestConfigMerge:
             (["--lambda", "1.5"], {}, "lambda"),
             ([], {"top_n": 2.5}, "top_n"),
             ([], {"beta": 0}, "beta"),
+            ([], {"beta": HUGE}, "beta"),
         ],
         ids=["negative-k", "string-k", "bool-k", "string-lambda", "lambda-above-1",
-             "fractional-top-n", "zero-beta"],
+             "fractional-top-n", "zero-beta", "huge-int-beta"],
     )
     def test_bad_setting_exits_2(self, fusion_fixture, tmp_path, flags, config, key):
         emb, queries, _ = fusion_fixture
@@ -617,6 +628,65 @@ class TestConfigMerge:
              "--queries", str(queries), "--config", str(cfg)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1" * 5000, "config parse error: Exceeds the limit (4300 digits)"),
+         ("[" * 100_000, "config parse error: maximum recursion depth exceeded")],
+        ids=["integer-digits", "nesting"],
+    )
+    def test_unparseable_config_exits_3(self, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["capm", "demo", "--config", str(cfg)])
+        assert (code, out) == (3, "")
+        assert f"{cfg}: {message}" in err
+
+
+EPISODE = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
+           "shots": [{"id": "a", "image_ref": "a"}], "query": {"id": "q", "image_ref": "q"}}
+SCENE = {"scene_id": "s", "instances": [], "scene_attributes": {}, "scores": {"q": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "argv, config, env, key",
+    [
+        (["capm", "demo", "--d-b", "0"], {}, {}, "d_b"),
+        (["capm", "demo", "--heads", "3", "--d-p", "8"], {}, {}, "heads"),
+        (["capm", "demo"], {"capm": {"K": 0}}, {}, "K"),
+        (["capm", "demo"], {"capm": {"eta": HUGE}}, {}, "eta"),
+        (["capm", "demo"], {"capm": {"eta": True}}, {}, "eta"),
+        (["capm", "demo", "--tau-min", "3"], {}, {}, "tau_min"),
+        (["capm", "demo"], {"seed": -1}, {}, "seed"),
+        (["capm", "demo"], {}, {"FORGE_SEED": "x"}, "seed"),
+        (["capm", "demo", "--shots", "-1"], {}, {}, "shots"),
+        (["capm", "demo", "--t-len", "0"], {}, {}, "t_len"),
+        (["capm", "demo", "--l-len", "1"], {}, {}, "l_len"),
+        (["capm", "gradcheck", "--tolerance", "-1"], {}, {}, "tolerance"),
+        (["capm", "gradcheck", "--tolerance", "nan"], {}, {}, "tolerance"),
+        (["validate", "--episodes", "{dir}/e.jsonl", "--max-shots", "-1"], {}, {}, "max_shots"),
+        (["filter", "--metadata", "{dir}/m.jsonl", "--score-field", "q", "--min", "nan"],
+         {}, {}, "min"),
+        (["filter", "--metadata", "{dir}/m.jsonl", "--score-field", "q"],
+         {"max": math.nan}, {}, "max"),
+    ],
+    ids=["zero-d-b", "heads-not-dividing-d-p", "config-zero-K", "config-huge-int-eta",
+         "config-bool-eta", "tau-min-above-tau-max", "config-negative-seed", "env-seed-text",
+         "negative-shots", "zero-t-len", "one-token-l-len", "negative-tolerance",
+         "nan-tolerance", "negative-max-shots", "nan-min", "config-nan-max"],
+)
+def test_bad_setting_exits_2_naming_it(tmp_path, monkeypatch, argv, config, env, key):
+    (tmp_path / "e.jsonl").write_text(json.dumps(EPISODE) + "\n")
+    (tmp_path / "m.jsonl").write_text(json.dumps(SCENE) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.delenv("FORGE_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli([*argv, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"usage error: {key} must be" in err
 
 
 class TestValidate:

@@ -44,11 +44,11 @@ RULES = st.sampled_from([
     "exists(bbox within box(0.1, 0.2, 0.8, 0.9))",
     "not exists(category == \"a\")",
 ]) | TEXT
+HUGE = 10**400  # a JSON integer that float() cannot convert
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, 1e-300, 0.5, 1.0, 8.0])
-JSON_SCALARS = (st.none() | st.booleans() | st.integers(-5, 10) | FLOATS
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-5, 10) | FLOATS | st.just(HUGE)
                 | st.text(max_size=4) | st.lists(st.integers(0, 3), max_size=2))
 IDS = ["a", "b", "c", "q"]
-HUGE = 10**400  # a JSON integer that float() cannot convert
 CONFIG_VALUES = {
     "k": st.integers(1, 4),
     "top_n": st.integers(0, 4),
@@ -57,6 +57,15 @@ CONFIG_VALUES = {
     "seed": st.integers(0, 4),
     "taxonomy": st.sampled_from(["Perception", "Conception"]),
     "subtask": st.sampled_from(["Visual Grounding", "Fast Concept Mapping"]),
+    "min": st.floats(-60.0, 1.0),
+    "max": st.floats(0.0, 600.0),
+}
+# the config's "capm" section may also set the schedule, drawn like CONFIG_VALUES
+CAPM_SCHEDULE = {
+    "eta": st.floats(0.0, 1.0),
+    "tau_min": st.floats(0.01, 0.1),
+    "tau_max": st.floats(1.0, 2.0),
+    "b2_init": st.floats(0.0, 4.0),
 }
 USUAL_TEXT = {"taxonomy": CONFIG_VALUES["taxonomy"], "subtask": CONFIG_VALUES["subtask"],
               "s_field": st.just("rel"), "score_field": st.just("rel")}
@@ -201,7 +210,8 @@ def plans(draw) -> tuple[dict[str, bytes], list[str]]:
         argv += [flag, value]
     if name == "capm":
         by_config = options.get("config", (None, ""))[1].endswith("/config.json")
-        config["capm"] = {}
+        schedule = draw(st.lists(st.sampled_from(sorted(CAPM_SCHEDULE)), unique=True))
+        config["capm"] = {k: _mostly(draw, CAPM_SCHEDULE[k], JSON_SCALARS) for k in schedule}
         for dest, value in _capm_sizes(draw).items():
             if dest in CAPM_SIZES and by_config and draw(st.booleans()):
                 config["capm"][dest] = value
@@ -229,6 +239,10 @@ def _reject_constant(name: str):
 
 TINY = ["--d-b", "2", "--d-p", "2", "--heads", "1", "--K", "1", "--r", "1",
         "--shots", "1", "--t-len", "1", "--l-len", "2"]
+STORE = {"e.jsonl": _jsonl({"id": i, "modality": m, "dim": 2, "values": [1.0, float(n)]}
+                           for n, i in enumerate(IDS) for m in ("visual", "text")),
+         "q.jsonl": _jsonl([{"id": "q"}])}
+HUGE_ETA = b'"eta": ' + str(HUGE).encode() + b","
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,6 +255,13 @@ TINY = ["--d-b", "2", "--d-p", "2", "--heads", "1", "--K", "1", "--r", "1",
                                "shots": [0, 1, 2], "values": [1e308, -1e308, 1e308]}])},
           ["eval", "curves", "--results", "{dir}/r.jsonl"]))
 @example(({"b.jsonl": b"", "v.jsonl": b""}, ["eval", "transfer", "--base", "{dir}/b.jsonl", "--variant", "{dir}/v.jsonl"]))
+@example(({"c.json": b"1" * 5000}, ["capm", "demo", "--config", "{dir}/c.json", *TINY]))
+@example(({**STORE, "c.json": json.dumps({"beta": HUGE}).encode()},
+          ["retrieve", "--mode", "fusion", "--embeddings", "{dir}/e.jsonl", "--queries", "{dir}/q.jsonl",
+           "--config", "{dir}/c.json"]))
+@example(({"c.json": json.dumps({"capm": {"eta": HUGE}}).encode()},
+          ["capm", "demo", "--config", "{dir}/c.json", *TINY]))
+@example(({"p.capm": PARAMS.replace(b'"eta": 0.1,', HUGE_ETA)}, ["capm", "demo", "--params", "{dir}/p.capm"]))
 def test_main_returns_a_contract_code(plan):
     files, argv = plan
     code, stdout = _run(files, argv)
