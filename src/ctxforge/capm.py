@@ -1,30 +1,33 @@
 """Context-adaptive modulation: encode demos, build a prototype bank, route
 per-token context, and gate an attention output.
 
-Pipeline over ``N`` demonstrations and a ``T``-token backbone segment.  Demos
-may differ in length: each is checked, then all are zero-padded into one
-``(N, L_max, d_b)`` batch with a token mask, and every demo-side stage runs
-once over that batch (padded tokens get exactly zero attention weight).
+``capm_forward`` is the one way in.  It runs the pipeline below over ``N``
+demonstrations and a ``T``-token backbone segment and returns the output with
+a ``CapmTrace`` that holds every stage's result.  Demos may differ in length:
+each is checked, then all are zero-padded into one ``(N, L_max, d_b)`` batch
+with a token mask, and every demo-side stage runs once over that batch
+(padded tokens get exactly zero attention weight).
 
-1. ``encode_demo``   — segment-masked cross-attention reads each demo's
-   tokens into ``K + 2`` slots: an input summary ``c_in`` (user tokens only),
-   an output summary ``c_out`` (assistant tokens only), and ``K`` unmasked
-   context probes ``C``.
-2. ``modulate``      — compresses the slots into one latent token::
+1. Encode (``trace.slots``) — segment-masked cross-attention reads each
+   demo's tokens into ``K + 2`` slots: an input summary ``c_in`` (user tokens
+   only), an output summary ``c_out`` (assistant tokens only), and ``K``
+   unmasked context probes ``C``.
+2. Modulate (``trace.z``) — compresses the slots into one latent token::
 
        g     = Mean(RMSNorm(C))
        phi   = LN([c_in; c_out; c_out - c_in; c_in * c_out])
        u,v,a = H_coef(phi)                      (two affine layers, GELU)
        z     = g + eta * sum_k a_k (U_k*u_k) <V_k*v_k, g>
 
-3. ``interact``      — one pre-norm self-attention block (residual, no
-   positional encoding) mixes the ``N`` latent tokens into ``z_hat``.
-4. ``assemble_bank`` — per-slot-kind affine calibration then row-wise l2
-   normalization, demo-major / slot-kind-minor; ``route`` scores backbone
-   tokens against the bank at a learned temperature
+3. Interact (``trace.z_hat``) — one pre-norm self-attention block (residual,
+   no positional encoding) mixes the ``N`` latent tokens.
+4. Bank and route (``trace.bank``, ``trace.tau``, ``trace.weights``,
+   ``trace.context``) — per-slot-kind affine calibration then row-wise l2
+   normalization, demo-major / slot-kind-minor; backbone tokens are scored
+   against the bank at a learned temperature
    ``tau = tau_min + (tau_max - tau_min) * sigmoid(MLP(mean(z_hat)))`` and
-   softmax-mixes bank rows into per-token context ``C_t``.
-5. ``gate``          — ``m = sigmoid(W2 GELU(W1 [LayerNorm(h); C_t] + b1) + b2)``
+   softmax-mix bank rows into per-token context ``C_t``.
+5. Gate (``trace.m``) — ``m = sigmoid(W2 GELU(W1 [LayerNorm(h); C_t] + b1) + b2)``
    multiplies the attention output ``Y`` elementwise.  ``W2`` is zero at
    initialization and ``b2`` starts at a positive constant, so a fresh module
    is a near-identity: ``Y' = sigmoid(b2) * Y`` regardless of demos.
@@ -59,6 +62,9 @@ SLOT_KINDS = ("z", "c_in", "c_out", "context")
 
 STAGE_ORDER = ("hidden", "attention_out", "context", "output")
 
+# numpy's bound on any dimension and on any array's size in bytes
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class CapmHyper:
@@ -77,8 +83,8 @@ class CapmHyper:
     def __post_init__(self) -> None:
         for name in ("d_b", "d_p", "K", "r", "heads"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= _MAX_SIZE:
+                raise ValidationError(f"{name} must be an integer in [1, {_MAX_SIZE}], got {v!r}")
         if self.d_p % self.heads != 0:
             raise ValidationError(
                 f"heads must be a divisor of d_p ({self.d_p}), got {self.heads!r}"
@@ -91,49 +97,13 @@ class CapmHyper:
             raise ValidationError(
                 f"tau_min must be > 0 and < tau_max ({self.tau_max!r}), got {self.tau_min!r}"
             )
+        for name, shape in expected_shapes(self).items():
+            if math.prod(shape) * 8 > _MAX_SIZE:  # float64 bytes
+                raise ValidationError(f"sizes too large: param {name} would have shape {shape}")
 
     @property
     def coef_width(self) -> int:
         return 2 * self.r * self.d_p + self.r
-
-
-# parameter tensors, in serialization order
-PARAM_FIELDS = (
-    "w_in",
-    "queries",
-    "enc_wq",
-    "enc_wk",
-    "enc_wv",
-    "enc_wo",
-    "rms_gain",
-    "phi_ln_gain",
-    "phi_ln_bias",
-    "hcoef_w1",
-    "hcoef_b1",
-    "hcoef_w2",
-    "hcoef_b2",
-    "u_base",
-    "v_base",
-    "int_ln_gain",
-    "int_ln_bias",
-    "int_wq",
-    "int_wk",
-    "int_wv",
-    "int_wo",
-    "cal_scale",
-    "cal_shift",
-    "psi",
-    "tau_w1",
-    "tau_b1",
-    "tau_w2",
-    "tau_b2",
-    "gate_ln_gain",
-    "gate_ln_bias",
-    "gate_w1",
-    "gate_b1",
-    "gate_w2",
-    "gate_b2",
-)
 
 
 @dataclass(eq=False)
@@ -178,6 +148,10 @@ class CapmParams:
 
     def copy(self) -> "CapmParams":
         return CapmParams(**{k: v.copy() for k, v in self.as_dict().items()})
+
+
+# parameter tensors, in serialization order
+PARAM_FIELDS = tuple(f.name for f in fields(CapmParams))
 
 
 def expected_shapes(hyper: CapmHyper) -> dict[str, tuple[int, ...]]:
@@ -262,22 +236,6 @@ def random_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
         else:
             arrays[name] = 0.3 * rng.standard_normal(shape)
     return CapmParams(**arrays)
-
-
-@dataclass(eq=False)
-class DemoSlots:
-    """Encoded demo: input/output summaries plus K context probe rows."""
-
-    c_in: np.ndarray  # (d_p,)
-    c_out: np.ndarray  # (d_p,)
-    context: np.ndarray  # (K, d_p)
-
-
-@dataclass(eq=False)
-class RouteResult:
-    context: np.ndarray  # (T, d_p)
-    tau: float
-    weights: np.ndarray  # (T, S), rows sum to 1
 
 
 @dataclass(eq=False)
@@ -595,7 +553,7 @@ def _bank_forward(z_hat, slots, params: CapmParams, hyper: CapmHyper):
     raw = np.concatenate([z_hat[:, None], slots], axis=1)
     kind = np.array([_KIND_Z, _KIND_C_IN, _KIND_C_OUT] + [_KIND_CONTEXT] * hyper.K)
     cal = raw * params.cal_scale[kind] + params.cal_shift[kind]
-    bank, l2_cache = _l2rows_forward(cal, "assemble_bank: zero-norm row after calibration")
+    bank, l2_cache = _l2rows_forward(cal, "bank: zero-norm row after calibration")
     return bank.reshape(-1, hyper.d_p), (raw, kind, l2_cache)
 
 
@@ -620,7 +578,7 @@ def _route_forward(h, bank, z_hat, params: CapmParams, hyper: CapmHyper):
     weights = _softmax_last(scores)
     context = weights @ bank
     cache = (h, bank, z_hat.shape[0], z_pool, pre_t1, t1, sig, tau, l2_cache, qhat, scores, weights)
-    return RouteResult(context=context, tau=tau, weights=weights), cache
+    return (context, tau, weights), cache
 
 
 def _route_backward(dcontext, cache, params: CapmParams, grads, hyper: CapmHyper):
@@ -679,82 +637,6 @@ def _gate_backward(dyp, cache, params: CapmParams, grads):
 
 
 # ---------------------------------------------------------------------------
-# public stage operations
-
-
-def _slot_rows(slots: DemoSlots) -> np.ndarray:
-    return np.vstack([slots.c_in, slots.c_out, slots.context])
-
-
-def encode_demo(tokens, segments, params: CapmParams, hyper: CapmHyper) -> DemoSlots:
-    """Read one demo into slots via segment-masked cross-attention."""
-    slots, _ = _encode_forward(*_stack_demos([(tokens, segments)], hyper), params, hyper)
-    return DemoSlots(c_in=slots[0, 0], c_out=slots[0, 1], context=slots[0, 2:])
-
-
-def modulate(slots: DemoSlots, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
-    """Compress slots into the demo's latent token ``z``."""
-    z, _ = _modulate_forward(_slot_rows(slots)[None], params, hyper)
-    return z[0]
-
-
-def interact(z_rows: np.ndarray, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
-    """Mix latent tokens with one pre-norm residual self-attention block.
-
-    Order-equivariant: there is no positional encoding, so permuting the rows
-    permutes the output the same way.
-    """
-    z = np.asarray(z_rows, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] != hyper.d_p:
-        raise ValidationError(f"interact: expected (N >= 1, {hyper.d_p}) array, got {z.shape}")
-    z_hat, _ = _interact_forward(z, params, hyper)
-    return z_hat
-
-
-def assemble_bank(
-    z_hat: np.ndarray, slots_list: Sequence[DemoSlots], params: CapmParams, hyper: CapmHyper
-) -> np.ndarray:
-    """Calibrate and l2-normalize all slot rows, demo-major / slot-kind-minor.
-
-    Row layout per demo ``i``: ``z_hat[i]``, ``c_in``, ``c_out``, then the
-    ``K`` context rows — ``N * (K + 3)`` rows in total.
-    """
-    z = np.asarray(z_hat, dtype=np.float64)
-    if len(slots_list) != z.shape[0]:
-        raise ValidationError(
-            f"assemble_bank: {z.shape[0]} latent rows for {len(slots_list)} demos"
-        )
-    if z.shape[0] == 0:
-        return np.zeros((0, hyper.d_p))
-    bank, _ = _bank_forward(z, np.array([_slot_rows(s) for s in slots_list]), params, hyper)
-    return bank
-
-
-def route(
-    h: np.ndarray, bank: np.ndarray, z_hat: np.ndarray, params: CapmParams, hyper: CapmHyper
-) -> RouteResult:
-    """Per-token soft lookup into the bank at a learned temperature."""
-    hv = np.asarray(h, dtype=np.float64)
-    if hv.ndim != 2 or hv.shape[1] != hyper.d_b:
-        raise ValidationError(f"route: expected (T, {hyper.d_b}) hidden states, got {hv.shape}")
-    result, _ = _route_forward(hv, bank, np.asarray(z_hat, dtype=np.float64), params, hyper)
-    return result
-
-
-def gate(
-    h: np.ndarray, context: np.ndarray, y: np.ndarray, params: CapmParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modulate the attention output ``y``; returns ``(y_prime, m)``."""
-    y_prime, m, _ = _gate_forward(
-        np.asarray(h, dtype=np.float64),
-        np.asarray(context, dtype=np.float64),
-        np.asarray(y, dtype=np.float64),
-        params,
-    )
-    return y_prime, m
-
-
-# ---------------------------------------------------------------------------
 # composed forward / backward
 
 
@@ -787,10 +669,7 @@ def capm_forward(
         z_rows, mod_cache = _modulate_forward(slots, params, hyper)
         z_hat, int_cache = _interact_forward(z_rows, params, hyper)
         bank, bank_cache = _bank_forward(z_hat, slots, params, hyper)
-        route_result, route_cache = _route_forward(hv, bank, z_hat, params, hyper)
-        context = route_result.context
-        tau: float | None = route_result.tau
-        weights = route_result.weights
+        (context, tau, weights), route_cache = _route_forward(hv, bank, z_hat, params, hyper)
         lengths = valid.sum(axis=1)
     else:
         enc_cache = mod_cache = int_cache = bank_cache = route_cache = None

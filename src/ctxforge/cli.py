@@ -8,8 +8,8 @@ transfer/human reports), ``capm`` (demo / gradcheck / diagnose), and
 Conventions: stdout carries only data (JSON lines); human-readable tables and
 progress go to stderr.  A JSON config file (``--config``) supplies defaults
 that explicit flags override; the seed falls back to the ``FORGE_SEED``
-environment variable.  Exit codes: 0 success, 2 usage, 3 data/validation,
-4 numeric guard.
+environment variable.  Exit codes: 0 success, 2 usage, 3 data/validation
+or out of memory, 4 numeric guard.
 """
 
 from __future__ import annotations
@@ -744,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", help="taxonomy label for emitted episodes")
     p.add_argument("--subtask", help="subtask label for emitted episodes")
     p.add_argument("--episode-id", dest="episode_id", help="episode id for intent mode")
-    p.add_argument("--seed", type=int, help="unused entropy anchor; kept for reproducibility")
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("filter", parents=[common], help="filter metadata by a score field")
@@ -813,6 +812,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except OSError as exc:
         _log(f"forge: {exc}")
+        return 3
+    except MemoryError as exc:
+        _log(f"forge: out of memory: {str(exc) or 'an allocation failed'}")
         return 3
 
 

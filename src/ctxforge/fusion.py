@@ -75,34 +75,22 @@ def fused_score(query_visual, query_text, cand_visual, cand_text, lam: float = D
 
 
 def rank_top_n(
-    query_id: str,
-    store: EmbeddingStore,
-    config: FusionConfig,
-    candidates: list[str] | None = None,
+    query_id: str, store: EmbeddingStore, config: FusionConfig
 ) -> list[tuple[str, float]]:
-    """Rank candidates against a query by fused score.
+    """Rank every other id in the store against a query by fused score.
 
-    Both modalities of the query and of every candidate must be present in
-    the store.  When ``candidates`` is omitted, every id with both modalities
-    (except the query itself) is considered.  Returns ``(id, score)`` pairs
-    sorted by descending score, ties broken by ascending id, truncated to
-    ``config.top_n``.  Scores are ``fused_score`` of the stored vectors.
+    Both modalities of the query must be present in the store; the
+    candidates are every id with both modalities except the query itself.
+    Returns ``(id, score)`` pairs sorted by descending score, ties broken by
+    ascending id, truncated to ``config.top_n``.  Scores are ``fused_score``
+    of the stored vectors.
     """
     query_rows = [store.rows([query_id], m)[0] for m in MODALITIES]
-    if candidates is None:
-        pool, *rows = store.paired()
-        at = bisect.bisect_left(pool, query_id)
-        if at < len(pool) and pool[at] == query_id:
-            pool = pool[:at] + pool[at + 1 :]
-            rows = [np.delete(r, at) for r in rows]
-    else:
-        given = [c for c in candidates if c != query_id]
-        pool = sorted(given)
-        try:
-            rows = [store.rows(pool, m) for m in MODALITIES]
-        except ValidationError:
-            _raise_first_failure(query_rows, store, given)
-            raise
+    pool, *rows = store.paired()
+    at = bisect.bisect_left(pool, query_id)
+    if at < len(pool) and pool[at] == query_id:
+        pool = pool[:at] + pool[at + 1 :]
+        rows = [np.delete(r, at) for r in rows]
     cosines = []
     for modality, q_row, c_rows in zip(MODALITIES, query_rows, rows):
         vectors, norms = store.matrix(modality), store.row_norms(modality)
@@ -117,16 +105,6 @@ def rank_top_n(
     # pool is in ascending id order, so a stable sort breaks score ties by id
     order = np.argsort(-scores, kind="stable")[: config.top_n]
     return [(pool[i], float(scores[i])) for i in order]
-
-
-def _raise_first_failure(query_rows, store: EmbeddingStore, pool: list[str]) -> None:
-    """Raise what scoring ``pool`` one candidate at a time in the given order
-    hits first: a missing embedding or a zero-norm vector."""
-    query_zero = any(store.row_norms(m)[r] == 0.0 for m, r in zip(MODALITIES, query_rows))
-    for cid in pool:
-        rows = [store.rows([cid], m)[0] for m in MODALITIES]
-        if query_zero or any(store.row_norms(m)[r] == 0.0 for m, r in zip(MODALITIES, rows)):
-            raise ValidationError("cosine: zero-norm input")
 
 
 @dataclass(frozen=True, eq=False)

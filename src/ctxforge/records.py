@@ -110,7 +110,7 @@ def is_finite_number(value: Any) -> bool:
 
 def _check_finite(values: Sequence[float], path: str) -> None:
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not is_finite_number(v):
             raise ValidationError(f"{path}[{i}]: non-finite or non-numeric value {v!r}")
 
 
@@ -375,7 +375,8 @@ class Instance:
             raise ValidationError("bbox: expected [x0, y0, x1, y1]")
         x0, y0, x1, y1 = self.bbox
         for name, v in zip(("x0", "y0", "x1", "y1"), self.bbox):
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or not 0.0 <= v <= 1.0:
+            # a number in [0, 1] is finite; NaN fails both comparisons
+            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
                 raise ValidationError(f"bbox.{name}: must be a number in [0, 1], got {v!r}")
         if x0 > x1 or y0 > y1:
             raise ValidationError(f"bbox: corners out of order {self.bbox}")
@@ -430,7 +431,7 @@ class MetadataRecord:
         if not isinstance(self.scene_id, str) or not self.scene_id:
             raise ValidationError("scene_id: must be a non-empty string")
         for k, v in self.scores.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not is_finite_number(v):
                 raise ValidationError(f"scores.{k}: must be a finite number, got {v!r}")
 
     def to_json(self) -> dict[str, Any]:
@@ -775,14 +776,12 @@ def is_container(path: str) -> bool:
         return fh.read(4) == CONTAINER_MAGIC
 
 
-def load_embeddings(
-    path: str, normalize: bool = False, binary_modality: str = "visual"
-) -> EmbeddingStore:
+def load_embeddings(path: str, normalize: bool = False) -> EmbeddingStore:
     """Load embeddings from JSONL or the binary container (auto-detected).
 
-    The binary container stores no modality; records from it are tagged with
-    ``binary_modality``.  With ``normalize=True`` every vector is scaled to
-    unit norm; zero vectors are rejected.
+    The binary container stores no modality; its records are tagged
+    ``visual``.  With ``normalize=True`` every vector is scaled to unit norm;
+    zero vectors are rejected.
     """
     store = EmbeddingStore()
     if is_container(path):
@@ -792,7 +791,7 @@ def load_embeddings(
         if trailing:
             raise ValidationError(f"{path}: trailing bytes after container block")
         for rid, values in entries:
-            rec = EmbeddingRecord(id=rid, modality=binary_modality, dim=dim, values=values)
+            rec = EmbeddingRecord(id=rid, modality="visual", dim=dim, values=values)
             store.add(rec.normalized() if normalize else rec)
         return store
     # Finiteness and zero norms are checked once over the filled matrices, so

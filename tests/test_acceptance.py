@@ -337,7 +337,7 @@ def test_a11_cli_determinism_and_exit_codes(tmp_path):
     args = [
         "retrieve", "--mode", "fusion",
         "--embeddings", str(emb), "--queries", str(queries),
-        "--k", "6", "--top-n", "100", "--seed", "1",
+        "--k", "6", "--top-n", "100",
     ]
     runs = [
         subprocess.run(

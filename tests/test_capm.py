@@ -12,18 +12,12 @@ from ctxforge import capm
 from ctxforge.capm import (
     CapmHyper,
     STAGE_ORDER,
-    assemble_bank,
     capm_backward,
     capm_forward,
-    encode_demo,
     forward_diagnostics,
-    gate,
     init_params,
-    interact,
     load_params,
-    modulate,
     random_params,
-    route,
     save_params,
 )
 from ctxforge.errors import ValidationError
@@ -213,7 +207,14 @@ class TestInitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# stage behavior
+# stage behavior, read from the trace of the composed forward
+
+
+def encode(tokens, segments, params):
+    """One demo's slot rows: ``c_in``, ``c_out``, then the ``K`` context rows."""
+    h = np.random.default_rng(0).standard_normal((2, HYPER.d_b))
+    _, trace = capm_forward([(tokens, segments)], h, h, params, HYPER)
+    return trace.slots[0]
 
 
 class TestEncode:
@@ -222,64 +223,63 @@ class TestEncode:
         params = random_params(HYPER, rng)
         tokens = rng.standard_normal((6, HYPER.d_b))
         segs = ["user"] * 3 + ["assistant"] * 3
-        base = encode_demo(tokens, segs, params, HYPER)
+        base = encode(tokens, segs, params)
         mutated = tokens.copy()
         mutated[3:] = rng.standard_normal((3, HYPER.d_b))
-        changed = encode_demo(mutated, segs, params, HYPER)
-        np.testing.assert_array_equal(base.c_in, changed.c_in)  # exact
-        assert not np.allclose(base.c_out, changed.c_out)
+        changed = encode(mutated, segs, params)
+        np.testing.assert_array_equal(base[0], changed[0])  # c_in, exact
+        assert not np.allclose(base[1], changed[1])
 
     def test_user_tokens_never_reach_c_out(self):
         rng = np.random.default_rng(4)
         params = random_params(HYPER, rng)
         tokens = rng.standard_normal((5, HYPER.d_b))
         segs = ["user", "user", "assistant", "assistant", "assistant"]
-        base = encode_demo(tokens, segs, params, HYPER)
+        base = encode(tokens, segs, params)
         mutated = tokens.copy()
         mutated[:2] = rng.standard_normal((2, HYPER.d_b))
-        changed = encode_demo(mutated, segs, params, HYPER)
-        np.testing.assert_array_equal(base.c_out, changed.c_out)
-        assert not np.allclose(base.c_in, changed.c_in)
+        changed = encode(mutated, segs, params)
+        np.testing.assert_array_equal(base[1], changed[1])  # c_out, exact
+        assert not np.allclose(base[0], changed[0])
 
     def test_context_probes_see_everything(self):
         rng = np.random.default_rng(5)
         params = random_params(HYPER, rng)
         tokens = rng.standard_normal((4, HYPER.d_b))
         segs = ["user", "user", "assistant", "assistant"]
-        base = encode_demo(tokens, segs, params, HYPER)
+        base = encode(tokens, segs, params)
         mutated = tokens.copy()
         mutated[0] += 1.0
-        assert not np.allclose(base.context, encode_demo(mutated, segs, params, HYPER).context)
+        assert not np.allclose(base[2:], encode(mutated, segs, params)[2:])
 
     def test_single_segment_demo_rejected(self):
         rng = np.random.default_rng(6)
         params = random_params(HYPER, rng)
         tokens = rng.standard_normal((3, HYPER.d_b))
         with pytest.raises(ValidationError, match="zero tokens"):
-            encode_demo(tokens, ["user", "user", "user"], params, HYPER)
+            encode(tokens, ["user", "user", "user"], params)
 
     def test_unknown_label_rejected(self):
         rng = np.random.default_rng(6)
         params = random_params(HYPER, rng)
         tokens = rng.standard_normal((2, HYPER.d_b))
         with pytest.raises(ValidationError, match="segments"):
-            encode_demo(tokens, ["user", "system"], params, HYPER)
+            encode(tokens, ["user", "system"], params)
 
 
 class TestModulate:
     def test_equals_materialized_dense_operator(self):
         rng = np.random.default_rng(7)
         params = random_params(HYPER, rng)
-        demos, _, _ = make_inputs(rng, n_demos=1)
-        slots = encode_demo(*demos[0], params, HYPER)
-        z = modulate(slots, params, HYPER)
+        demos, h, y = make_inputs(rng, n_demos=1)
+        _, trace = capm_forward(demos, h, y, params, HYPER)
+        c_in, c_out, context = trace.slots[0, 0], trace.slots[0, 1], trace.slots[0, 2:]
+        z = trace.z[0]
 
         # materialize: z = g + eta * A^T diag(alpha) B g with A, B from the head
-        cn = slots.context / np.sqrt((slots.context**2).mean(axis=1, keepdims=True) + 1e-6)
+        cn = context / np.sqrt((context**2).mean(axis=1, keepdims=True) + 1e-6)
         g = (cn * params.rms_gain).mean(axis=0)
-        cat = np.concatenate(
-            [slots.c_in, slots.c_out, slots.c_out - slots.c_in, slots.c_in * slots.c_out]
-        )
+        cat = np.concatenate([c_in, c_out, c_out - c_in, c_in * c_out])
         mu, var = cat.mean(), cat.var()
         phi = (cat - mu) / np.sqrt(var + 1e-6) * params.phi_ln_gain + params.phi_ln_bias
         pre = phi @ params.hcoef_w1 + params.hcoef_b1
@@ -297,19 +297,11 @@ class TestInteract:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         params = random_params(HYPER, rng)
-        z = rng.standard_normal((5, HYPER.d_p))
+        demos, h, y = make_inputs(rng, n_demos=5)
         perm = rng.permutation(5)
-        out = interact(z, params, HYPER)
-        out_perm = interact(z[perm], params, HYPER)
-        np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
-
-    def test_shape_validation(self):
-        rng = np.random.default_rng(8)
-        params = random_params(HYPER, rng)
-        with pytest.raises(ValidationError):
-            interact(np.zeros((0, HYPER.d_p)), params, HYPER)
-        with pytest.raises(ValidationError):
-            interact(np.zeros((2, HYPER.d_p + 1)), params, HYPER)
+        _, trace = capm_forward(demos, h, y, params, HYPER)
+        _, trace_perm = capm_forward([demos[i] for i in perm], h, y, params, HYPER)
+        np.testing.assert_allclose(trace_perm.z_hat, trace.z_hat[perm], atol=1e-12)
 
 
 class TestBankAndRoute:
@@ -325,7 +317,9 @@ class TestBankAndRoute:
     def test_bank_empty_for_zero_demos(self):
         rng = np.random.default_rng(9)
         params = random_params(HYPER, rng)
-        assert assemble_bank(np.zeros((0, HYPER.d_p)), [], params, HYPER).shape == (0, HYPER.d_p)
+        _, h, y = make_inputs(rng)
+        _, trace = capm_forward([], h, y, params, HYPER)
+        assert trace.bank.shape == (0, HYPER.d_p)
 
     def test_routing_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
@@ -361,15 +355,6 @@ class TestGate:
         y_prime, trace = capm_forward(demos, h, y, params, HYPER)
         assert np.all((trace.m > 0.0) & (trace.m < 1.0))
         np.testing.assert_allclose(y_prime, y * trace.m, atol=1e-15)
-
-    def test_standalone_gate_matches_pipeline(self):
-        rng = np.random.default_rng(14)
-        params = random_params(HYPER, rng)
-        demos, h, y = make_inputs(rng)
-        y_prime, trace = capm_forward(demos, h, y, params, HYPER)
-        y_again, m_again = gate(h, trace.context, y, params)
-        np.testing.assert_allclose(y_again, y_prime, atol=1e-15)
-        np.testing.assert_allclose(m_again, trace.m, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +529,29 @@ class TestHyper:
 
     def test_coef_width(self):
         assert HYPER.coef_width == 2 * 2 * 8 + 2
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [({"d_b": 10**21}, "d_b must be an integer in [1, 9223372036854775807], got 10"),
+         ({"d_b": 2**62}, "sizes too large: param w_in would have shape (4611686018427387904, 8)")],
+        ids=["above-intp", "tensor-bytes-above-intp"],
+    )
+    def test_sizes_numpy_cannot_address_rejected(self, sizes, message):
+        with pytest.raises(ValidationError) as info:
+            CapmHyper(**{"d_b": 8, "d_p": 8, "K": 2, "r": 2, **sizes})
+        assert str(info.value).startswith(message)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_every_export_resolves_and_param_order_is_the_shape_order():
+    import ctxforge
+
+    for name in ctxforge.__all__:
+        assert getattr(ctxforge, name) is not None, name
+    for name in ("CapmHyper", "capm_forward", "save_params"):  # loaded lazily
+        assert getattr(ctxforge, name) is getattr(capm, name)
+    # save_params and load_params write and read tensors in this order
+    assert capm.PARAM_FIELDS == tuple(capm.expected_shapes(HYPER))

@@ -97,6 +97,13 @@ class TestRetrieveFusion:
         assert code == 2
         assert "requires" in err
 
+    def test_seed_is_not_an_option(self, fusion_fixture):
+        emb, queries, _ = fusion_fixture
+        code, out, err = run_cli(["retrieve", "--mode", "fusion", "--embeddings", str(emb),
+                                  "--queries", str(queries), "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 1" in err
+
     def test_k_larger_than_pool_is_clamped(self, fusion_fixture):
         emb, queries, _ = fusion_fixture
         code, out, err = run_cli(
@@ -532,6 +539,25 @@ class TestCapmCli:
         assert out == ""
         assert "usage error: step must be a finite number > 0" in err
 
+    @pytest.mark.parametrize(
+        "message, shown",
+        [("Unable to allocate 3.58 TiB for an array with shape (4000000000, 120)",
+          "Unable to allocate 3.58 TiB for an array with shape (4000000000, 120)"),
+         ("", "an allocation failed")],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_exits_3_with_one_line(self, monkeypatch, message, shown):
+        # simulated: under memory overcommit a real allocation this large can
+        # succeed and then fill RAM
+        from ctxforge import capm
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(capm, "init_params", no_memory)
+        code, out, err = run_cli(["capm", "demo", "--seed", "1"])
+        assert (code, out, err) == (3, "", f"forge: out of memory: {shown}\n")
+
     def test_negative_seed_is_usage_error(self):
         code, out, err = run_cli(["capm", "demo", "--seed", "-1"])
         assert code == 2
@@ -654,6 +680,7 @@ SCENE = {"scene_id": "s", "instances": [], "scene_attributes": {}, "scores": {"q
         (["capm", "demo", "--d-b", "0"], {}, {}, "d_b"),
         (["capm", "demo", "--heads", "3", "--d-p", "8"], {}, {}, "heads"),
         (["capm", "demo"], {"capm": {"K": 0}}, {}, "K"),
+        (["capm", "demo"], {"capm": {"d_b": 10**21}}, {}, "d_b"),
         (["capm", "demo"], {"capm": {"eta": HUGE}}, {}, "eta"),
         (["capm", "demo"], {"capm": {"eta": True}}, {}, "eta"),
         (["capm", "demo", "--tau-min", "3"], {}, {}, "tau_min"),
@@ -670,9 +697,9 @@ SCENE = {"scene_id": "s", "instances": [], "scene_attributes": {}, "scores": {"q
         (["filter", "--metadata", "{dir}/m.jsonl", "--score-field", "q"],
          {"max": math.nan}, {}, "max"),
     ],
-    ids=["zero-d-b", "heads-not-dividing-d-p", "config-zero-K", "config-huge-int-eta",
-         "config-bool-eta", "tau-min-above-tau-max", "config-negative-seed", "env-seed-text",
-         "negative-shots", "zero-t-len", "one-token-l-len", "negative-tolerance",
+    ids=["zero-d-b", "heads-not-dividing-d-p", "config-zero-K", "config-huge-d-b",
+         "config-huge-int-eta", "config-bool-eta", "tau-min-above-tau-max", "config-negative-seed",
+         "env-seed-text", "negative-shots", "zero-t-len", "one-token-l-len", "negative-tolerance",
          "nan-tolerance", "negative-max-shots", "nan-min", "config-nan-max"],
 )
 def test_bad_setting_exits_2_naming_it(tmp_path, monkeypatch, argv, config, env, key):

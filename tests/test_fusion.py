@@ -111,12 +111,9 @@ def test_rank_top_n_random_agrees_with_direct_formula():
         assert scores == sorted(scores, reverse=True)
 
 
-def oracle_rank(query_id, pairs, lam, top_n, candidates=None):
+def oracle_rank(query_id, pairs, lam, top_n):
     """One scalar fused_score per candidate, sorted by (score desc, id asc)."""
-    if candidates is None:
-        pool = sorted(rid for rid in pairs if rid != query_id)
-    else:
-        pool = [c for c in candidates if c != query_id]
+    pool = sorted(rid for rid in pairs if rid != query_id)
     qv, qt = pairs[query_id]
     scored = [(c, fused_score(qv, qt, pairs[c][0], pairs[c][1], lam)) for c in pool]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -137,17 +134,16 @@ def ranking_cases(draw):
     query_id = draw(st.sampled_from(ids))
     lam = draw(st.floats(0.0, 1.0))
     top_n = draw(st.integers(0, n + 2))
-    candidates = draw(st.none() | st.lists(st.sampled_from(ids), max_size=2 * n))
-    return pairs, query_id, lam, top_n, candidates
+    return pairs, query_id, lam, top_n
 
 
 @settings(max_examples=300, deadline=None)
 @given(ranking_cases())
 def test_rank_top_n_matches_scalar_oracle(case):
-    pairs, query_id, lam, top_n, candidates = case
+    pairs, query_id, lam, top_n = case
     store = store_with(pairs)
-    ranked = rank_top_n(query_id, store, FusionConfig(lam=lam, top_n=top_n), candidates)
-    expected = oracle_rank(query_id, pairs, lam, top_n, candidates)
+    ranked = rank_top_n(query_id, store, FusionConfig(lam=lam, top_n=top_n))
+    expected = oracle_rank(query_id, pairs, lam, top_n)
     assert [rid for rid, _ in ranked] == [rid for rid, _ in expected]
     np.testing.assert_allclose([s for _, s in ranked], [s for _, s in expected], rtol=0, atol=1e-12)
 
@@ -173,28 +169,17 @@ def test_rank_top_n_float_vectors_match_oracle_scores():
             )
 
 
-@pytest.mark.parametrize(
-    "candidates, match",
-    [
-        (["b", "ghost"], r"missing embedding for id 'ghost' \(visual\)"),
-        (["vis-only", "ghost"], r"missing embedding for id 'vis-only' \(text\)"),
-        (["zero", "ghost"], "cosine: zero-norm input"),  # scored before the missing id
-        (["ghost", "zero"], r"missing embedding for id 'ghost' \(visual\)"),
-        (["b", "zero"], "cosine: zero-norm input"),
-        (None, "cosine: zero-norm input"),
-    ],
-)
-def test_rank_top_n_errors(candidates, match):
+def test_rank_top_n_zero_norm_candidate():
     store = store_with(
         {"q": ((1.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0)), "zero": ((1.0, 0.0), (0.0, 0.0))}
     )
-    store.add(EmbeddingRecord(id="vis-only", modality="visual", dim=2, values=(1.0, 0.0)))
-    with pytest.raises(ValidationError, match=match):
-        rank_top_n("q", store, FusionConfig(), candidates)
+    with pytest.raises(ValidationError, match="cosine: zero-norm input"):
+        rank_top_n("q", store, FusionConfig())
 
 
 def test_rank_top_n_zero_norm_query():
     store = store_with({"q": ((0.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0))})
     with pytest.raises(ValidationError, match="zero-norm"):
         rank_top_n("q", store, FusionConfig())
-    assert rank_top_n("q", store, FusionConfig(), candidates=["q"]) == []
+    # with no other candidate there is nothing to score
+    assert rank_top_n("q", store_with({"q": ((0.0, 0.0), (1.0, 0.0))}), FusionConfig()) == []

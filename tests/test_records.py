@@ -204,6 +204,25 @@ class TestShotCurve:
             ShotCurve(shots=(0, 1), values=(1.0, float("nan")))
 
 
+HUGE = 10**400  # an int that float arithmetic cannot hold
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EmbeddingRecord("a", "visual", 1, (HUGE,)), "values[0]: non-finite"),
+        (lambda: MetadataRecord("s", scores={"q": HUGE}), "scores.q: must be a finite number"),
+        (lambda: ShotCurve((0,), (HUGE,)), "values[0]: non-finite"),
+        (lambda: Instance("mug", bbox=(0, 0, HUGE, 1)), "bbox.x1: must be a number in [0, 1]"),
+    ],
+    ids=["embedding-values", "metadata-scores", "curve-values", "instance-bbox"],
+)
+def test_huge_int_is_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value).startswith(message)
+
+
 class TestEmbeddingStore:
     def test_duplicate_per_modality(self):
         store = EmbeddingStore()
@@ -268,13 +287,14 @@ class TestBinaryContainer:
         assert store.require("alpha", "visual").values == (0.25, -1.5, 3.0, 0.0)
         assert store.require("β-scene", "visual").dim == 4
 
-    def test_modality_is_callers_choice(self, tmp_path):
+    def test_container_rows_are_visual(self, tmp_path):
         path = tmp_path / "emb.bin"
         save_embeddings_binary(
             [EmbeddingRecord(id="a", modality="text", dim=1, values=(1.0,))], path
         )
-        store = load_embeddings(path, binary_modality="text")
-        assert store.require("a", "text").values == (1.0,)
+        store = load_embeddings(path)  # the container stores no modality
+        assert store.require("a", "visual").values == (1.0,)
+        assert store.ids("text") == []
 
     def test_truncated_container(self, tmp_path):
         path = tmp_path / "emb.bin"
