@@ -6,10 +6,12 @@ transfer/human reports), ``capm`` (demo / gradcheck / diagnose), and
 ``validate`` (episode/embedding/metadata lint).
 
 Conventions: stdout carries only data (JSON lines); human-readable tables and
-progress go to stderr.  A JSON config file (``--config``) supplies defaults
-that explicit flags override; the seed falls back to the ``FORGE_SEED``
-environment variable.  Exit codes: 0 success, 2 usage, 3 data/validation
-or out of memory, 4 numeric guard.
+progress go to stderr.  The table of each ``eval`` report and of ``capm
+diagnose`` mirrors the JSON rows written to stdout, one column per field.
+``retrieve``, ``filter`` and ``capm`` take a JSON config file (``--config``)
+that supplies defaults explicit flags override; the seed falls back to the
+``FORGE_SEED`` environment variable.  Exit codes: 0 success, 2 usage,
+3 data/validation or out of memory, 4 numeric guard.
 """
 
 from __future__ import annotations
@@ -94,6 +96,25 @@ def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _report(
+    report: str,
+    rows: Sequence[dict[str, Any]],
+    headers: Sequence[str],
+    spec: str,
+    out: str | None,
+) -> int:
+    """Write ``rows`` as the data stream, then log the table that mirrors
+    them: one column per field in order, a float formatted with ``spec`` and
+    any other value with ``str``."""
+    _emit_lines([_jsonl(row, report) for row in rows], out)
+    table = [
+        [format(v, spec) if isinstance(v, float) else str(v) for v in row.values()]
+        for row in rows
+    ]
+    _log(_format_table(headers, table))
+    return 0
+
+
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -103,7 +124,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    path = getattr(args, "config", None)
+    path = args.config
     if not path:
         return {}
     try:
@@ -356,57 +377,39 @@ def _taxonomy_rank(taxonomy: str) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     report = f"eval {args.report}"
-    _load_config(args)  # reserved for future knobs; validates the file if given
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
     if args.report == "curves":
-        rows = [r for r in metrics.load_results(args.results) if r.perturbation is None]
-        rows.sort(key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality))
-        out_lines = []
-        table = []
-        for row in rows:
+        results = [r for r in metrics.load_results(args.results) if r.perturbation is None]
+        results.sort(key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality))
+        rows = []
+        for row in results:
             summary = metrics.summarize(row.curve)
-            out_lines.append(
-                _jsonl(
-                    {
-                        "model": row.model,
-                        "task": row.task,
-                        "taxonomy": row.taxonomy,
-                        "modality": row.modality,
-                        "zero_shot": summary.zero_shot,
-                        "peak": summary.peak,
-                        "efficiency": summary.efficiency,
-                    },
-                    report,
-                )
+            rows.append(
+                {
+                    "model": row.model,
+                    "task": row.task,
+                    "taxonomy": row.taxonomy,
+                    "modality": row.modality,
+                    "zero_shot": summary.zero_shot,
+                    "peak": summary.peak,
+                    "efficiency": summary.efficiency,
+                }
             )
-            table.append(
-                [
-                    row.model,
-                    row.task,
-                    row.taxonomy,
-                    row.modality,
-                    f"{summary.zero_shot:.3f}",
-                    f"{summary.peak:.3f}",
-                    f"{summary.efficiency:.3f}",
-                ]
-            )
-        _emit_lines(out_lines, args.out)
-        _log(_format_table(["Model", "Task", "Taxonomy", "Mod", "Z-S", "Peak", "Eff"], table))
-        return 0
+        headers = ["Model", "Task", "Taxonomy", "Mod", "Z-S", "Peak", "Eff"]
+        return _report(report, rows, headers, ".3f", args.out)
 
     if args.report == "stability":
-        rows = metrics.load_results(args.results)
+        results = metrics.load_results(args.results)
         clean: dict[tuple[str, str, str], metrics.ResultRow] = {}
-        for row in rows:
+        for row in results:
             if row.perturbation is None:
                 key = (row.model, row.task, row.modality)
                 if key in clean:
                     raise ValidationError(f"stability: duplicate clean curve for {key}")
                 clean[key] = row
-        out_lines = []
-        table = []
-        for row in rows:
+        rows = []
+        for row in results:
             if row.perturbation is None:
                 continue
             key = (row.model, row.task, row.modality)
@@ -418,28 +421,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 # perturbation grids may start later (k >= 1); align on the subset
                 values = tuple(base.value_at(s) for s in row.curve.shots)
                 base_sub = type(base)(shots=row.curve.shots, values=values)
-            deviation = metrics.stability_score(base_sub, row.curve)
             stability = metrics.StabilityReport(
-                perturbation=row.perturbation, deviation_percent=deviation
+                perturbation=row.perturbation,
+                deviation_percent=metrics.stability_score(base_sub, row.curve),
             )
-            out_lines.append(
-                _jsonl(
-                    {
-                        "model": row.model,
-                        "task": row.task,
-                        "modality": row.modality,
-                        "perturbation": stability.perturbation,
-                        "deviation_percent": stability.deviation_percent,
-                    },
-                    report,
-                )
+            rows.append(
+                {
+                    "model": row.model,
+                    "task": row.task,
+                    "modality": row.modality,
+                    "perturbation": stability.perturbation,
+                    "deviation_percent": stability.deviation_percent,
+                }
             )
-            table.append(
-                [row.model, row.task, row.modality, row.perturbation, f"{deviation:.3f}"]
-            )
-        _emit_lines(out_lines, args.out)
-        _log(_format_table(["Model", "Task", "Mod", "Perturbation", "Dev%"], table))
-        return 0
+        headers = ["Model", "Task", "Mod", "Perturbation", "Dev%"]
+        return _report(report, rows, headers, ".3f", args.out)
 
     if args.report == "align":
         groups: dict[str, tuple[list[float], list[float]]] = {}
@@ -447,6 +443,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if not isinstance(obj, dict):
                 raise ValidationError(f"{args.results}: line {lineno}: expected an object")
             task = obj.get("task", "all")
+            if not isinstance(task, str):
+                raise ValidationError(
+                    f"{args.results}: line {lineno}: task must be a string, got {task!r}"
+                )
             try:
                 x = float(obj[args.x_field])
                 y = float(obj[args.y_field])
@@ -457,19 +457,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 ) from None
             groups.setdefault(task, ([], []))[0].append(x)
             groups[task][1].append(y)
-        out_lines = []
-        table = []
-        for task in sorted(groups):
-            xs, ys = groups[task]
-            r = metrics.pearson(xs, ys)
-            rho = metrics.spearman(xs, ys)
-            out_lines.append(
-                _jsonl({"task": task, "n": len(xs), "pearson": r, "spearman": rho}, report)
-            )
-            table.append([task, str(len(xs)), f"{r:.4f}", f"{rho:.4f}"])
-        _emit_lines(out_lines, args.out)
-        _log(_format_table(["Task", "N", "Pearson", "Spearman"], table))
-        return 0
+        rows = [
+            {"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
+             "spearman": metrics.spearman(xs, ys)}
+            for task, (xs, ys) in sorted(groups.items())
+        ]
+        return _report(report, rows, ["Task", "N", "Pearson", "Spearman"], ".4f", args.out)
 
     if args.report == "transfer":
         if not args.base or not args.variant:
@@ -487,23 +480,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for key in sorted(base_map):
             row = base_map[key]
             per_tax.setdefault(row.taxonomy, []).append((row.curve, var_map[key].curve))
-        out_lines = []
-        table = []
-        deltas = []
-        for taxonomy in TAXONOMY_ORDER:
-            if taxonomy not in per_tax:
-                continue
-            pairs = per_tax[taxonomy]
-            delta = metrics.relative_change([b for b, _ in pairs], [v for _, v in pairs])
-            deltas.append(delta)
-            out_lines.append(_jsonl({"taxonomy": taxonomy, "relative_change_percent": delta}, report))
-            table.append([taxonomy, f"{delta:+.3f}"])
-        average = float(np.mean(deltas))
-        out_lines.append(_jsonl({"taxonomy": "Average", "relative_change_percent": average}, report))
-        table.append(["Average", f"{average:+.3f}"])
-        _emit_lines(out_lines, args.out)
-        _log(_format_table(["Taxonomy", "RelChange%"], table))
-        return 0
+        rows = [
+            {
+                "taxonomy": taxonomy,
+                "relative_change_percent": metrics.relative_change(
+                    [b for b, _ in per_tax[taxonomy]], [v for _, v in per_tax[taxonomy]]
+                ),
+            }
+            for taxonomy in TAXONOMY_ORDER
+            if taxonomy in per_tax
+        ]
+        average = float(np.mean([r["relative_change_percent"] for r in rows]))
+        rows.append({"taxonomy": "Average", "relative_change_percent": average})
+        return _report(report, rows, ["Taxonomy", "RelChange%"], "+.3f", args.out)
 
     # human study outcomes
     by_metric: dict[str, list[str]] = {}
@@ -512,22 +501,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not isinstance(obj, dict) or "outcome" not in obj:
             raise ValidationError(f"{args.results}: line {lineno}: expected an 'outcome' field")
         metric = obj.get("metric", "all")
+        if not isinstance(metric, str):
+            raise ValidationError(
+                f"{args.results}: line {lineno}: metric must be a string, got {metric!r}"
+            )
         by_metric.setdefault(metric, []).append(obj["outcome"])
         pooled.append(obj["outcome"])
     if not pooled:
         raise ValidationError(f"{args.results}: no outcomes")
-    out_lines = []
-    table = []
-    for metric in sorted(by_metric):
-        win, tie, lose = metrics.win_tie_lose(by_metric[metric])
-        out_lines.append(_jsonl({"metric": metric, "win": win, "tie": tie, "lose": lose}, report))
-        table.append([metric, f"{win:.1f}", f"{tie:.1f}", f"{lose:.1f}"])
-    win, tie, lose = metrics.win_tie_lose(pooled)
-    out_lines.append(_jsonl({"metric": "Overall", "win": win, "tie": tie, "lose": lose}, report))
-    table.append(["Overall", f"{win:.1f}", f"{tie:.1f}", f"{lose:.1f}"])
-    _emit_lines(out_lines, args.out)
-    _log(_format_table(["Metric", "Win%", "Tie%", "Lose%"], table))
-    return 0
+    rows = []
+    for metric, outcomes in [*sorted(by_metric.items()), ("Overall", pooled)]:
+        win, tie, lose = metrics.win_tie_lose(outcomes)
+        rows.append({"metric": metric, "win": win, "tie": tie, "lose": lose})
+    return _report(report, rows, ["Metric", "Win%", "Tie%", "Lose%"], ".1f", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +544,15 @@ def _capm_inputs(
     rng: np.random.Generator,
     shots: int,
 ) -> tuple[list[tuple[np.ndarray, list[str]]], np.ndarray, np.ndarray]:
+    from . import capm
+
     t_len = _setting(args.t_len, {}, "t_len")
     l_len = _setting(args.l_len, {}, "l_len")
+    # numpy refuses a larger array with a ValueError, not a MemoryError
+    shapes = {"t_len": (t_len, hyper.d_b), "shots and l_len": (shots, l_len, hyper.d_b)}
+    for name, shape in shapes.items():
+        if math.prod(shape) * 8 > capm._MAX_SIZE:  # float64 bytes
+            raise UsageError(f"{name} too large: inputs would have shape {shape}")
     h = rng.standard_normal((t_len, hyper.d_b))
     y = rng.standard_normal((t_len, hyper.d_b))
     demos = []
@@ -652,24 +645,15 @@ def cmd_capm(args: argparse.Namespace) -> int:
     _, trace_zero = capm.capm_forward([], h, y, params, hyper)
     _, trace_k = capm.capm_forward(demos, h, y, params, hyper)
     stats = capm.forward_diagnostics(trace_zero, trace_k)
-    out_lines = []
-    table = []
-    for stage in capm.STAGE_ORDER:
-        st = stats[stage]
-        out_lines.append(
-            _jsonl(
-                {
-                    "stage": stage,
-                    "mean_norm": st.mean_norm,
-                    "representation_shift": st.representation_shift,
-                },
-                "capm diagnose",
-            )
-        )
-        table.append([stage, f"{st.mean_norm:.4f}", f"{st.representation_shift:.4f}"])
-    _emit_lines(out_lines, args.out)
-    _log(_format_table(["Stage", "MeanNorm", "Shift"], table))
-    return 0
+    rows = [
+        {
+            "stage": stage,
+            "mean_norm": stats[stage].mean_norm,
+            "representation_shift": stats[stage].representation_shift,
+        }
+        for stage in capm.STAGE_ORDER
+    ]
+    return _report("capm diagnose", rows, ["Stage", "MeanNorm", "Shift"], ".4f", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -680,31 +664,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not (args.episodes or args.embeddings or args.metadata):
         raise UsageError("validate requires at least one of --episodes/--embeddings/--metadata")
     lines = []
-    if args.episodes:
-        max_shots = _setting(args.max_shots, {}, "max_shots")
-        episodes = load_episodes(args.episodes, max_shots=max_shots)
-        lines.append(
-            _jsonl(
-                {"file": args.episodes, "kind": "episodes", "records": len(episodes), "status": "ok"},
-                "validate",
+    # built per call, so each loader is the module global at that time (a
+    # tracer such as ctxbench's may have wrapped it)
+    for kind, path, loader in (
+        ("episodes", args.episodes,
+         lambda p: load_episodes(p, max_shots=_setting(args.max_shots, {}, "max_shots"))),
+        ("embeddings", args.embeddings, load_embeddings),
+        ("metadata", args.metadata, load_metadata),
+    ):
+        if path:
+            records = len(loader(path))
+            lines.append(
+                _jsonl({"file": path, "kind": kind, "records": records, "status": "ok"}, "validate")
             )
-        )
-    if args.embeddings:
-        store = load_embeddings(args.embeddings)
-        lines.append(
-            _jsonl(
-                {"file": args.embeddings, "kind": "embeddings", "records": len(store), "status": "ok"},
-                "validate",
-            )
-        )
-    if args.metadata:
-        records = load_metadata(args.metadata)
-        lines.append(
-            _jsonl(
-                {"file": args.metadata, "kind": "metadata", "records": len(records), "status": "ok"},
-                "validate",
-            )
-        )
     _emit_lines(lines, args.out)
     return 0
 
@@ -721,11 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"forge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file; explicit flags win")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--out", help="write data output to this file instead of stdout")
 
-    p = sub.add_parser("retrieve", parents=[common], help="select demonstrations")
+    p = sub.add_parser("retrieve", parents=[config, common], help="select demonstrations")
     p.add_argument("--mode", choices=("fusion", "intent"), required=True)
     p.add_argument(
         "--embeddings",
@@ -746,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episode-id", dest="episode_id", help="episode id for intent mode")
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("filter", parents=[common], help="filter metadata by a score field")
+    p = sub.add_parser("filter", parents=[config, common], help="filter metadata by a score field")
     p.add_argument("--metadata", required=True)
     p.add_argument("--score-field", dest="score_field", required=True)
     p.add_argument("--min", type=float, help="inclusive lower bound")
@@ -762,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-field", dest="y_field", default="auxiliary")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("capm", parents=[common], help="context-modulation demos and checks")
+    p = sub.add_parser("capm", parents=[config, common], help="context-modulation demos and checks")
     p.add_argument("action", choices=("demo", "gradcheck", "diagnose"))
     p.add_argument("--seed", type=int)
     p.add_argument("--shots", type=int, help="demo count (default 2)")

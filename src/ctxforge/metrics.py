@@ -192,7 +192,7 @@ def win_tie_lose(outcomes: Sequence[str]) -> tuple[float, float, float]:
         raise ValidationError("win_tie_lose: no outcomes")
     counts = {"win": 0, "tie": 0, "lose": 0}
     for i, o in enumerate(outcomes):
-        if o not in counts:
+        if not isinstance(o, str) or o not in counts:
             raise ValidationError(f"win_tie_lose: outcomes[{i}] = {o!r} not win/tie/lose")
         counts[o] += 1
     n = len(outcomes)

@@ -438,6 +438,30 @@ class TestEval:
         assert (code, out) == (3, "")
         assert "line 1: result: taxonomy: ['Perception'] is not one of" in err
 
+    @pytest.mark.parametrize(
+        "report, rows, message",
+        [
+            ("align", [{"task": ["x"], "primary": 1, "auxiliary": 2}],
+             "line 1: task must be a string, got ['x']"),
+            ("align", [{"task": "a", "primary": 1, "auxiliary": 2},
+                       {"task": 5, "primary": 1, "auxiliary": 2}],
+             "line 2: task must be a string, got 5"),
+            ("human", [{"metric": ["x"], "outcome": "win"}],
+             "line 1: metric must be a string, got ['x']"),
+            ("human", [{"metric": "a", "outcome": "win"}, {"metric": 5, "outcome": "win"}],
+             "line 2: metric must be a string, got 5"),
+            ("human", [{"outcome": ["win"]}], "outcomes[0] = ['win'] not win/tie/lose"),
+        ],
+        ids=["align-list-task", "align-int-beside-str-task", "human-list-metric",
+             "human-int-beside-str-metric", "human-list-outcome"],
+    )
+    def test_non_string_group_or_outcome_exits_3(self, tmp_path, report, rows, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, out, err = run_cli(["eval", report, "--results", str(path)])
+        assert (code, out) == (3, "")
+        assert message in err
+
 
 HUGE = 10**400  # json.dumps writes it in full; float() of it overflows
 RESULT_ROW = {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
@@ -480,6 +504,90 @@ def test_unparseable_number_or_nesting_exits_3(tmp_path, text, message):
     code, out, err = run_cli(["validate", "--metadata", str(path)])
     assert (code, out) == (3, "")
     assert f"{path}: line 1: {message}" in err
+
+
+GOLDEN_FILES = {
+    "r.jsonl": [
+        {"model": "m1", "task": "t1", "taxonomy": "Perception", "modality": "und",
+         "shots": [0, 1, 2, 4, 8], "values": [10.0, 20.0, 20.0, 20.0, 20.0]},
+        {"model": "m1", "task": "t1", "taxonomy": "Perception", "modality": "und",
+         "perturbation": "interference", "shots": [1, 2, 4, 8], "values": [18.0, 18.0, 18.0, 18.0]},
+        {"model": "model-b", "task": "t2", "taxonomy": "Analogy", "modality": "gen",
+         "shots": [0, 4], "values": [40.0, 30.0]},
+        {"model": "model-b", "task": "t2", "taxonomy": "Analogy", "modality": "gen",
+         "perturbation": "reverse_order", "shots": [0, 4], "values": [40.0, 50.0]},
+    ],
+    "a.jsonl": [{"task": "t", "primary": x, "auxiliary": y} for x, y in [(1, 1), (2, 3), (3, 2), (4, 4)]]
+    + [{"task": "long-task", "primary": x, "auxiliary": y} for x, y in [(1, 3), (2, 2), (3, 1)]],
+    "b.jsonl": [
+        {"model": "m", "task": "t1", "taxonomy": "Perception", "modality": "und",
+         "shots": [0, 4], "values": [10.0, 10.0]},
+        {"model": "m", "task": "t2", "taxonomy": "Analogy", "modality": "gen",
+         "shots": [0, 4], "values": [10.0, 10.0]},
+    ],
+    "v.jsonl": [
+        {"model": "m", "task": "t1", "taxonomy": "Perception", "modality": "und",
+         "shots": [0, 4], "values": [12.0, 12.0]},
+        {"model": "m", "task": "t2", "taxonomy": "Analogy", "modality": "gen",
+         "shots": [0, 4], "values": [9.0, 9.0]},
+    ],
+    "h.jsonl": [{"metric": "quality", "outcome": o} for o in ("win", "win", "tie", "lose")]
+    + [{"metric": "faithfulness", "outcome": "lose"}],
+}
+
+
+# Each table worked out by hand from GOLDEN_FILES, except the CAPM one, whose
+# values come from seeded random draws.  Efficiency: (0.5*10*1 + 10*1 + 10*2
+# + 10*4) / 8 = 9.375 and 0.5*(0 - 10)*4 / 4 = -5; deviation: 2/20 = 10% and
+# 0.5*20*4 / (0.5*70*4) = 28.571%; correlation: 4/5 and a reversed ranking;
+# transfer: +20%, -10% and their mean; human: 2, 1 and 2 of 5 pooled outcomes.
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["eval", "curves", "--results", "r.jsonl"],
+         "Model    Task  Taxonomy    Mod  Z-S     Peak    Eff\n"
+         "-------  ----  ----------  ---  ------  ------  ------\n"
+         "m1       t1    Perception  und  10.000  20.000  9.375\n"
+         "model-b  t2    Analogy     gen  40.000  40.000  -5.000\n"),
+        (["eval", "stability", "--results", "r.jsonl"],
+         "Model    Task  Mod  Perturbation   Dev%\n"
+         "-------  ----  ---  -------------  ------\n"
+         "m1       t1    und  interference   10.000\n"
+         "model-b  t2    gen  reverse_order  28.571\n"),
+        (["eval", "align", "--results", "a.jsonl"],
+         "Task       N  Pearson  Spearman\n"
+         "---------  -  -------  --------\n"
+         "long-task  3  -1.0000  -1.0000\n"
+         "t          4  0.8000   0.8000\n"),
+        (["eval", "transfer", "--base", "b.jsonl", "--variant", "v.jsonl"],
+         "Taxonomy    RelChange%\n"
+         "----------  ----------\n"
+         "Perception  +20.000\n"
+         "Analogy     -10.000\n"
+         "Average     +5.000\n"),
+        (["eval", "human", "--results", "h.jsonl"],
+         "Metric        Win%  Tie%  Lose%\n"
+         "------------  ----  ----  -----\n"
+         "faithfulness  0.0   0.0   100.0\n"
+         "quality       50.0  25.0  25.0\n"
+         "Overall       40.0  20.0  40.0\n"),
+        (["capm", "diagnose", "--seed", "7", "--shots", "2"],
+         "Stage          MeanNorm  Shift\n"
+         "-------------  --------  ------\n"
+         "hidden         3.8133    0.0000\n"
+         "attention_out  3.6719    0.0000\n"
+         "context        0.6474    0.6474\n"
+         "output         1.9912    0.0368\n"),
+    ],
+    ids=["curves", "stability", "align", "transfer", "human", "capm-diagnose"],
+)
+def test_stderr_table_golden(tmp_path, argv, table):
+    for name, rows in GOLDEN_FILES.items():
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, out, err = run_cli([str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv])
+    assert code == 0
+    assert err == table
+    assert len(out.splitlines()) == len(table.splitlines()) - 2  # one JSON row per table row
 
 
 class TestCapmCli:
@@ -538,6 +646,39 @@ class TestCapmCli:
         assert code == 2
         assert out == ""
         assert "usage error: step must be a finite number > 0" in err
+
+    @pytest.mark.parametrize("action", ["demo", "gradcheck", "diagnose"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--t-len", "t_len too large: inputs would have shape (4611686018427387904, "),
+         ("--l-len", "shots and l_len too large: inputs would have shape (2, 4611686018427387904, ")],
+        ids=["t-len", "l-len"],
+    )
+    def test_input_too_large_for_numpy_exits_2(self, monkeypatch, action, flag, message):
+        # safe to run: numpy refuses an array this large before allocating it
+        monkeypatch.delenv("FORGE_SEED", raising=False)
+        code, out, err = run_cli(["capm", action, flag, str(2**62)])
+        assert (code, out) == (2, "")
+        assert f"usage error: {message}" in err
+
+    def test_huge_shots_exits_2_before_any_draw(self, tmp_path, monkeypatch):
+        from ctxforge import capm
+
+        hyper = capm.CapmHyper(d_b=2, d_p=2, K=1, r=1, heads=1)
+        path = tmp_path / "p.capm"
+        capm.save_params(capm.init_params(hyper, np.random.default_rng(0)), hyper, path)
+
+        class NoDraws:
+            """A generator whose every draw fails: without the size bound the
+            first input draw fails here instead of filling memory."""
+
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before the input sizes were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        code, out, err = run_cli(["capm", "demo", "--params", str(path), "--shots", str(2**62)])
+        assert (code, out) == (2, "")
+        assert "usage error: shots and l_len too large" in err
 
     @pytest.mark.parametrize(
         "message, shown",
@@ -602,6 +743,16 @@ class TestCapmCli:
 
 
 class TestConfigMerge:
+    @pytest.mark.parametrize(
+        "argv", [["eval", "curves", "--results"], ["validate", "--metadata"]], ids=["eval", "validate"]
+    )
+    def test_config_is_not_an_option(self, tmp_path, argv):
+        (tmp_path / "data.jsonl").write_text("")
+        (tmp_path / "cfg.json").write_text("{}")
+        code, out, err = run_cli([*argv, str(tmp_path / "data.jsonl"), "--config", str(tmp_path / "cfg.json")])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --config" in err
+
     def test_config_supplies_defaults_flags_win(self, fusion_fixture, tmp_path):
         emb, queries, _ = fusion_fixture
         cfg = tmp_path / "cfg.json"
@@ -711,7 +862,7 @@ def test_bad_setting_exits_2_naming_it(tmp_path, monkeypatch, argv, config, env,
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
-    code, out, err = run_cli([*argv, "--config", str(cfg)])
+    code, out, err = run_cli([*argv, *(["--config", str(cfg)] if config else [])])
     assert (code, out) == (2, "")
     assert f"usage error: {key} must be" in err
 
@@ -735,6 +886,13 @@ class TestValidate:
     def test_no_inputs_is_usage_error(self):
         code, _, _ = run_cli(["validate"])
         assert code == 2
+
+    def test_max_shots_checked_only_with_episodes(self, tmp_path):
+        meta = tmp_path / "m.jsonl"
+        meta.write_text(json.dumps(SCENE) + "\n")
+        code, out, _ = run_cli(["validate", "--metadata", str(meta), "--max-shots", "-1"])
+        assert code == 0
+        assert json.loads(out)["kind"] == "metadata"
 
     def test_text_inputs_not_utf8_exit_3(self, tmp_path):
         bad = tmp_path / "bad.txt"

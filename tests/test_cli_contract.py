@@ -124,15 +124,23 @@ def data_files(draw) -> dict[str, bytes]:
                              ([1, 2, 4, 8], [18.0, 18.0, 18.0, 18.0]), ([0], [1.0]), ([], []),
                              ([0, 1, HUGE], [1.0, 2.0, 3.0]), ([0, 1, 2], [1.0, HUGE, 3.0])])
     number = st.sampled_from([1.0, 2.0, 3.5, 1e200, -1e200, HUGE])
+    # the group keys of `eval align` and `eval human` and a human judgment;
+    # a row holds a valid string nine times in ten, else a draw from these
+    task = st.sampled_from(["t1", 5, ["t1"]])
+    metric = st.sampled_from(["quality", "fluency", 5, ["quality"]])
+    outcome = st.sampled_from(["win", "tie", "lose", "draw", 5, ["win"]])
     results = []
     for _ in range(draw(st.integers(0, 3))):
         shots, values = draw(curve)
-        results.append({"model": draw(st.sampled_from(["m1", "m2"])), "task": "t1",
+        results.append({"model": draw(st.sampled_from(["m1", "m2"])),
+                        "task": _mostly(draw, st.just("t1"), task),
                         "taxonomy": draw(st.sampled_from(["Perception", "Bogus", ["Perception"]])),
                         "modality": "und",
                         "perturbation": draw(st.sampled_from(["clean", "interference", None])),
                         "shots": shots, "values": values,
-                        "primary": draw(number), "auxiliary": draw(number)})
+                        "primary": draw(number), "auxiliary": draw(number),
+                        "metric": _mostly(draw, st.sampled_from(["quality", "fluency"]), metric),
+                        "outcome": _mostly(draw, st.sampled_from(["win", "tie", "lose"]), outcome)})
     episode = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
                "shots": [{"id": "a", "image_ref": "a"}], "query": {"id": "q", "image_ref": "q"}}
     ids = draw(st.lists(st.sampled_from([b"a", b"b", b"\xff", b"\xc3("]), min_size=1, max_size=3))
@@ -262,6 +270,17 @@ HUGE_ETA = b'"eta": ' + str(HUGE).encode() + b","
 @example(({"c.json": json.dumps({"capm": {"eta": HUGE}}).encode()},
           ["capm", "demo", "--config", "{dir}/c.json", *TINY]))
 @example(({"p.capm": PARAMS.replace(b'"eta": 0.1,', HUGE_ETA)}, ["capm", "demo", "--params", "{dir}/p.capm"]))
+@example(({"r.jsonl": _jsonl([{"task": ["x"], "primary": 1, "auxiliary": 2}])},
+          ["eval", "align", "--results", "{dir}/r.jsonl"]))
+@example(({"r.jsonl": _jsonl([{"task": "a", "primary": 1, "auxiliary": 2},
+                              {"task": 5, "primary": 1, "auxiliary": 2}])},
+          ["eval", "align", "--results", "{dir}/r.jsonl"]))
+@example(({"h.jsonl": _jsonl([{"metric": ["x"], "outcome": "win"}])},
+          ["eval", "human", "--results", "{dir}/h.jsonl"]))
+@example(({"h.jsonl": _jsonl([{"metric": "a", "outcome": "win"}, {"metric": 5, "outcome": "win"}])},
+          ["eval", "human", "--results", "{dir}/h.jsonl"]))
+@example(({"h.jsonl": _jsonl([{"outcome": ["win"]}])}, ["eval", "human", "--results", "{dir}/h.jsonl"]))
+@example(({}, ["capm", "demo", *TINY, "--t-len", str(2**62)]))  # numpy refuses it unallocated
 def test_main_returns_a_contract_code(plan):
     files, argv = plan
     code, stdout = _run(files, argv)
