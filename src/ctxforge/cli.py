@@ -505,6 +505,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"{args.results}: line {lineno}: metric must be a string, got {metric!r}"
             )
+        if metric == "Overall":
+            raise ValidationError(
+                f"{args.results}: line {lineno}: metric 'Overall' is reserved for the pooled row"
+            )
         by_metric.setdefault(metric, []).append(obj["outcome"])
         pooled.append(obj["outcome"])
     if not pooled:

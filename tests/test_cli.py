@@ -386,6 +386,16 @@ class TestEval:
         overall = [json.loads(l) for l in out.splitlines() if json.loads(l)["metric"] == "Overall"]
         assert overall[0]["win"] == 50.0
 
+    def test_human_overall_metric_exits_3(self, tmp_path):
+        # "Overall" names the pooled row; a study metric of that name would
+        # give two rows no reader could tell apart
+        path = tmp_path / "h.jsonl"
+        rows = [{"metric": "x", "outcome": "lose"}, {"metric": "Overall", "outcome": "win"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, out, err = run_cli(["eval", "human", "--results", str(path)])
+        assert (code, out) == (3, "")
+        assert f"{path}: line 2: metric 'Overall' is reserved for the pooled row" in err
+
     def test_non_finite_value_exits_4_naming_report_and_field(self, tmp_path):
         path = tmp_path / "r.jsonl"
         row = {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
@@ -931,6 +941,12 @@ class TestTopLevel:
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import sys, ctxforge.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_orjson_unloaded(self):
+        # only the JSONL embedding loader imports it, when it runs
+        code = "import sys, ctxforge.cli; print('orjson' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
 

@@ -18,6 +18,7 @@ from ctxforge.errors import ValidationError
 from ctxforge.metrics import ResultRow, _exact_result, load_results
 from ctxforge.records import (
     CONTAINER_MAGIC,
+    EMBEDDING_MODALITIES,
     DemoOutput,
     Demonstration,
     EmbeddingRecord,
@@ -443,6 +444,14 @@ RESULT_EXAMPLES = [
     {"model": "m", "task": "t", "taxonomy": "Analogy", "modality": "gen",
      "perturbation": "clean", "shots": [1], "values": [0.5]},
 ]
+EMBEDDING_PREFIX = [
+    {"id": "p", "modality": "visual", "dim": 2, "values": [1.0, 0.0]},
+    {"id": "p", "modality": "text", "dim": 3, "values": [0.0, 1.0, 0.0]},
+]
+EMBEDDING_EXAMPLES = [
+    {"id": "a", "modality": "visual", "dim": 2, "values": [0.5, -1.5]},
+    {"id": "a", "modality": "text", "dim": 3, "values": [1.0, 0.25, -0.0]},
+]
 
 
 def _slots(obj):
@@ -545,6 +554,62 @@ PLAIN_METADATA = _plain_load(MetadataRecord.from_json, "scene_id")
 PLAIN_RESULTS = _plain_load(ResultRow.from_json)
 
 
+def PLAIN_EMBEDDINGS(path, normalize=False):
+    """``json.loads``, then ``EmbeddingRecord.from_json``, then ``store.add``."""
+    store = EmbeddingStore()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:
+                raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
+            try:
+                rec = EmbeddingRecord.from_json(obj)
+                store.add(rec.normalized() if normalize else rec)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    return store
+
+
+def _store_view(load):
+    """``load`` returning each modality's ids and rows, which ``repr`` tells
+    apart bit for bit (``-0.0`` from ``0.0`` too)."""
+    def view(path):
+        store = load(path)
+        return [(m, store.ids(m), store.matrix(m).tolist()) for m in EMBEDDING_MODALITIES]
+    return view
+
+
+def _assert_same_store(text, path, normalize):
+    """``load_embeddings`` gives ``PLAIN_EMBEDDINGS``'s error, or its ids and
+    rows: bit for bit, or within 4 ulp when normalizing, as the loader
+    scales by a summed norm where ``normalized()`` takes ``math.fsum``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    outcomes = []
+    for load in (load_embeddings, PLAIN_EMBEDDINGS):
+        try:
+            store = load(path, normalize=normalize)
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append({m: (store.ids(m), store.matrix(m)) for m in EMBEDDING_MODALITIES})
+    got, want = outcomes
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want, text[:300]
+        return
+    for m in EMBEDDING_MODALITIES:
+        assert got[m][0] == want[m][0], text[:300]
+        if normalize:
+            np.testing.assert_array_max_ulp(got[m][1], want[m][1], maxulp=4)
+        else:
+            assert got[m][1].tobytes() == want[m][1].tobytes(), text[:300]
+
+
 def _assert_same(objs, load, plain, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(json.dumps(o) + "\n" for o in objs))
@@ -552,21 +617,28 @@ def _assert_same(objs, load, plain, path):
 
 
 @pytest.mark.parametrize(
-    "examples, load, plain",
-    [([SCENE_EXAMPLE], load_metadata, PLAIN_METADATA), (RESULT_EXAMPLES, load_results, PLAIN_RESULTS)],
-    ids=["metadata", "results"],
+    "examples, prefix, load, plain",
+    [
+        ([SCENE_EXAMPLE], [], load_metadata, PLAIN_METADATA),
+        (RESULT_EXAMPLES, [], load_results, PLAIN_RESULTS),
+        # after the prefix, a spoiled id, modality or dim can also collide
+        # with a stored id or dim
+        (EMBEDDING_EXAMPLES, EMBEDDING_PREFIX, _store_view(load_embeddings),
+         _store_view(PLAIN_EMBEDDINGS)),
+    ],
+    ids=["metadata", "results", "embeddings"],
 )
-def test_each_single_spoil_matches_from_json(tmp_path, examples, load, plain):
+def test_each_single_spoil_matches_from_json(tmp_path, examples, prefix, load, plain):
     path = tmp_path / "records.jsonl"
     for example in examples:
-        _assert_same([example], load, plain, path)
+        _assert_same([*prefix, example], load, plain, path)
         for i, (container, key) in enumerate(_slots(example)):
             for value in _spoilers(container, key):
                 obj = copy.deepcopy(example)
                 _spoil(*list(_slots(obj))[i], value)
-                _assert_same([obj], load, plain, path)
+                _assert_same([*prefix, obj], load, plain, path)
     for obj in NOT_AN_OBJECT:
-        _assert_same([obj], load, plain, path)
+        _assert_same([*prefix, obj], load, plain, path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -581,6 +653,68 @@ def test_load_metadata_matches_from_json(scenes):
 def test_load_results_matches_from_json(rows):
     with tempfile.TemporaryDirectory() as tmp:
         _assert_same(rows, load_results, PLAIN_RESULTS, os.path.join(tmp, "r.jsonl"))
+
+
+@st.composite
+def embedding(draw):
+    dim = draw(st.integers(1, 3))
+    value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1, 2**64 + 1])
+    return {
+        "id": draw(st.sampled_from(["a", "b", "c"])),
+        "modality": draw(st.sampled_from(EMBEDDING_MODALITIES)),
+        "dim": dim,
+        "values": draw(st.lists(value, min_size=dim, max_size=dim)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(spoiled(embedding()) | st.sampled_from(NOT_AN_OBJECT), min_size=1, max_size=4),
+       st.booleans())
+def test_load_embeddings_matches_from_json(objs, normalize):
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "".join(json.dumps(o) + "\n" for o in objs)
+        _assert_same_store(text, os.path.join(tmp, "e.jsonl"), normalize)
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# Lines on which orjson and json part ways; each must load as json has it.
+ORJSON_DIVERGENCES = {
+    # integers beyond 64 bits: orjson makes floats of them
+    "dim-20-digits": '"dim": 18446744073709551616, "values": [1.0, 2.0]',
+    "dim-20-digits-negative": '"dim": -18446744073709551617, "values": [1.0, 2.0]',
+    "values-20-digits": '"dim": 2, "values": [12345678901234567891, -98765432109876543211]',
+    # what orjson refuses and json takes
+    "values-309-digits-past-max": f'"dim": 2, "values": [{2**1024 - 2**970}, 1.0]',
+    "values-310-digits": f'"dim": 2, "values": [{10**309}, 1.0]',
+    "values-1e400": '"dim": 2, "values": [1e400, 1.0]',
+    "values-nan": '"dim": 2, "values": [NaN, 1.0]',
+    "values-infinity": '"dim": 2, "values": [1.0, -Infinity]',
+    "id-lone-surrogate": '"dim": 2, "values": [1.0, 2.0], "id": "\\ud800"',
+    # duplicate keys: both keep the last value
+    "duplicate-id": '"dim": 2, "values": [1.0, 2.0], "id": "c"',
+    "duplicate-values": '"dim": 2, "values": [1.0, 2.0], "values": [3.0, 4.0]',
+    "duplicate-dim": '"dim": 3, "values": [1.0, 2.0], "dim": 2',
+    # nesting too deep for json, which orjson accepts
+    **{
+        f"nested-{depth}-{where}": line
+        for depth in (990, 1000, 1100)
+        for where, line in [
+            ("extra-key", f'"dim": 2, "values": [1.0, 2.0], "x": {_nested(depth)}'),
+            ("duplicate-key", f'"dim": {_nested(depth)}, "dim": 2, "values": [1.0, 2.0]'),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("fields", ORJSON_DIVERGENCES.values(), ids=ORJSON_DIVERGENCES.keys())
+def test_orjson_divergences_load_as_json_has_them(tmp_path, fields, normalize):
+    line = '{"id": "b", "modality": "visual", ' + fields + "}\n"
+    _assert_same_store(GOOD_LINES + line + GOOD_LINES.replace('"a"', '"z"'), tmp_path / "e.jsonl",
+                       normalize)
 
 
 @pytest.mark.parametrize(
