@@ -39,6 +39,7 @@ tokens; ``gradient_check`` verifies them against central finite differences.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -786,21 +787,27 @@ def save_params(params: CapmParams, hyper: CapmHyper, path: str) -> None:
     """Write hyperparameters and every tensor to ``path``.
 
     Layout: one JSON manifest line, then one binary vector block per tensor
-    in ``PARAM_FIELDS`` order; the block's record id is ``"<name> <shape>"``
-    and the payload is the row-major float32 flattening (so a round trip is
-    exact only to float32 resolution).
+    in ``PARAM_FIELDS`` order, whose one record ``"<name> <shape>"`` holds
+    the row-major flattening as float32 (so a round trip is exact only to
+    float32 resolution).  A finite value beyond float32 raises
+    ``ValidationError`` naming the tensor, and no file is written.
     """
     manifest = {
         "format": "capm-params",
         "version": 1,
         "hyper": {f.name: getattr(hyper, f.name) for f in fields(CapmHyper)},
     }
+    blob = io.BytesIO()
+    blob.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+    for name in PARAM_FIELDS:
+        arr = np.asarray(getattr(params, name), dtype=np.float64)
+        shape = "x".join(str(s) for s in arr.shape)
+        try:
+            write_vector_block(blob, [f"{name} {shape}"], arr.reshape(1, -1))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: tensor {name!r} cannot be saved: {exc}") from None
     with open(path, "wb") as fh:
-        fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
-        for name in PARAM_FIELDS:
-            arr = np.asarray(getattr(params, name), dtype=np.float64)
-            shape = "x".join(str(s) for s in arr.shape)
-            write_vector_block(fh, [(f"{name} {shape}", arr.ravel().tolist())], dim=arr.size)
+        fh.write(blob.getbuffer())
 
 
 def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
@@ -822,21 +829,19 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
             raise ValidationError(f"{path}: manifest: {exc}") from None
         arrays: dict[str, np.ndarray] = {}
         for name in PARAM_FIELDS:
-            _, entries = read_vector_block(fh)
-            if len(entries) != 1:
+            ids, rows = read_vector_block(fh)
+            if len(ids) != 1:
                 raise ValidationError(f"{path}: tensor block for {name} must hold one record")
-            rid, values = entries[0]
-            head, _, shape_s = rid.partition(" ")
+            head, _, shape_s = ids[0].partition(" ")
             if head != name:
                 raise ValidationError(f"{path}: expected tensor {name!r}, found {head!r}")
             dims = shape_s.split("x") if shape_s else []
             if not all(d.isdecimal() for d in dims):
                 raise ValidationError(f"{path}: tensor {name!r} has a bad shape {shape_s!r}")
             shape = tuple(int(d) for d in dims)
-            arr = np.asarray(values, dtype=np.float64)
-            if arr.size != math.prod(shape):
+            if rows.shape[1] != math.prod(shape):
                 raise ValidationError(f"{path}: tensor {name!r} size does not match its shape")
-            arrays[name] = arr.reshape(shape)
+            arrays[name] = rows[0].reshape(shape)
         if fh.read(1):
             raise ValidationError(f"{path}: trailing bytes after final tensor")
     params = CapmParams(**arrays)

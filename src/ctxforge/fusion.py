@@ -175,36 +175,27 @@ def greedy_dpp_select(factor: DppFactor, k: int, return_gains: bool = False):
     ``k`` when the factor runs out of numerical rank; the product of the
     per-step gains equals ``det(L_Y)``).  Ties go to the smallest index, also
     between identical rows.  ``factor.b`` is only read.
+
+    Step ``i`` picks the row with the largest squared residual ``d2[j]``
+    left after projecting out the picked rows (its gain), unless that is
+    below ``RESIDUAL_EPS``.  ``C[i]`` holds every row's coordinate on the
+    ``i``-th Cholesky direction, so a step costs one pass over ``b`` and one
+    over ``C[:i]``.
     """
     n = factor.b.shape[0]
     if n == 0:
         raise ValidationError("greedy_dpp_select: empty pool")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
         raise ValidationError(f"greedy_dpp_select: k must lie in [1, {n}], got {k!r}")
-    indices, gains = greedy_select(factor.b, k, RESIDUAL_EPS)
-    if return_gains:
-        return indices, np.asarray(gains, dtype=np.float64)
-    return indices
-
-
-def greedy_select(b, k: int, eps: float) -> tuple[list[int], list[float]]:
-    """Pick up to ``k`` rows of ``b`` by largest squared residual norm.
-
-    ``d2[j]`` is row ``j``'s squared residual after projecting out the picked
-    rows, and ``C[i]`` holds every row's coordinate on the ``i``-th Cholesky
-    direction, so step ``i`` costs one pass over ``b`` and one over ``C[:i]``.
-    Stops once the best squared residual is below ``eps``; ``gains[i]`` is
-    the squared residual of the row picked at step ``i``.
-    """
-    b = np.asarray(b, dtype=np.float64)
+    b = np.asarray(factor.b, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", b, b)
-    c = np.empty((k, b.shape[0]))
+    c = np.empty((k, n))
     picked: list[int] = []
     gains: list[float] = []
     for i in range(k):
         j = int(np.argmax(d2))  # argmax keeps the smallest index on ties
         gain = float(d2[j])
-        if gain < eps:
+        if gain < RESIDUAL_EPS:
             break
         # einsum sums every row (and every column of C) in the same order, so
         # identical rows keep identical residuals; a BLAS gemv may not.
@@ -214,9 +205,11 @@ def greedy_select(b, k: int, eps: float) -> tuple[list[int], list[float]]:
         gains.append(gain)
         d2 = np.maximum(d2 - c[i] * c[i], 0.0)
         # a picked row's residual is only zero up to rounding, which can
-        # exceed eps at large qualities: take picked rows out of the argmax
+        # exceed the floor at large qualities: take picked rows out of the argmax
         d2[picked] = -np.inf
-    return picked, gains
+    if return_gains:
+        return picked, np.asarray(gains, dtype=np.float64)
+    return picked
 
 
 def brute_force_map(factor: DppFactor, k: int) -> tuple[tuple[int, ...], float]:

@@ -12,13 +12,19 @@ Three line-oriented JSON formats plus one binary container:
   then per record a u16 id length, the UTF-8 id bytes, and ``dim`` float32
   values (little-endian).  Detected on load by the magic bytes.
 
+Vectors pass between a file and a matrix only as numpy rows: a container
+block is read into, and written from, one ``(n, dim)`` float64 array (a
+finite value beyond float32 is refused before any byte is written), and
+rows from either embedding format get the same checks and normalization.
 All records are immutable after construction and safe to share across
-threads.  Loaders report parse errors with line numbers and invariant
-violations with field paths; they never return partially valid data.
+threads.  Loaders report parse errors with line (or container record)
+numbers and invariant violations with field paths; they never return
+partially valid data.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -310,21 +316,6 @@ class EmbeddingRecord:
                 f"values: length {len(self.values)} does not match dim {self.dim}"
             )
         _check_finite(self.values, "values")
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.values))
-
-    def normalized(self) -> "EmbeddingRecord":
-        """Return a unit-norm copy; idempotent to within 1e-12."""
-        n = self.norm()
-        if n == 0.0:
-            raise ValidationError(f"embedding {self.id!r}: zero-norm vector cannot be normalized")
-        return EmbeddingRecord(
-            id=self.id,
-            modality=self.modality,
-            dim=self.dim,
-            values=tuple(v / n for v in self.values),
-        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -688,7 +679,7 @@ class EmbeddingStore:
         self._paired: tuple[list[str], np.ndarray, np.ndarray] | None = None
 
     def _append(self, item_id: str, modality: str, values: Sequence[float]) -> None:
-        """Store already checked ``values`` as the modality's next row."""
+        """Store ``values`` as the modality's next row, unchecked."""
         rows = self._rows[modality]
         buf = self._buffers[modality]
         n = len(rows)
@@ -791,53 +782,63 @@ def load_embeddings(path: str, normalize: bool = False) -> EmbeddingStore:
 
     The binary container stores no modality; its records are tagged
     ``visual``.  With ``normalize=True`` every vector is scaled to unit norm;
-    zero vectors are rejected.
+    zero vectors and vectors whose squared norm overflows are rejected.
     """
     store = EmbeddingStore()
-    if is_container(path):
-        with open(path, "rb") as fh:
-            dim, entries = read_vector_block(fh)
-            trailing = fh.read(1)
-        if trailing:
+    # Finiteness and norms are checked once over the filled matrices, so each
+    # row keeps its line or record number to report; an error found while
+    # reading is raised only after the rows before it pass those checks.
+    positions = {m: array("q") for m in EMBEDDING_MODALITIES}
+    unit, read = ("record", _read_container) if is_container(path) else ("line", _read_jsonl)
+    try:
+        read(store, path, positions)
+    except ValidationError:
+        _check_rows(store, positions, normalize, path, unit)
+        raise
+    _check_rows(store, positions, normalize, path, unit)
+    return store
+
+
+def _read_container(store: EmbeddingStore, path: str, positions: dict[str, array]) -> None:
+    with open(path, "rb") as fh:
+        try:
+            ids, rows = read_vector_block(fh)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        if fh.read(1):
             raise ValidationError(f"{path}: trailing bytes after container block")
-        for rid, values in entries:
-            rec = EmbeddingRecord(id=rid, modality="visual", dim=dim, values=values)
-            store.add(rec.normalized() if normalize else rec)
-        return store
+    for i, rid in enumerate(ids):
+        if rid in store._rows["visual"]:
+            raise ValidationError(f"{path}: record {i}: duplicate id {rid!r} for modality 'visual'")
+        store._append(rid, "visual", rows[i])
+        positions["visual"].append(i)
+
+
+def _read_jsonl(store: EmbeddingStore, path: str, positions: dict[str, array]) -> None:
     import orjson  # here, not at the top: no other command pays for its import
 
-    # Finiteness and zero norms are checked once over the filled matrices, so
-    # each row keeps its line number to report; an error on a later line is
-    # raised only after the rows before it pass those checks.
-    lines = {m: array("q") for m in EMBEDDING_MODALITIES}
-    try:
-        for lineno, line in _iter_lines(path):
-            # orjson returns json's doubles ~5x faster.  It also accepts
-            # nesting too deep for json, which an extra key or a duplicated
-            # key's discarded value can hide, so it only reads lines holding
-            # at most one "{" and one "["; json decodes every other line.
-            modality = None
-            if line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0:
-                try:
-                    modality = _add_exact_embedding(store, orjson.loads(line))
-                except orjson.JSONDecodeError:  # NaN, 1e400, "\ud800", ...: json decides
-                    pass
-            if modality is None:
-                obj = _parse_line(path, lineno, line)
-                try:
-                    modality = _add_jsonl_embedding(store, obj, normalize)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            lines[modality].append(lineno)
-    except ValidationError:
-        _check_rows(store, lines, normalize, path)
-        raise
-    _check_rows(store, lines, normalize, path)
-    if normalize:
-        for modality, rows in store._rows.items():
-            data = store._buffers[modality][: len(rows)]
-            data /= np.sqrt(np.einsum("ij,ij->i", data, data))[:, None]
-    return store
+    for lineno, line in _iter_lines(path):
+        # orjson returns json's doubles ~5x faster.  It also accepts nesting
+        # too deep for json, which an extra key or a duplicated key's
+        # discarded value can hide, so it only reads lines holding at most
+        # one "{" and one "["; json decodes every other line.
+        modality = None
+        if line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0:
+            try:
+                modality = _add_exact_embedding(store, orjson.loads(line))
+            except orjson.JSONDecodeError:  # NaN, 1e400, "\ud800", ...: json decides
+                pass
+        if modality is None:
+            obj = _parse_line(path, lineno, line)
+            modality = _add_exact_embedding(store, obj)
+        if modality is None:  # from_json converts what float takes, or says what is wrong
+            try:
+                rec = EmbeddingRecord.from_json(obj)
+                store.add(rec)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            modality = rec.modality
+        positions[modality].append(lineno)
 
 
 def _add_exact_embedding(store: EmbeddingStore, obj: Any) -> str | None:
@@ -869,50 +870,39 @@ def _add_exact_embedding(store: EmbeddingStore, obj: Any) -> str | None:
     return modality
 
 
-def _add_jsonl_embedding(store: EmbeddingStore, obj: Any, normalize: bool) -> str:
-    """Append one ``json``-parsed JSONL embedding to ``store``; return its
-    modality.  An object ``_add_exact_embedding`` refuses goes through
-    ``EmbeddingRecord.from_json``, which raises the record's own error or
-    converts what ``float`` accepts (such as numeric strings)."""
-    modality = _add_exact_embedding(store, obj)
-    if modality is not None:
-        return modality
-    rec = EmbeddingRecord.from_json(obj)
-    if normalize:
-        rec.normalized()  # rejects a zero vector
-    store.add(rec)
-    return rec.modality
-
-
 def _check_rows(
-    store: EmbeddingStore, lines: dict[str, array], normalize: bool, path: str
+    store: EmbeddingStore, positions: dict[str, array], normalize: bool, path: str, unit: str
 ) -> None:
-    """Raise for the earliest line whose row holds a non-finite value or, with
-    ``normalize``, is a zero vector, as the per-record checks word it."""
-    first = None
+    """Raise for the earliest row (by its ``unit`` number in ``positions``)
+    holding a non-finite value or, with ``normalize``, a squared norm that is
+    zero or overflows.  If none does, ``normalize`` scales every row to unit
+    norm in place: the one normalization of every embedding source."""
+    first, sq_norms = None, {}
     for modality in EMBEDDING_MODALITIES:
         data = store.matrix(modality)
         bad = ~np.isfinite(data).all(axis=1)
         if normalize:
-            bad |= np.einsum("ij,ij->i", data, data) == 0.0
+            sq = sq_norms[modality] = np.einsum("ij,ij->i", data, data)
+            bad |= (sq == 0.0) | ~np.isfinite(sq)
         hits = np.flatnonzero(bad)
-        if hits.size and (first is None or lines[modality][hits[0]] < first[0]):
-            first = (lines[modality][hits[0]], modality, int(hits[0]))
+        if hits.size and (first is None or positions[modality][hits[0]] < first[0]):
+            first = (positions[modality][hits[0]], modality, int(hits[0]))
     if first is None:
+        for modality, sq in sq_norms.items():
+            store._buffers[modality][: len(sq)] /= np.sqrt(sq)[:, None]
         return
-    lineno, modality, row = first
+    pos, modality, row = first
+    where = f"{path}: {unit} {pos}: embedding"
     values = store.matrix(modality)[row]
     nonfinite = np.flatnonzero(~np.isfinite(values))
     if nonfinite.size:
         i = int(nonfinite[0])
         raise ValidationError(
-            f"{path}: line {lineno}: embedding: values[{i}]: "
-            f"non-finite or non-numeric value {float(values[i])!r}"
+            f"{where}: values[{i}]: non-finite or non-numeric value {float(values[i])!r}"
         )
     item_id = list(store._rows[modality])[row]
-    raise ValidationError(
-        f"{path}: line {lineno}: embedding {item_id!r}: zero-norm vector cannot be normalized"
-    )
+    problem = "zero-norm vector" if sq_norms[modality][row] == 0.0 else "squared norm overflows;"
+    raise ValidationError(f"{where} {item_id!r}: {problem} cannot be normalized")
 
 
 def save_embeddings_jsonl(records: Iterable[EmbeddingRecord], path: str) -> None:
@@ -920,7 +910,8 @@ def save_embeddings_jsonl(records: Iterable[EmbeddingRecord], path: str) -> None
 
 
 def save_embeddings_binary(records: Sequence[EmbeddingRecord], path: str) -> None:
-    """Write records into one binary container block (single shared dim)."""
+    """Write records into one binary container block (single shared dim);
+    nothing is written unless every value fits float32."""
     if not records:
         raise ValidationError("binary container: at least one record required")
     dim = records[0].dim
@@ -929,33 +920,42 @@ def save_embeddings_binary(records: Sequence[EmbeddingRecord], path: str) -> Non
             raise ValidationError(
                 f"binary container: mixed dims ({r.dim} vs {dim}); split by modality first"
             )
+    block = io.BytesIO()
+    rows = np.array([r.values for r in records], dtype=np.float64)
+    write_vector_block(block, [r.id for r in records], rows)
     with open(path, "wb") as fh:
-        write_vector_block(fh, [(r.id, r.values) for r in records], dim)
+        fh.write(block.getbuffer())
 
 
 # ---------------------------------------------------------------------------
 # binary container primitives (shared with parameter serialization)
 
 
-def write_vector_block(
-    fh: BinaryIO, entries: Sequence[tuple[str, Sequence[float]]], dim: int
-) -> None:
-    """Write one container block: header plus ``len(entries)`` records."""
-    fh.write(CONTAINER_MAGIC)
-    fh.write(struct.pack("<III", CONTAINER_VERSION, len(entries), dim))
-    for rid, values in entries:
+def write_vector_block(fh: BinaryIO, ids: Sequence[str], rows: np.ndarray) -> None:
+    """Write one container block: one float32 record per id, from the
+    matching row of ``rows``.  Writes nothing if an id is too long or a
+    finite value rounds beyond the float32 range."""
+    with np.errstate(over="ignore"):
+        packed = rows.astype("<f4")
+    over = np.argwhere(np.isinf(packed) & np.isfinite(rows))
+    if over.size:
+        i, j = over[0]
+        raise ValidationError(
+            f"record {ids[i]!r}: values[{j}]: {float(rows[i, j])!r} is outside the float32 range"
+        )
+    parts = [CONTAINER_MAGIC, struct.pack("<III", CONTAINER_VERSION, len(ids), rows.shape[1])]
+    for rid, row in zip(ids, packed, strict=True):
         ident = rid.encode("utf-8")
         if len(ident) > 0xFFFF:
             raise ValidationError(f"id too long for container: {rid!r}")
-        if len(values) != dim:
-            raise ValidationError(f"record {rid!r}: {len(values)} values, expected {dim}")
-        fh.write(struct.pack("<H", len(ident)))
-        fh.write(ident)
-        fh.write(struct.pack(f"<{dim}f", *values))
+        parts += (struct.pack("<H", len(ident)), ident, row.tobytes())
+    fh.write(b"".join(parts))
 
 
-def read_vector_block(fh: BinaryIO) -> tuple[int, list[tuple[str, tuple[float, ...]]]]:
-    """Read one container block; raises on bad magic/version or truncation."""
+def read_vector_block(fh: BinaryIO) -> tuple[list[str], np.ndarray]:
+    """Read one container block as its ids and an ``(n, dim)`` float64 array;
+    raises on bad magic/version or truncation.  Rows are sized from the bytes
+    read, never from the header's count."""
     magic = fh.read(4)
     if magic != CONTAINER_MAGIC:
         raise ValidationError(f"bad container magic {magic!r}")
@@ -967,7 +967,8 @@ def read_vector_block(fh: BinaryIO) -> tuple[int, list[tuple[str, tuple[float, .
         raise ValidationError(f"unsupported container version {version}")
     if dim < 1:
         raise ValidationError(f"container dim must be positive, got {dim}")
-    entries: list[tuple[str, tuple[float, ...]]] = []
+    ids: list[str] = []
+    payload = bytearray()
     for i in range(count):
         raw = fh.read(2)
         if len(raw) != 2:
@@ -976,12 +977,12 @@ def read_vector_block(fh: BinaryIO) -> tuple[int, list[tuple[str, tuple[float, .
         ident = fh.read(id_len)
         if len(ident) != id_len:
             raise ValidationError(f"truncated id at record {i}")
-        payload = fh.read(4 * dim)
-        if len(payload) != 4 * dim:
+        values = fh.read(4 * dim)
+        if len(values) != 4 * dim:
             raise ValidationError(f"truncated values at record {i}")
         try:
-            ident = ident.decode("utf-8")
+            ids.append(ident.decode("utf-8"))
         except UnicodeDecodeError:
             raise ValidationError(f"id at record {i} is not valid UTF-8") from None
-        entries.append((ident, struct.unpack(f"<{dim}f", payload)))
-    return dim, entries
+        payload += values
+    return ids, np.frombuffer(payload, dtype="<f4").reshape(-1, dim).astype(np.float64)

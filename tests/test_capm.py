@@ -488,14 +488,27 @@ class TestSerialization:
         np.testing.assert_allclose(out_a, out_b, rtol=1e-5, atol=1e-5)
 
     def test_truncated_file_rejected(self, tmp_path):
-        rng = np.random.default_rng(24)
-        params = random_params(HYPER, rng)
+        # cut at every byte: always a ValidationError, never struct's or numpy's
+        tiny = CapmHyper(d_b=2, d_p=2, K=1, r=1, heads=1)
         path = tmp_path / "p.capm"
-        save_params(params, HYPER, path)
+        save_params(random_params(tiny, np.random.default_rng(24)), tiny, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 7])
-        with pytest.raises(ValidationError):
-            load_params(path)
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(ValidationError):
+                load_params(path)
+
+    def test_value_beyond_float32_writes_no_file(self, tmp_path):
+        params = init_params(HYPER, np.random.default_rng(26))
+        params.gate_w1[3, 1] = -1e39
+        path = tmp_path / "p.capm"
+        with pytest.raises(ValidationError) as info:
+            save_params(params, HYPER, path)
+        assert str(info.value) == (
+            f"{path}: tensor 'gate_w1' cannot be saved: record 'gate_w1 20x8': "
+            f"values[{3 * 8 + 1}]: -1e+39 is outside the float32 range"
+        )
+        assert not path.exists()
 
     def test_manifest_value_too_large_for_float_rejected(self, tmp_path):
         path = tmp_path / "p.capm"

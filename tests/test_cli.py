@@ -152,6 +152,16 @@ class TestRetrieveFusion:
         assert "retrieve: query: k=2: returned 0 shot(s); stopped at the residual floor" in err
         assert "every squared quality" in err
 
+    @pytest.mark.parametrize("values", [[1e154, 1e154], [1e154, "1e154"]], ids=["plain", "string"])
+    def test_norm_overflow_exits_3(self, fusion_fixture, values):
+        emb, queries, _ = fusion_fixture
+        with open(emb, "a") as f:
+            f.write(json.dumps({"id": "big", "modality": "visual", "dim": 2, "values": values}) + "\n")
+        code, out, err = run_cli(["retrieve", "--mode", "fusion", "--embeddings", str(emb),
+                                  "--queries", str(queries), "--k", "2"])
+        assert (code, out) == (3, "")
+        assert err == f"forge: {emb}: line 9: embedding 'big': squared norm overflows; cannot be normalized\n"
+
     def test_binary_container_is_rejected(self, tmp_path):
         store = tmp_path / "store.bin"
         save_embeddings_binary(
@@ -734,6 +744,16 @@ class TestCapmCli:
         assert code == 3
         assert out == ""
         assert "tensor 'w_in' has a bad shape '12xa'" in err
+
+    def test_save_params_beyond_float32_exits_3_writing_nothing(self, tmp_path):
+        path = tmp_path / "p.bin"
+        code, out, err = run_cli(["capm", "demo", "--b2-init", "1e39", "--save-params", str(path)])
+        assert (code, out) == (3, "")
+        assert err.endswith(
+            f"forge: {path}: tensor 'gate_b2' cannot be saved: record 'gate_b2 12': "
+            "values[0]: 1e+39 is outside the float32 range\n"
+        )
+        assert not path.exists()
 
     def test_container_id_not_utf8_exit_3(self, tmp_path):
         params = tmp_path / "w.capm"

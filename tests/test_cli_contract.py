@@ -95,7 +95,7 @@ def _mostly(draw, usual, other):
 
 def _container(ids: list[bytes], values: list[list[float]]) -> bytes:
     fh = io.BytesIO()
-    write_vector_block(fh, [("x" * len(i), v) for i, v in zip(ids, values)], dim=len(values[0]))
+    write_vector_block(fh, ["x" * len(i) for i in ids], np.array(values, dtype=np.float64))
     blob = fh.getvalue()
     # write placeholder ids of the same lengths, then swap in the raw id bytes;
     # the header and the small-integer float payloads hold no b"x"

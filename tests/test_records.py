@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
 import warnings
 
@@ -243,16 +244,6 @@ class TestEmbeddingStore:
         with pytest.raises(ValidationError, match="missing embedding"):
             store.require("ghost", "visual")
 
-    def test_normalized(self):
-        rec = EmbeddingRecord(id="a", modality="visual", dim=2, values=(3.0, 4.0))
-        assert rec.norm() == 5.0
-        np.testing.assert_allclose(rec.normalized().values, (0.6, 0.8))
-
-    def test_zero_vector_cannot_normalize(self):
-        rec = EmbeddingRecord(id="a", modality="visual", dim=2, values=(0.0, 0.0))
-        with pytest.raises(ValidationError):
-            rec.normalized()
-
 
 class TestJsonlEmbeddings:
     def test_round_trip(self, tmp_path):
@@ -317,12 +308,105 @@ class TestBinaryContainer:
 
     def test_vector_block_api(self):
         buf = io.BytesIO()
-        entries = [("one", [1.0, 2.0]), ("two", [3.0, 4.0])]
-        write_vector_block(buf, entries, 2)
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        write_vector_block(buf, ["one", "two"], rows)
         buf.seek(0)
-        dim, out = read_vector_block(buf)
-        assert dim == 2
-        assert [(i, list(v)) for i, v in out] == [(i, list(v)) for i, v in entries]
+        ids, out = read_vector_block(buf)
+        assert ids == ["one", "two"]
+        assert out.dtype == np.float64 and out.tobytes() == rows.tobytes()
+
+    def test_vector_block_matches_per_value_struct_packing(self):
+        # the v1 layout as a per-value reference: u16 id length, id, float32 LE
+        f32 = np.finfo(np.float32)
+        edges = [0.0, -0.0, 1.0, -2.5, 1e-39, -1e-45, 1e-46, 3e-45, float(f32.tiny), float(f32.max),
+                 -float(f32.max), float(f32.max) * (1 + 2**-25), math.inf, -math.inf, math.nan,
+                 0.1, 1 / 3, 123456789.123, -1e38]
+        rng = np.random.default_rng(3)
+        rows = np.array([edges, rng.normal(scale=1e3, size=len(edges))])
+        ids = ["e", "rnd-ß"]
+        want = CONTAINER_MAGIC + struct.pack("<III", 1, 2, len(edges))
+        for rid, row in zip(ids, rows):
+            ident = rid.encode("utf-8")
+            want += struct.pack("<H", len(ident)) + ident + struct.pack(f"<{len(row)}f", *row)
+        buf = io.BytesIO()
+        write_vector_block(buf, ids, rows)
+        assert buf.getvalue() == want
+        buf.seek(0)
+        got_ids, got = read_vector_block(buf)
+        assert got_ids == ids
+        back = [struct.unpack(f"<{len(edges)}f", struct.pack(f"<{len(edges)}f", *r)) for r in rows]
+        assert got.tobytes() == np.array(back).tobytes()
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300], ids=["1e39", "-3.5e38", "1e300"])
+    def test_value_beyond_float32_writes_nothing(self, tmp_path, value):
+        buf = io.BytesIO()
+        with pytest.raises(ValidationError) as info:
+            write_vector_block(buf, ["a", "b"], np.array([[1.0, 2.0], [3.0, value]]))
+        assert str(info.value) == f"record 'b': values[1]: {value!r} is outside the float32 range"
+        assert buf.getvalue() == b""
+        path = tmp_path / "emb.bin"
+        recs = [EmbeddingRecord(id="a", modality="visual", dim=2, values=(value, 1.0))]
+        with pytest.raises(ValidationError, match="outside the float32 range"):
+            save_embeddings_binary(recs, path)
+        assert not path.exists()
+
+
+def _container_bytes(ids, rows):
+    buf = io.BytesIO()
+    write_vector_block(buf, ids, np.array(rows, dtype=np.float64))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "ids, rows, normalize, message",
+    [
+        (["a", "b", "a"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], False,
+         "record 2: duplicate id 'a' for modality 'visual'"),
+        (["a", "b", "c"], [[1.0, 0.0], [math.nan, 1.0], [1.0, 1.0]], False,
+         "record 1: embedding: values[0]: non-finite or non-numeric value nan"),
+        (["a", "b"], [[1.0, 0.0], [1.0, -math.inf]], True,
+         "record 1: embedding: values[1]: non-finite or non-numeric value -inf"),
+        (["a", "b", "c"], [[1.0, 0.0], [1.0, 1.0], [0.0, -0.0]], True,
+         "record 2: embedding 'c': zero-norm vector cannot be normalized"),
+        # a bad row before a duplicate is reported first, as in JSONL
+        (["a", "b", "a"], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], True,
+         "record 1: embedding 'b': zero-norm vector cannot be normalized"),
+    ],
+    ids=["duplicate-id", "nan", "inf", "zero-vector", "zero-vector-before-duplicate"],
+)
+def test_container_errors_name_file_and_record(tmp_path, ids, rows, normalize, message):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(_container_bytes(ids, rows))
+    with pytest.raises(ValidationError) as info:
+        load_embeddings(path, normalize=normalize)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_container_normalizes_as_jsonl_does(tmp_path):
+    rows = np.random.default_rng(5).normal(size=(20, 7)).astype(np.float32).astype(np.float64)
+    ids = [f"i{k}" for k in range(len(rows))]
+    binary, text = tmp_path / "emb.bin", tmp_path / "emb.jsonl"
+    binary.write_bytes(_container_bytes(ids, rows))
+    save_embeddings_jsonl(
+        [EmbeddingRecord(id=i, modality="visual", dim=7, values=tuple(r)) for i, r in zip(ids, rows)],
+        text,
+    )
+    for normalize in (False, True):
+        a, b = load_embeddings(binary, normalize), load_embeddings(text, normalize)
+        assert a.ids("visual") == b.ids("visual") == ids
+        assert a.matrix("visual").tobytes() == b.matrix("visual").tobytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+def test_container_cut_anywhere_is_a_validation_error(tmp_path, normalize):
+    blob = _container_bytes(["a", "βb"], [[1.0, 2.0, 3.0], [0.5, -0.5, 4.0]])
+    path = tmp_path / "emb.bin"
+    for end in range(1, len(blob)):  # an empty file is an empty JSONL store
+        path.write_bytes(blob[:end])
+        with pytest.raises(ValidationError):
+            load_embeddings(path, normalize=normalize)
+    path.write_bytes(blob)
+    assert len(load_embeddings(path, normalize=normalize)) == 2
 
 
 def test_loader_normalize_flag(tmp_path):
@@ -370,10 +454,17 @@ GOOD_LINES = (
          "embedding 'b': zero-norm vector cannot be normalized"),
         ('{"id": "b", "modality": "audio", "dim": 2, "values": [1.0, 1.0]}', False,
          "embedding: modality: 'audio' is not one of ('visual', 'text')"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [1e154, 1e154]}', True,
+         "embedding 'b': squared norm overflows; cannot be normalized"),
+        ('{"id": "b", "modality": "visual", "dim": 2, "values": [1e154, "1e154"]}', True,
+         "embedding 'b': squared norm overflows; cannot be normalized"),
+        ('{"id": "a", "modality": "visual", "dim": 2, "values": [0.0, 0.0]}', True,
+         "duplicate id 'a' for modality 'visual'"),
     ],
     ids=["bool-dim", "nan", "inf", "string", "null", "huge-int", "dim-mismatch",
          "length-mismatch", "duplicate-id", "duplicate-id-and-nan", "zero-vector",
-         "zero-vector-before-parse-error", "unknown-modality"],
+         "zero-vector-before-parse-error", "unknown-modality", "norm-overflow",
+         "norm-overflow-numeric-string", "duplicate-id-before-zero-norm"],
 )
 def test_loader_reports_bad_line(tmp_path, line, normalize, message):
     # The rows are checked for finiteness and zero norms after the last line,
@@ -554,9 +645,24 @@ PLAIN_METADATA = _plain_load(MetadataRecord.from_json, "scene_id")
 PLAIN_RESULTS = _plain_load(ResultRow.from_json)
 
 
+def _fsum_normalized(rec):
+    """``rec`` scaled by its exactly rounded ``math.fsum`` norm; a zero or
+    overflowing squared norm is rejected in the loader's words."""
+    try:
+        sq = math.fsum(v * v for v in rec.values)
+    except OverflowError:  # the partial sums passed the largest double
+        sq = math.inf
+    if sq == 0.0 or sq == math.inf:
+        problem = "zero-norm vector" if sq == 0.0 else "squared norm overflows;"
+        raise ValidationError(f"embedding {rec.id!r}: {problem} cannot be normalized")
+    values = tuple(v / math.sqrt(sq) for v in rec.values)
+    return EmbeddingRecord(id=rec.id, modality=rec.modality, dim=rec.dim, values=values)
+
+
 def PLAIN_EMBEDDINGS(path, normalize=False):
-    """``json.loads``, then ``EmbeddingRecord.from_json``, then ``store.add``."""
-    store = EmbeddingStore()
+    """``json.loads``, then ``EmbeddingRecord.from_json``, then ``store.add``;
+    a line's duplicate id or dim is reported before its norm."""
+    store, raw = EmbeddingStore(), EmbeddingStore()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -569,7 +675,8 @@ def PLAIN_EMBEDDINGS(path, normalize=False):
                 raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
             try:
                 rec = EmbeddingRecord.from_json(obj)
-                store.add(rec.normalized() if normalize else rec)
+                raw.add(rec)
+                store.add(_fsum_normalized(rec) if normalize else rec)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return store
@@ -587,7 +694,7 @@ def _store_view(load):
 def _assert_same_store(text, path, normalize):
     """``load_embeddings`` gives ``PLAIN_EMBEDDINGS``'s error, or its ids and
     rows: bit for bit, or within 4 ulp when normalizing, as the loader
-    scales by a summed norm where ``normalized()`` takes ``math.fsum``."""
+    scales by a summed norm where the reference takes ``math.fsum``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     outcomes = []

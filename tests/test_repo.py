@@ -54,3 +54,24 @@ def test_every_third_party_import_is_a_declared_dependency():
             imported.setdefault(name, path.relative_to(ROOT).as_posix())
     undeclared = {n: p for n, p in imported.items() if _canonical(n) not in declared}
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    # ctxbench wraps named functions of the package at run time; renaming or
+    # deleting one of them must fail here, not first in a benchmark run
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("ctxbench_tracing", ROOT / "ctxbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets()
+    originals = [getattr(module, attr) for module, attr, _, _ in targets]
+    tracer = tracing.Tracer(tracing.Recorder())
+    try:
+        tracer.install()
+        for (module, attr, _, _), original in zip(targets, originals):
+            assert getattr(module, attr).__wrapped__ is original, f"{module.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    for (module, attr, _, _), original in zip(targets, originals):
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
