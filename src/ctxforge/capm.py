@@ -39,7 +39,6 @@ tokens; ``gradient_check`` verifies them against central finite differences.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -49,7 +48,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .errors import NumericGuardError, ValidationError
-from .records import is_finite_number, read_vector_block, write_vector_block
+from .records import is_finite_number, pack_vector_block, read_vector_block
 
 SEGMENT_LABELS = ("user", "assistant")
 
@@ -797,17 +796,16 @@ def save_params(params: CapmParams, hyper: CapmHyper, path: str) -> None:
         "version": 1,
         "hyper": {f.name: getattr(hyper, f.name) for f in fields(CapmHyper)},
     }
-    blob = io.BytesIO()
-    blob.write((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+    parts = [(json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8")]
     for name in PARAM_FIELDS:
         arr = np.asarray(getattr(params, name), dtype=np.float64)
         shape = "x".join(str(s) for s in arr.shape)
         try:
-            write_vector_block(blob, [f"{name} {shape}"], arr.reshape(1, -1))
+            parts.append(pack_vector_block([f"{name} {shape}"], arr.reshape(1, -1)))
         except ValidationError as exc:
             raise ValidationError(f"{path}: tensor {name!r} cannot be saved: {exc}") from None
     with open(path, "wb") as fh:
-        fh.write(blob.getbuffer())
+        fh.write(b"".join(parts))
 
 
 def load_params(path: str) -> tuple[CapmParams, CapmHyper]:

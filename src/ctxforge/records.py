@@ -24,7 +24,6 @@ partially valid data.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -693,17 +692,19 @@ class EmbeddingStore:
         self._norms.pop(modality, None)
         self._paired = None
 
+    def _check_new_id(self, item_id: str, modality: str) -> None:
+        """Raise unless ``item_id`` is non-empty and not yet held for ``modality``."""
+        if not item_id:
+            raise ValidationError("id: must be a non-empty string")
+        if item_id in self._rows[modality]:
+            raise ValidationError(f"duplicate id {item_id!r} for modality {modality!r}")
+
     def add(self, record: EmbeddingRecord) -> None:
-        if record.id in self._rows[record.modality]:
-            raise ValidationError(
-                f"duplicate id {record.id!r} for modality {record.modality!r}"
-            )
+        self._check_new_id(record.id, record.modality)
         expect = self.dim(record.modality)
         if expect is not None and record.dim != expect:
-            raise ValidationError(
-                f"embedding {record.id!r}: dim {record.dim} inconsistent with "
-                f"{record.modality} dim {expect}"
-            )
+            raise ValidationError(f"embedding {record.id!r}: dim {record.dim} inconsistent "
+                                  f"with {record.modality} dim {expect}")
         self._append(record.id, record.modality, record.values)
 
     def get(self, item_id: str, modality: str) -> EmbeddingRecord | None:
@@ -808,8 +809,10 @@ def _read_container(store: EmbeddingStore, path: str, positions: dict[str, array
         if fh.read(1):
             raise ValidationError(f"{path}: trailing bytes after container block")
     for i, rid in enumerate(ids):
-        if rid in store._rows["visual"]:
-            raise ValidationError(f"{path}: record {i}: duplicate id {rid!r} for modality 'visual'")
+        try:
+            store._check_new_id(rid, "visual")
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: record {i}: {exc}") from None
         store._append(rid, "visual", rows[i])
         positions["visual"].append(i)
 
@@ -920,21 +923,20 @@ def save_embeddings_binary(records: Sequence[EmbeddingRecord], path: str) -> Non
             raise ValidationError(
                 f"binary container: mixed dims ({r.dim} vs {dim}); split by modality first"
             )
-    block = io.BytesIO()
     rows = np.array([r.values for r in records], dtype=np.float64)
-    write_vector_block(block, [r.id for r in records], rows)
+    block = pack_vector_block([r.id for r in records], rows)
     with open(path, "wb") as fh:
-        fh.write(block.getbuffer())
+        fh.write(block)
 
 
 # ---------------------------------------------------------------------------
 # binary container primitives (shared with parameter serialization)
 
 
-def write_vector_block(fh: BinaryIO, ids: Sequence[str], rows: np.ndarray) -> None:
-    """Write one container block: one float32 record per id, from the
-    matching row of ``rows``.  Writes nothing if an id is too long or a
-    finite value rounds beyond the float32 range."""
+def pack_vector_block(ids: Sequence[str], rows: np.ndarray) -> bytes:
+    """One container block's bytes: one float32 record per id, from the
+    matching row of ``rows``.  Raises if an id is too long or a finite value
+    rounds beyond the float32 range."""
     with np.errstate(over="ignore"):
         packed = rows.astype("<f4")
     over = np.argwhere(np.isinf(packed) & np.isfinite(rows))
@@ -949,7 +951,7 @@ def write_vector_block(fh: BinaryIO, ids: Sequence[str], rows: np.ndarray) -> No
         if len(ident) > 0xFFFF:
             raise ValidationError(f"id too long for container: {rid!r}")
         parts += (struct.pack("<H", len(ident)), ident, row.tobytes())
-    fh.write(b"".join(parts))
+    return b"".join(parts)
 
 
 def read_vector_block(fh: BinaryIO) -> tuple[list[str], np.ndarray]:

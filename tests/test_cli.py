@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ctxforge.cli import main
-from ctxforge.records import EmbeddingRecord, save_embeddings_binary
+from ctxforge.records import EmbeddingRecord, pack_vector_block, save_embeddings_binary
 
 
 def run_cli(args, **kwargs):
@@ -770,6 +770,13 @@ class TestCapmCli:
             assert code == 3, argv
             assert out == ""
             assert "id at record 0 is not valid UTF-8" in err
+
+    def test_container_empty_id_exit_3(self, tmp_path):
+        store = tmp_path / "store.bin"
+        store.write_bytes(pack_vector_block(["a", ""], np.array([[1.0, 0.0], [0.0, 1.0]])))
+        code, out, err = run_cli(["validate", "--embeddings", str(store)])
+        assert (code, out) == (3, "")
+        assert err == f"forge: {store}: record 1: id: must be a non-empty string\n"
 
 
 class TestConfigMerge:

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctxforge import capm
 from ctxforge.cli import build_parser, main
-from ctxforge.records import write_vector_block
+from ctxforge.records import pack_vector_block
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -94,9 +94,7 @@ def _mostly(draw, usual, other):
 
 
 def _container(ids: list[bytes], values: list[list[float]]) -> bytes:
-    fh = io.BytesIO()
-    write_vector_block(fh, ["x" * len(i) for i in ids], np.array(values, dtype=np.float64))
-    blob = fh.getvalue()
+    blob = pack_vector_block(["x" * len(i) for i in ids], np.array(values, dtype=np.float64))
     # write placeholder ids of the same lengths, then swap in the raw id bytes;
     # the header and the small-integer float payloads hold no b"x"
     for i in ids:
@@ -143,7 +141,7 @@ def data_files(draw) -> dict[str, bytes]:
                         "outcome": _mostly(draw, st.sampled_from(["win", "tie", "lose"]), outcome)})
     episode = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
                "shots": [{"id": "a", "image_ref": "a"}], "query": {"id": "q", "image_ref": "q"}}
-    ids = draw(st.lists(st.sampled_from([b"a", b"b", b"\xff", b"\xc3("]), min_size=1, max_size=3))
+    ids = draw(st.lists(st.sampled_from([b"a", b"b", b"", b"\xff", b"\xc3("]), min_size=1, max_size=3))
     files = {
         "emb.jsonl": _jsonl(emb),
         "store.bin": _container(ids, [draw(vec) for _ in ids]),
@@ -259,6 +257,7 @@ HUGE_ETA = b'"eta": ' + str(HUGE).encode() + b","
 @example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"w_in 2xa")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
 @example(({"p.capm": PARAMS.replace(b"w_in 2x2", b"\xff_in 2x2")}, ["capm", "demo", "--params", "{dir}/p.capm"]))
 @example(({"s.bin": _container([b"\xc3("], [[1.0, 0.0]])}, ["validate", "--embeddings", "{dir}/s.bin"]))
+@example(({"s.bin": _container([b"a", b""], [[1.0, 0.0], [0.0, 1.0]])}, ["validate", "--embeddings", "{dir}/s.bin"]))
 @example(({"r.jsonl": _jsonl([{"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
                                "shots": [0, 1, 2], "values": [1e308, -1e308, 1e308]}])},
           ["eval", "curves", "--results", "{dir}/r.jsonl"]))

@@ -36,12 +36,12 @@ from ctxforge.records import (
     load_embeddings,
     load_episodes,
     load_metadata,
+    pack_vector_block,
     read_vector_block,
     save_embeddings_binary,
     save_embeddings_jsonl,
     save_episodes,
     save_metadata,
-    write_vector_block,
 )
 
 
@@ -307,11 +307,8 @@ class TestBinaryContainer:
             save_embeddings_binary(recs, tmp_path / "emb.bin")
 
     def test_vector_block_api(self):
-        buf = io.BytesIO()
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-        write_vector_block(buf, ["one", "two"], rows)
-        buf.seek(0)
-        ids, out = read_vector_block(buf)
+        ids, out = read_vector_block(io.BytesIO(pack_vector_block(["one", "two"], rows)))
         assert ids == ["one", "two"]
         assert out.dtype == np.float64 and out.tobytes() == rows.tobytes()
 
@@ -328,22 +325,18 @@ class TestBinaryContainer:
         for rid, row in zip(ids, rows):
             ident = rid.encode("utf-8")
             want += struct.pack("<H", len(ident)) + ident + struct.pack(f"<{len(row)}f", *row)
-        buf = io.BytesIO()
-        write_vector_block(buf, ids, rows)
-        assert buf.getvalue() == want
-        buf.seek(0)
-        got_ids, got = read_vector_block(buf)
+        blob = pack_vector_block(ids, rows)
+        assert blob == want
+        got_ids, got = read_vector_block(io.BytesIO(blob))
         assert got_ids == ids
         back = [struct.unpack(f"<{len(edges)}f", struct.pack(f"<{len(edges)}f", *r)) for r in rows]
         assert got.tobytes() == np.array(back).tobytes()
 
     @pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300], ids=["1e39", "-3.5e38", "1e300"])
     def test_value_beyond_float32_writes_nothing(self, tmp_path, value):
-        buf = io.BytesIO()
         with pytest.raises(ValidationError) as info:
-            write_vector_block(buf, ["a", "b"], np.array([[1.0, 2.0], [3.0, value]]))
+            pack_vector_block(["a", "b"], np.array([[1.0, 2.0], [3.0, value]]))
         assert str(info.value) == f"record 'b': values[1]: {value!r} is outside the float32 range"
-        assert buf.getvalue() == b""
         path = tmp_path / "emb.bin"
         recs = [EmbeddingRecord(id="a", modality="visual", dim=2, values=(value, 1.0))]
         with pytest.raises(ValidationError, match="outside the float32 range"):
@@ -352,9 +345,7 @@ class TestBinaryContainer:
 
 
 def _container_bytes(ids, rows):
-    buf = io.BytesIO()
-    write_vector_block(buf, ids, np.array(rows, dtype=np.float64))
-    return buf.getvalue()
+    return pack_vector_block(ids, np.array(rows, dtype=np.float64))
 
 
 @pytest.mark.parametrize(
@@ -362,6 +353,8 @@ def _container_bytes(ids, rows):
     [
         (["a", "b", "a"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], False,
          "record 2: duplicate id 'a' for modality 'visual'"),
+        (["a", "", "c"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], False,
+         "record 1: id: must be a non-empty string"),
         (["a", "b", "c"], [[1.0, 0.0], [math.nan, 1.0], [1.0, 1.0]], False,
          "record 1: embedding: values[0]: non-finite or non-numeric value nan"),
         (["a", "b"], [[1.0, 0.0], [1.0, -math.inf]], True,
@@ -372,7 +365,7 @@ def _container_bytes(ids, rows):
         (["a", "b", "a"], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], True,
          "record 1: embedding 'b': zero-norm vector cannot be normalized"),
     ],
-    ids=["duplicate-id", "nan", "inf", "zero-vector", "zero-vector-before-duplicate"],
+    ids=["duplicate-id", "empty-id", "nan", "inf", "zero-vector", "zero-vector-before-duplicate"],
 )
 def test_container_errors_name_file_and_record(tmp_path, ids, rows, normalize, message):
     path = tmp_path / "emb.bin"
