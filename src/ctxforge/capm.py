@@ -827,7 +827,10 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
             raise ValidationError(f"{path}: manifest: {exc}") from None
         arrays: dict[str, np.ndarray] = {}
         for name in PARAM_FIELDS:
-            ids, rows = read_vector_block(fh)
+            try:
+                ids, rows = read_vector_block(fh)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: tensor {name!r}: {exc}") from None
             if len(ids) != 1:
                 raise ValidationError(f"{path}: tensor block for {name} must hold one record")
             head, _, shape_s = ids[0].partition(" ")

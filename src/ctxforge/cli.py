@@ -270,10 +270,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                     scores.append(bucket[args.s_field])
             else:
                 scores = [s for _, s in ranked]
+            if k > len(ids):
+                _log(f"retrieve: {qid}: clamping k={k} to pool size {len(ids)}")
             selected: list[str] = []
             if ids:
-                if k > len(ids):
-                    _log(f"retrieve: {qid}: clamping k={k} to pool size {len(ids)}")
                 pool = fusion.CandidatePool(
                     ids=tuple(ids),
                     phi=visual[store.rows(ids, "visual")],

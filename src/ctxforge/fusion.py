@@ -86,25 +86,40 @@ def rank_top_n(
     of the stored vectors.
     """
     query_rows = [store.rows([query_id], m)[0] for m in MODALITIES]
+    # the query has both modalities, so it is one of the paired ids
     pool, *rows = store.paired()
     at = bisect.bisect_left(pool, query_id)
-    if at < len(pool) and pool[at] == query_id:
-        pool = pool[:at] + pool[at + 1 :]
-        rows = [np.delete(r, at) for r in rows]
+    if len(pool) == 1:  # no candidate: nothing to score
+        return []
     cosines = []
     for modality, q_row, c_rows in zip(MODALITIES, query_rows, rows):
         vectors, norms = store.matrix(modality), store.row_norms(modality)
+        # c_rows holds the query's own row, which is zero-norm only if q_norm is
         q_norm, c_norms = norms[q_row], norms[c_rows]
-        if pool and (q_norm == 0.0 or not c_norms.all()):
+        if q_norm == 0.0 or not c_norms.all():
             raise ValidationError("cosine: zero-norm input")
-        # einsum sums every row in the same order, so identical candidates get
-        # identical scores; a BLAS matvec may not, which would break exact ties.
-        dots = np.einsum("ij,j->i", vectors[c_rows], vectors[q_row])
+        # einsum sums every row in the same order, over the whole matrix as over
+        # a copy of some rows, so identical candidates get identical scores; a
+        # BLAS matvec may not, which would break exact ties.
+        dots = np.einsum("ij,j->i", vectors, vectors[q_row])[c_rows]
         cosines.append(dots / (q_norm * c_norms))
     scores = config.lam * cosines[0] + (1.0 - config.lam) * cosines[1]
-    # pool is in ascending id order, so a stable sort breaks score ties by id
-    order = np.argsort(-scores, kind="stable")[: config.top_n]
-    return [(pool[i], float(scores[i])) for i in order]
+    # pool is in ascending id order, so a stable order breaks score ties by id
+    top = _smallest_stable(np.delete(-scores, at), config.top_n)
+    top += top >= at  # back to positions in pool, past the dropped query
+    return list(zip([pool[i] for i in top.tolist()], scores[top].tolist()))
+
+
+def _smallest_stable(keys: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` smallest keys in the order of a stable argsort:
+    ascending key, ties by ascending index, NaN last."""
+    if not 0 < n < len(keys):
+        return np.argsort(keys, kind="stable")[:n]
+    kth = np.partition(keys, n - 1)[n - 1]
+    # the first n of the sort all lie at or below the n-th smallest key; a NaN
+    # compares false, so a NaN kth (fewer than n numbers) keeps every key
+    head = np.flatnonzero(~(keys > kth))
+    return head[np.argsort(keys[head], kind="stable")[:n]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,6 +116,31 @@ class TestRetrieveFusion:
         # 2-d embeddings: selection stops at numerical rank two
         assert len(ep["shots"]) == 2
 
+    def test_empty_pool_is_reported(self, fusion_fixture, tmp_path):
+        emb, queries, _ = fusion_fixture
+        argv = ["retrieve", "--mode", "fusion", "--embeddings", str(emb), "--queries", str(queries)]
+        code, out, err = run_cli([*argv, "--top-n", "0"])
+        assert code == 0
+        assert json.loads(out)["shots"] == []
+        assert err.splitlines() == [
+            "retrieve: query: clamping k=4 to pool size 0",
+            "retrieve: wrote 1 episode(s)",
+        ]
+        # the query is the only id with both modalities
+        lonely = tmp_path / "lonely.jsonl"
+        lonely.write_text(
+            "".join(
+                json.dumps({"id": rid, "modality": m, "dim": 2, "values": [1.0, 0.0]}) + "\n"
+                for rid, m in [("query", "visual"), ("query", "text"), ("cand1", "visual")]
+            )
+        )
+        code, out, err = run_cli(
+            ["retrieve", "--mode", "fusion", "--embeddings", str(lonely), "--queries", str(queries), "--k", "2"]
+        )
+        assert code == 0
+        assert json.loads(out)["shots"] == []
+        assert "retrieve: query: clamping k=2 to pool size 0\n" in err
+
     @staticmethod
     def _run_with_scores(emb, queries, meta, score):
         with open(meta, "w") as f:
@@ -744,6 +769,14 @@ class TestCapmCli:
         assert code == 3
         assert out == ""
         assert "tensor 'w_in' has a bad shape '12xa'" in err
+
+    def test_truncated_params_name_file_and_tensor_exit_3(self, tmp_path):
+        path = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        path.write_bytes(path.read_bytes()[:2000])
+        code, out, err = run_cli(["capm", "demo", "--params", str(path)])
+        assert (code, out) == (3, "")
+        assert err == f"forge: {path}: tensor 'phi_ln_gain': truncated values at record 0\n"
 
     def test_save_params_beyond_float32_exits_3_writing_nothing(self, tmp_path):
         path = tmp_path / "p.bin"

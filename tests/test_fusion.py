@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,13 +175,99 @@ def test_rank_top_n_zero_norm_candidate():
     store = store_with(
         {"q": ((1.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0)), "zero": ((1.0, 0.0), (0.0, 0.0))}
     )
-    with pytest.raises(ValidationError, match="cosine: zero-norm input"):
-        rank_top_n("q", store, FusionConfig())
+    for top_n in (0, 50):
+        with pytest.raises(ValidationError, match="cosine: zero-norm input"):
+            rank_top_n("q", store, FusionConfig(top_n=top_n))
 
 
 def test_rank_top_n_zero_norm_query():
     store = store_with({"q": ((0.0, 0.0), (1.0, 0.0)), "b": ((0.0, 1.0), (1.0, 1.0))})
-    with pytest.raises(ValidationError, match="zero-norm"):
-        rank_top_n("q", store, FusionConfig())
-    # with no other candidate there is nothing to score
-    assert rank_top_n("q", store_with({"q": ((0.0, 0.0), (1.0, 0.0))}), FusionConfig()) == []
+    for top_n in (0, 50):
+        with pytest.raises(ValidationError, match="zero-norm"):
+            rank_top_n("q", store, FusionConfig(top_n=top_n))
+    # with no other candidate there is nothing to score, and nothing is divided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_top_n("q", store_with({"q": ((0.0, 0.0), (1.0, 0.0))}), FusionConfig()) == []
+
+
+def gathered_rank(query_id, store, lam, top_n):
+    """Fused ranking over copies of the paired candidate rows: one einsum per
+    modality over the gathered rows, then a full stable sort on the scores."""
+    pool = [rid for rid in store.paired()[0] if rid != query_id]
+    cosines = []
+    for modality in ("visual", "text"):
+        vectors, norms = store.matrix(modality), store.row_norms(modality)
+        q_row, c_rows = store.rows([query_id], modality)[0], store.rows(pool, modality)
+        dots = np.einsum("ij,j->i", vectors[c_rows], vectors[q_row])
+        cosines.append(dots / (norms[q_row] * norms[c_rows]))
+    scores = lam * cosines[0] + (1.0 - lam) * cosines[1]
+    order = np.argsort(-scores, kind="stable")[:top_n]
+    return [(pool[i], float(scores[i])) for i in order]
+
+
+def assert_same_ranking(ranked, expected):
+    # same ids in the same order, and every score with the same bits
+    assert [rid for rid, _ in ranked] == [rid for rid, _ in expected]
+    assert [s.hex() for _, s in ranked] == [s.hex() for _, s in expected]
+
+
+def test_rank_top_n_cuts_inside_a_tie_group():
+    # every item holds one of three vector pairs, so the scores fall into
+    # three tied groups and each cut below lands inside one of them
+    rng = np.random.default_rng(17)
+    for n in (200, 347, 600):
+        distinct = [(rng.standard_normal(24), rng.standard_normal(40)) for _ in range(3)]
+        ids = [f"c{i:03d}" for i in rng.permutation(n)]
+        pairs = {rid: distinct[int(rng.integers(3))] for rid in ids}
+        store = store_with(pairs)
+        lam = float(rng.uniform(0.0, 1.0))
+        for query_id in ids[:3]:
+            full = gathered_rank(query_id, store, lam, n)
+            scores = [s for _, s in full]
+            groups = [scores.index(s) + scores.count(s) // 2 for s in sorted(set(scores), reverse=True)]
+            for top_n in groups:
+                assert 0 < top_n < n - 1 and scores[top_n - 1] == scores[top_n]
+                ranked = rank_top_n(query_id, store, FusionConfig(lam=lam, top_n=top_n))
+                assert_same_ranking(ranked, full[:top_n])
+                assert [rid for rid, _ in ranked] == [
+                    rid for rid, _ in oracle_rank(query_id, pairs, lam, top_n)
+                ]
+
+
+def test_rank_top_n_skips_unpaired_rows():
+    # visual-only and text-only rows, one of them zero-norm, added among the
+    # paired ones out of id order: they are never candidates and never raise
+    rng = np.random.default_rng(23)
+    dims = {"visual": 6, "text": 4}
+    keys = [(f"p{i:02d}", m) for i in range(60) for m in dims]
+    keys += [(f"v{i}", "visual") for i in range(8)] + [(f"t{i}", "text") for i in range(8)]
+    records = [
+        EmbeddingRecord(id=rid, modality=m, dim=dims[m], values=tuple(rng.standard_normal(dims[m])))
+        for rid, m in keys
+    ]
+    records.append(EmbeddingRecord(id="a-zero", modality="visual", dim=6, values=(0.0,) * 6))
+    records.append(EmbeddingRecord(id="z-zero", modality="text", dim=4, values=(0.0,) * 4))
+    store = EmbeddingStore()
+    for i in rng.permutation(len(records)):
+        store.add(records[i])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query_id in ("p00", "p31", "p59"):
+            for top_n in (0, 1, 10, 58, 59, 60, 100):
+                ranked = rank_top_n(query_id, store, FusionConfig(lam=0.6, top_n=top_n))
+                assert_same_ranking(ranked, gathered_rank(query_id, store, 0.6, top_n))
+                assert all(rid.startswith("p") for rid, _ in ranked)
+                assert len(ranked) == min(top_n, 59)
+
+
+def test_rank_top_n_scores_match_gathered_rows_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n, dv, dt in ((2, 3, 5), (41, 8, 16), (103, 33, 64), (257, 64, 64)):
+        pairs = {f"c{i:03d}": (rng.standard_normal(dv), rng.standard_normal(dt)) for i in rng.permutation(n)}
+        store = store_with(pairs)
+        for query_id in ("c000", f"c{n - 1:03d}"):
+            for top_n in (1, n // 3, n):
+                ranked = rank_top_n(query_id, store, FusionConfig(lam=0.3, top_n=top_n))
+                assert_same_ranking(ranked, gathered_rank(query_id, store, 0.3, top_n))
+

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
 import re
 import subprocess
 import sys
@@ -56,14 +59,19 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
 
 
-def test_benchmark_tracer_finds_every_boundary():
-    # ctxbench wraps named functions of the package at run time; renaming or
-    # deleting one of them must fail here, not first in a benchmark run
+def _bench_tracing():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("ctxbench_tracing", ROOT / "ctxbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    # ctxbench wraps named functions of the package at run time; renaming or
+    # deleting one of them must fail here, not first in a benchmark run
+    tracing = _bench_tracing()
     targets = tracing._targets()
     originals = [getattr(module, attr) for module, attr, _, _ in targets]
     tracer = tracing.Tracer(tracing.Recorder())
@@ -75,3 +83,35 @@ def test_benchmark_tracer_finds_every_boundary():
         tracer.uninstall()
     for (module, attr, _, _), original in zip(targets, originals):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_benchmark_tracer_sees_one_ranking_per_query(tmp_path):
+    # ctxbench counts fusion.rank_top_n calls and their candidates per query:
+    # ranking every query in one call would change what those metrics mean
+    from ctxforge import cli
+
+    store = tmp_path / "store.jsonl"
+    rows = [(f"it{i}", m) for i in (4, 0, 5, 2, 1, 3) for m in ("visual", "text")]
+    rows += [("vis-only", "visual"), ("text-only", "text")]
+    store.write_text(
+        "".join(
+            json.dumps({"id": rid, "modality": m, "dim": 3, "values": [1.0, len(rid), i % 3]}) + "\n"
+            for i, (rid, m) in enumerate(rows)
+        )
+    )
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(json.dumps({"id": q}) + "\n" for q in ("it3", "it0", "it5")))
+    tracing = _bench_tracing()
+    recorder = tracing.Recorder()
+    tracer = tracing.Tracer(recorder)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["retrieve", "--mode", "fusion", "--embeddings", str(store),
+                             "--queries", str(queries), "--k", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, err.getvalue()
+    ranked = [c for n, c in zip(recorder.names, recorder.counts) if n == "fusion.rank_top_n"]
+    assert ranked == [{"candidates": 5}] * 3
