@@ -39,6 +39,7 @@ from .records import (
     Episode,
     Instance,
     MetadataRecord,
+    SceneTable,
     ShotCurve,
     TAXONOMIES,
     TAXONOMY_ORDER,
@@ -93,6 +94,7 @@ __all__ = [
     "EmbeddingStore",
     "Instance",
     "MetadataRecord",
+    "SceneTable",
     "ShotCurve",
     "TAXONOMIES",
     "TAXONOMY_ORDER",

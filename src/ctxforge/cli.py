@@ -152,7 +152,7 @@ def _int_at_least(low: int) -> tuple[str, Any]:
 
 _POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0)
 _NOT_NAN = ("a number that is not NaN", lambda v: _is_number(v) and v == v)  # NaN != NaN
-_STRING = ("a string", lambda v: isinstance(v, str))
+_NON_EMPTY_STRING = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
 
 # The rule of each setting that ``_setting`` resolves: key -> (what a valid
 # value is, its test).  The CAPM sizes and schedule are checked by
@@ -162,8 +162,9 @@ _SETTINGS = {
     "top_n": _int_at_least(0),
     "lambda": ("a number in [0, 1]", lambda v: _is_number(v) and 0.0 <= v <= 1.0),
     "beta": _POSITIVE,
-    "taxonomy": _STRING,
-    "subtask": _STRING,
+    "taxonomy": _NON_EMPTY_STRING,
+    "subtask": _NON_EMPTY_STRING,
+    "episode_id": _NON_EMPTY_STRING,
     "min": _NOT_NAN,
     "max": _NOT_NAN,
     "seed": _int_at_least(0),
@@ -227,11 +228,19 @@ def _read_query_ids(path: str) -> list[str]:
     return ids
 
 
+# The taxonomy and subtask of the episodes each retrieve mode emits by default.
+_EPISODE_LABELS = {
+    "fusion": ("Perception", "Visual Grounding"),
+    "intent": ("Conception", "Fast Concept Mapping"),
+}
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     k = _setting(args.k, config, "k", DEFAULT_K)
-    taxonomy = _setting(args.taxonomy, config, "taxonomy", None)
-    subtask = _setting(args.subtask, config, "subtask", None)
+    default_taxonomy, default_subtask = _EPISODE_LABELS[args.mode]
+    taxonomy = _setting(args.taxonomy, config, "taxonomy", default_taxonomy)
+    subtask = _setting(args.subtask, config, "subtask", default_subtask)
 
     if args.mode == "fusion":
         if not args.embeddings or not args.queries:
@@ -251,9 +260,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if args.s_field:
             if not args.metadata:
                 raise UsageError("--s-field requires --metadata")
-            scores_by_scene = {m.scene_id: m.scores for m in load_metadata(args.metadata)}
-        taxonomy = taxonomy or "Perception"
-        subtask = subtask or "Visual Grounding"
+            table = load_metadata(args.metadata)
+            scores_by_scene = dict(zip(table.scene_ids, table.scores))
         visual = store.matrix("visual")
         episodes: list[Episode] = []
         for qid in query_ids:
@@ -315,9 +323,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         corpus = load_metadata(args.metadata)
         matched = intent.retrieve_by_rule(rule, corpus)
         selected = matched[:k]
-        episode_id = args.episode_id or "intent-0"
-        taxonomy = taxonomy or "Conception"
-        subtask = subtask or "Fast Concept Mapping"
+        episode_id = _setting(args.episode_id, {}, "episode_id", "intent-0")
         episodes = [
             Episode(
                 episode_id=episode_id,

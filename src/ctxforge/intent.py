@@ -28,9 +28,11 @@ conjunctions are true and empty disjunctions false.  ``evaluate`` also takes
 ASTs the parser rejects: a ``bbox within`` outside ``exists`` is false, and
 an ``exists`` nested in another ranges over the scene's instances again.
 
-A rule is evaluated column-wise over the whole corpus, not scene by scene:
-each field is factorized once into integer codes, each predicate runs once
-per distinct value, and each connective is one array operation.
+A rule is evaluated column-wise over the whole corpus, not scene by scene,
+reading the columns of a ``SceneTable``: each field is factorized once into
+integer codes, each predicate runs once per distinct value, and each
+connective is one array operation.  Parentheses, ``not`` and ``exists``
+nest at most ``MAX_RULE_DEPTH`` levels deep, together.
 """
 
 from __future__ import annotations
@@ -43,12 +45,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import RuleScopeError, RuleSyntaxError, ValidationError
-from .records import MetadataRecord
+from .records import MetadataRecord, SceneTable
 
 RESERVED_WORDS = frozenset(
     {"and", "or", "not", "true", "false", "exists", "bbox", "within", "box"}
 )
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# How deep parentheses, ``not`` and ``exists`` may nest, together.  The
+# parser, printer and evaluator recurse once or a few times per level, so
+# the bound keeps every rule the parser accepts well inside the
+# interpreter's recursion limit.
+MAX_RULE_DEPTH = 100
 
 
 class Rule:
@@ -207,6 +214,7 @@ class _Parser:
         self.text = text
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.depth = 0  # open parentheses, nots and exists around the current token
 
     @property
     def cur(self) -> _Token:
@@ -240,6 +248,12 @@ class _Parser:
     def at_word(self, word: str) -> bool:
         return self.cur.kind == "ident" and self.cur.text == word
 
+    def descend(self) -> None:
+        """Enter one nesting level at the current token, which opens it."""
+        if self.depth == MAX_RULE_DEPTH:
+            raise self.error(f"rule nested deeper than {MAX_RULE_DEPTH} levels")
+        self.depth += 1
+
     # grammar productions -------------------------------------------------
 
     def parse_rule(self) -> Rule:
@@ -268,16 +282,21 @@ class _Parser:
 
     def parse_not(self) -> Rule:
         if self.at_word("not"):
+            self.descend()
             self.advance()
-            return Not(self.parse_not())
+            node = Not(self.parse_not())
+            self.depth -= 1
+            return node
         return self.parse_primary()
 
     def parse_primary(self) -> Rule:
         tok = self.cur
         if tok.kind == "lparen":
+            self.descend()
             self.advance()
             node = self.parse_or()
             self.expect("rparen", ")")
+            self.depth -= 1
             return node
         if tok.kind == "ident":
             if tok.text == "true":
@@ -287,10 +306,12 @@ class _Parser:
                 self.advance()
                 return FalseRule()
             if tok.text == "exists":
+                self.descend()
                 self.advance()
                 self.expect("lparen", "(")
                 body = self.parse_or()
                 self.expect("rparen", ")")
+                self.depth -= 1
                 return Exists(body)
             if tok.text == "bbox":
                 return self.parse_within()
@@ -473,88 +494,66 @@ def _factorize(values: list[object]) -> tuple[np.ndarray, list[object]]:
     return np.array(codes, dtype=np.intp), [v for _, v in index]
 
 
-class _CorpusView:
-    """Columns of one corpus, built once per evaluation: the flat instance
-    list, the scene index of each instance, and field codes on first use."""
-
-    def __init__(self, corpus: Sequence[MetadataRecord]):
-        self.scenes = corpus
-        self.instances = [inst for meta in corpus for inst in meta.instances]
-        counts = np.fromiter((len(meta.instances) for meta in corpus), dtype=np.intp, count=len(corpus))
-        self.owner = np.repeat(np.arange(len(corpus)), counts)
-        self._columns: dict[tuple[str, bool], tuple[np.ndarray, list[object]]] = {}
-        self._centers: tuple[np.ndarray, np.ndarray] | None = None
-
-    def size(self, in_exists: bool) -> int:
-        return len(self.instances) if in_exists else len(self.scenes)
-
-    def column(self, field: str, in_exists: bool) -> tuple[np.ndarray, list[object]]:
-        key = (field, in_exists)
-        if key not in self._columns:
-            if not in_exists:
-                values = [meta.scene_attributes.get(field) for meta in self.scenes]
-            elif field == "category":
-                values = [inst.category for inst in self.instances]
-            else:
-                values = [inst.attributes.get(field) for inst in self.instances]
-            self._columns[key] = _factorize(values)
-        return self._columns[key]
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bbox centres of the instances, as ``Instance.center`` computes them."""
-        if self._centers is None:
-            boxes = np.array([inst.bbox for inst in self.instances], dtype=np.float64).reshape(-1, 4)
-            self._centers = (boxes[:, 0] + boxes[:, 2]) / 2.0, (boxes[:, 1] + boxes[:, 3]) / 2.0
-        return self._centers
-
-
-def _mask(node: Rule, view: _CorpusView, in_exists: bool) -> np.ndarray:
+def _mask(node: Rule, table: SceneTable, in_exists: bool, columns: dict) -> np.ndarray:
+    """The node's truth per scene, or per instance inside ``exists``.
+    ``columns`` holds each field's codes once factorized, for this table."""
+    size = len(table.categories) if in_exists else len(table)
     if isinstance(node, TrueRule):
-        return np.ones(view.size(in_exists), dtype=bool)
+        return np.ones(size, dtype=bool)
     if isinstance(node, FalseRule):
-        return np.zeros(view.size(in_exists), dtype=bool)
+        return np.zeros(size, dtype=bool)
     if isinstance(node, Not):
-        return ~_mask(node.child, view, in_exists)
+        return ~_mask(node.child, table, in_exists, columns)
     if isinstance(node, And):
-        out = np.ones(view.size(in_exists), dtype=bool)
+        out = np.ones(size, dtype=bool)
         for child in node.children:
-            out &= _mask(child, view, in_exists)
+            out &= _mask(child, table, in_exists, columns)
         return out
     if isinstance(node, Or):
-        out = np.zeros(view.size(in_exists), dtype=bool)
+        out = np.zeros(size, dtype=bool)
         for child in node.children:
-            out |= _mask(child, view, in_exists)
+            out |= _mask(child, table, in_exists, columns)
         return out
     if isinstance(node, Exists):
-        hit = np.zeros(len(view.scenes), dtype=bool)
-        hit[view.owner[_mask(node.body, view, True)]] = True
+        hit = np.zeros(len(table), dtype=bool)
+        hit[table.owner[_mask(node.body, table, True, columns)]] = True
         # a nested exists (hand-built ASTs only) ranges over the bound
         # instance's scene, so its result is that scene's
-        return hit[view.owner] if in_exists else hit
+        return hit[table.owner] if in_exists else hit
     if isinstance(node, Within):
         if not in_exists:
-            return np.zeros(len(view.scenes), dtype=bool)  # unscoped bbox test is vacuously false
-        cx, cy = view.centers()
+            return np.zeros(size, dtype=bool)  # unscoped bbox test is vacuously false
+        # bbox centres, as ``Instance.center`` computes them
+        box = table.bbox
+        cx, cy = (box[:, 0] + box[:, 2]) / 2.0, (box[:, 1] + box[:, 3]) / 2.0
         x0, y0, x1, y1 = node.box
         return (x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1)
     if isinstance(node, Pred):
-        codes, values = view.column(node.field, in_exists)
-        truth = np.fromiter((_holds(node, v) for v in values), dtype=bool, count=len(values))
+        key = (node.field, in_exists)
+        if key not in columns:
+            if not in_exists:
+                values = [attrs.get(node.field) for attrs in table.scene_attributes]
+            elif node.field == "category":
+                values = table.categories
+            else:
+                values = [attrs.get(node.field) for attrs in table.attributes]
+            columns[key] = _factorize(values)
+        codes, distinct = columns[key]
+        truth = np.fromiter((_holds(node, v) for v in distinct), dtype=bool, count=len(distinct))
         return truth[codes]
     raise ValidationError(f"evaluate: unknown node {type(node).__name__}")
-
-
-def _matches(rule: Rule, corpus: Sequence[MetadataRecord]) -> np.ndarray:
-    """One bool per scene of the corpus: whether it satisfies the rule."""
-    return _mask(rule, _CorpusView(corpus), False)
 
 
 def evaluate(rule: Rule, meta: MetadataRecord) -> bool:
     """Decide whether a scene satisfies the rule.  Total: never raises on
     well-formed ASTs, whatever the metadata contents."""
-    return bool(_matches(rule, [meta])[0])
+    return bool(_mask(rule, SceneTable.from_records([meta]), False, {})[0])
 
 
 def retrieve_by_rule(rule: Rule, corpus: Sequence[MetadataRecord]) -> list[str]:
-    """Scene ids of all records satisfying the rule, in corpus order."""
-    return [meta.scene_id for meta, hit in zip(corpus, _matches(rule, corpus)) if hit]
+    """Scene ids of all records satisfying the rule, in corpus order.  A
+    ``SceneTable`` (what ``load_metadata`` returns) is read as it is; any
+    other sequence of records is first put into one."""
+    table = corpus if isinstance(corpus, SceneTable) else SceneTable.from_records(corpus)
+    hits = _mask(rule, table, False, {})
+    return [table.scene_ids[i] for i in np.flatnonzero(hits)]

@@ -16,14 +16,16 @@ Vectors pass between a file and a matrix only as numpy rows: a container
 block is read into, and written from, one ``(n, dim)`` float64 array (a
 finite value beyond float32 is refused before any byte is written), and
 rows from either embedding format get the same checks and normalization.
-All records are immutable after construction and safe to share across
-threads.  Loaders report parse errors with line (or container record)
-numbers and invariant violations with field paths; they never return
-partially valid data.
+Scene metadata loads into a ``SceneTable``: columns from which a
+``MetadataRecord`` is built only on demand.  All records are immutable after
+construction and safe to share across threads.  Loaders report parse errors
+with line (or container record) numbers and invariant violations with field
+paths; they never return partially valid data.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -540,6 +542,36 @@ def _parse_line(path: str, lineno: int, line: str) -> Any:
         raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
 
 
+# orjson returns json's doubles several times faster.  It also accepts
+# nesting too deep for json, which an extra key or a duplicated key's
+# discarded value can hide, so it only reads lines holding at most this many
+# "{" and "[" together: far below the interpreter's recursion limit.
+_ORJSON_MAX_BRACKETS = 128
+
+
+def _orjson_lines(path: str) -> Iterator[tuple[int, str, Any]]:
+    """``_iter_lines(path)``, each line with orjson's value of it, or with
+    ``None`` for a line orjson refuses (NaN, ``1e400``, an escaped lone
+    surrogate, ...) or may not read; ``json`` decides those.  orjson makes
+    floats of integers beyond 64 bits, so a caller takes its value only where
+    such a float means what ``json``'s int would."""
+    import orjson  # here, not at the top: only the metadata and embedding loaders need it
+
+    for lineno, line in _iter_lines(path):
+        obj = None
+        # ``find`` scans a long line several times faster than ``count``, so
+        # a line with at most one of each (an embedding) is settled without counting
+        if (
+            line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0
+            or line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS
+        ):
+            try:
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                pass
+        yield lineno, line, obj
+
+
 def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
     for lineno, line in _iter_lines(path):
         yield lineno, _parse_line(path, lineno, line)
@@ -583,26 +615,146 @@ def save_episodes(episodes: Iterable[Episode], path: str) -> None:
     _write_jsonl(path, (ep.to_json() for ep in episodes))
 
 
-def load_metadata(path: str) -> list[MetadataRecord]:
-    """Load a metadata JSONL file; duplicate scene ids are rejected."""
-    records: list[MetadataRecord] = []
+class SceneTable(Sequence[MetadataRecord]):
+    """Scenes held as columns: a read-only sequence of ``MetadataRecord``.
+
+    Per scene: ``scene_ids``, ``scene_attributes`` and ``scores`` (the
+    record's dicts) and ``counts``, its number of instances.  Per instance,
+    all scenes' instances in order: ``categories``, ``attributes`` and
+    ``bbox``, one float64 ``(m, 4)`` array.  A record is built only when it
+    is indexed or iterated.  The rule evaluator reads the columns directly.
+    """
+
+    def __init__(self) -> None:
+        self.scene_ids: list[str] = []
+        self.scene_attributes: list[dict[str, str]] = []
+        self.scores: list[dict[str, float]] = []
+        self.counts: list[int] = []
+        self.categories: list[str] = []
+        self.attributes: list[dict[str, str]] = []
+        self._boxes = array("d")
+        # derived from the columns; dropped whenever a scene is appended
+        self._bbox: np.ndarray | None = None
+        self._owner: np.ndarray | None = None
+        self._starts: list[int] | None = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[MetadataRecord]) -> "SceneTable":
+        """A table of ``records``, as they are: nothing is checked or converted."""
+        table = cls()
+        for rec in records:
+            table._append(*_record_fields(rec))
+        return table
+
+    def _append(
+        self,
+        scene_id: str,
+        instances: Sequence[tuple[str, dict[str, str], Sequence[float]]],
+        scene_attributes: dict[str, str],
+        scores: dict[str, float],
+    ) -> None:
+        """Add one scene, its instances given as (category, attributes, bbox)."""
+        self.scene_ids.append(scene_id)
+        self.scene_attributes.append(scene_attributes)
+        self.scores.append(scores)
+        self.counts.append(len(instances))
+        for category, attributes, bbox in instances:
+            self.categories.append(category)
+            self.attributes.append(attributes)
+            self._boxes.extend(bbox)
+        self._bbox = self._owner = self._starts = None
+
+    @property
+    def bbox(self) -> np.ndarray:
+        """Every instance's ``[x0, y0, x1, y1]``, as a read-only ``(m, 4)`` array."""
+        if self._bbox is None:
+            self._bbox = np.array(self._boxes, dtype=np.float64).reshape(-1, 4)
+            self._bbox.flags.writeable = False
+        return self._bbox
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The scene index of every instance."""
+        if self._owner is None:
+            self._owner = np.repeat(np.arange(len(self)), self.counts)
+            self._owner.flags.writeable = False
+        return self._owner
+
+    def _record(self, i: int, start: int) -> MetadataRecord:
+        """Scene ``i``, whose instances start at ``start``."""
+        boxes = self._boxes
+        instances = tuple(
+            _unchecked(
+                Instance,
+                category=self.categories[j],
+                attributes=self.attributes[j],
+                bbox=tuple(boxes[4 * j : 4 * j + 4]),
+            )
+            for j in range(start, start + self.counts[i])
+        )
+        return _unchecked(
+            MetadataRecord,
+            scene_id=self.scene_ids[i],
+            instances=instances,
+            scene_attributes=self.scene_attributes[i],
+            scores=self.scores[i],
+        )
+
+    def __len__(self) -> int:
+        return len(self.scene_ids)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # negative indices, and IndexError past the end
+        if self._starts is None:
+            self._starts = [0, *itertools.accumulate(self.counts)]
+        return self._record(i, self._starts[i])
+
+    def __iter__(self) -> Iterator[MetadataRecord]:
+        start = 0
+        for i, count in enumerate(self.counts):
+            yield self._record(i, start)
+            start += count
+
+
+def _record_fields(rec: MetadataRecord) -> tuple[str, list, dict, dict]:
+    """``SceneTable._append``'s arguments for ``rec``."""
+    return (
+        rec.scene_id,
+        [(i.category, i.attributes, i.bbox) for i in rec.instances],
+        rec.scene_attributes,
+        rec.scores,
+    )
+
+
+def load_metadata(path: str) -> SceneTable:
+    """Load a metadata JSONL file into a ``SceneTable``; duplicate scene ids
+    are rejected."""
+    table = SceneTable()
     seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        rec = _exact_metadata(obj)
-        if rec is None:
+    for lineno, line, obj in _orjson_lines(path):
+        fields = _exact_scene(obj)
+        if fields is None:
+            obj = _parse_line(path, lineno, line)
+            fields = _exact_scene(obj)
+        if fields is None:
             try:
                 rec = MetadataRecord.from_json(obj)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        if rec.scene_id in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate scene_id {rec.scene_id!r}")
-        seen.add(rec.scene_id)
-        records.append(rec)
-    return records
+            fields = _record_fields(rec)
+        scene_id = fields[0]
+        if scene_id in seen:
+            raise ValidationError(f"{path}: line {lineno}: duplicate scene_id {scene_id!r}")
+        seen.add(scene_id)
+        table._append(*fields)
+    return table
 
 
-def _exact_metadata(obj: Any) -> MetadataRecord | None:
-    """The record ``MetadataRecord.from_json(obj)`` returns, built without
+def _exact_scene(obj: Any) -> tuple[str, list[tuple[str, dict, list]], dict, dict] | None:
+    """``SceneTable._append``'s arguments for the record
+    ``MetadataRecord.from_json(obj)`` returns, taken from ``obj`` without
     checking a field twice, when every field already has its exact JSON type
     and is in range; ``None`` for any other object, which ``from_json`` then
     converts (ints, numeric strings) or rejects with its own message."""
@@ -641,16 +793,8 @@ def _exact_metadata(obj: Any) -> MetadataRecord | None:
             and 0.0 <= x0 <= x1 <= 1.0 and 0.0 <= y0 <= y1 <= 1.0
         ):
             return None
-        instances.append(
-            _unchecked(Instance, category=category, attributes=attributes, bbox=(x0, y0, x1, y1))
-        )
-    return _unchecked(
-        MetadataRecord,
-        scene_id=scene_id,
-        instances=tuple(instances),
-        scene_attributes=scene_attributes,
-        scores=scores,
-    )
+        instances.append((category, attributes, bbox))
+    return scene_id, instances, scene_attributes, scores
 
 
 def save_metadata(records: Iterable[MetadataRecord], path: str) -> None:
@@ -818,19 +962,8 @@ def _read_container(store: EmbeddingStore, path: str, positions: dict[str, array
 
 
 def _read_jsonl(store: EmbeddingStore, path: str, positions: dict[str, array]) -> None:
-    import orjson  # here, not at the top: no other command pays for its import
-
-    for lineno, line in _iter_lines(path):
-        # orjson returns json's doubles ~5x faster.  It also accepts nesting
-        # too deep for json, which an extra key or a duplicated key's
-        # discarded value can hide, so it only reads lines holding at most
-        # one "{" and one "["; json decodes every other line.
-        modality = None
-        if line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0:
-            try:
-                modality = _add_exact_embedding(store, orjson.loads(line))
-            except orjson.JSONDecodeError:  # NaN, 1e400, "\ud800", ...: json decides
-                pass
+    for lineno, line, obj in _orjson_lines(path):
+        modality = _add_exact_embedding(store, obj)
         if modality is None:
             obj = _parse_line(path, lineno, line)
             modality = _add_exact_embedding(store, obj)

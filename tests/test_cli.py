@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ctxforge.cli import main
+from ctxforge.intent import MAX_RULE_DEPTH
 from ctxforge.records import EmbeddingRecord, pack_vector_block, save_embeddings_binary
 
 
@@ -326,6 +327,51 @@ class TestRetrieveIntent:
         )
         assert code == 3
         assert "byte" in err
+
+    @pytest.mark.parametrize("construct", ["paren", "not", "exists"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-bound", "past-bound"])
+    def test_nesting_bound(self, scenes, construct, extra):
+        depth = MAX_RULE_DEPTH + extra
+        if construct == "paren":
+            rule = "(" * depth + 'room == "kitchen"' + ")" * depth
+            past = depth - 1  # the opening parenthesis past the bound
+        elif construct == "not":
+            rule = "not " * depth + 'room != "kitchen"'
+            past = 4 * (depth - 1)
+        else:  # the innermost level is the exists
+            rule = "(" * (depth - 1) + 'exists(category == "mug")' + ")" * (depth - 1)
+            past = depth - 1
+        code, out, err = run_cli(
+            ["retrieve", "--mode", "intent", "--metadata", str(scenes), "--rule", rule]
+        )
+        if not extra:
+            assert code == 0
+            assert json.loads(out)["shots"]
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"forge: byte {past}: rule nested deeper than {MAX_RULE_DEPTH} levels\n"
+
+    @pytest.mark.parametrize(
+        "flags, config, key",
+        [
+            (["--taxonomy", ""], {}, "taxonomy"),
+            ([], {"taxonomy": ""}, "taxonomy"),
+            (["--subtask", ""], {}, "subtask"),
+            ([], {"subtask": ""}, "subtask"),
+            (["--episode-id", ""], {}, "episode_id"),
+        ],
+        ids=["flag-taxonomy", "config-taxonomy", "flag-subtask", "config-subtask",
+             "flag-episode-id"],
+    )
+    def test_empty_label_exits_2(self, scenes, tmp_path, flags, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["retrieve", "--mode", "intent", "--metadata", str(scenes), "--rule", "true",
+             "--config", str(cfg), *flags]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"forge: usage error: {key} must be a non-empty string, got ''\n"
 
 
 class TestFilter:
@@ -850,9 +896,12 @@ class TestConfigMerge:
             ([], {"top_n": 2.5}, "top_n"),
             ([], {"beta": 0}, "beta"),
             ([], {"beta": HUGE}, "beta"),
+            (["--taxonomy", ""], {}, "taxonomy"),
+            ([], {"subtask": ""}, "subtask"),
         ],
         ids=["negative-k", "string-k", "bool-k", "string-lambda", "lambda-above-1",
-             "fractional-top-n", "zero-beta", "huge-int-beta"],
+             "fractional-top-n", "zero-beta", "huge-int-beta", "empty-taxonomy",
+             "config-empty-subtask"],
     )
     def test_bad_setting_exits_2(self, fusion_fixture, tmp_path, flags, config, key):
         emb, queries, _ = fusion_fixture

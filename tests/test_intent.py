@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ctxforge.errors import RuleScopeError, RuleSyntaxError, ValidationError
 from ctxforge.intent import (
     And,
     Exists,
+    MAX_RULE_DEPTH,
     FalseRule,
     Not,
     Or,
@@ -22,7 +25,7 @@ from ctxforge.intent import (
     pretty_print,
     retrieve_by_rule,
 )
-from ctxforge.records import Instance, MetadataRecord
+from ctxforge.records import Instance, MetadataRecord, load_metadata
 
 
 def scene(scene_id="s", instances=(), attrs=None):
@@ -164,6 +167,41 @@ def random_rule(rng, depth=0, in_exists=False):
     lo_x, lo_y = rng.uniform(0, 0.5, size=2)
     hi_x, hi_y = rng.uniform(0.5, 1.0, size=2)
     return Within((float(lo_x), float(lo_y), float(hi_x), float(hi_y)))
+
+
+def _nested_rules(depth):
+    """One rule per construct whose parentheses, nots and exists nest ``depth``
+    deep, with the byte offset of the token that opens the deepest level."""
+    inner = 'color == "red"'
+    return [
+        ("(" * depth + inner + ")" * depth, depth - 1),
+        ("not " * depth + inner, 4 * (depth - 1)),
+        ("not " * (depth - 1) + f"exists({inner})", 4 * (depth - 1)),
+    ]
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("index", range(3), ids=["paren", "not", "exists"])
+    def test_at_the_bound(self, index):
+        text, _ = _nested_rules(MAX_RULE_DEPTH)[index]
+        rule = parse_rule(text)
+        assert parse_rule(pretty_print(rule)) == rule
+        meta = scene(instances=[inst(color="red")])
+        assert evaluate(rule, meta) == naive_eval(rule, meta)
+
+    @pytest.mark.parametrize("index", range(3), ids=["paren", "not", "exists"])
+    def test_past_the_bound(self, index):
+        text, offset = _nested_rules(MAX_RULE_DEPTH + 1)[index]
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_rule(text)
+        assert exc.value.offset == offset
+        assert f"nested deeper than {MAX_RULE_DEPTH} levels" in str(exc.value)
+
+    def test_far_past_the_bound(self):
+        # deep enough to exhaust the interpreter's stack without the bound
+        for text, offset in _nested_rules(MAX_RULE_DEPTH + 1)[:2]:
+            with pytest.raises(RuleSyntaxError):
+                parse_rule(text.replace(text[:offset], text[:offset] * 20, 1))
 
 
 def test_random_ast_print_parse_fixpoint():
@@ -429,3 +467,45 @@ RULES = st.recursive(
 @given(RULES, corpora())
 def test_retrieve_by_rule_matches_naive_eval(rule, corpus):
     assert retrieve_by_rule(rule, corpus) == [m.scene_id for m in corpus if naive_eval(rule, m)]
+
+
+# --- the same property over a loaded file, whose lines take either load path ---
+
+# from_json converts ints, bools and numeric strings in a bbox or a score,
+# which the exact path leaves to it; each line holds such a value or not
+COORDS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 0, 1, True, "0.5", "1e-1", -0.0])
+SCORES = st.floats(-1e6, 1e6) | st.sampled_from([3, True, "0.5", 2**64 + 1, 10**25])
+
+
+@st.composite
+def scene_lines(draw, scene_id):
+    """One valid metadata object, exact or one that from_json converts."""
+    def attrs():
+        return st.dictionaries(st.sampled_from(FIELDS[1:]), st.sampled_from(STRING_VALUES),
+                               max_size=3)
+    instances = []
+    for _ in range(draw(st.integers(0, 3))):
+        xs = sorted(draw(st.lists(COORDS, min_size=2, max_size=2)), key=float)
+        ys = sorted(draw(st.lists(COORDS, min_size=2, max_size=2)), key=float)
+        inst = {"category": draw(st.sampled_from(["mug", "bowl", "9", "nan"])),
+                "bbox": [xs[0], ys[0], xs[1], ys[1]]}
+        if draw(st.booleans()):
+            inst["attributes"] = draw(attrs())
+        instances.append(inst)
+    obj = {"scene_id": scene_id, "instances": instances}
+    if draw(st.booleans()):
+        obj["scene_attributes"] = draw(attrs())
+    if draw(st.booleans()):
+        obj["scores"] = draw(st.dictionaries(st.sampled_from(["q", "rel"]), SCORES, max_size=2))
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(RULES, st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*(scene_lines(f"s{i}") for i in range(n)))))
+def test_retrieve_by_rule_over_a_loaded_file_matches_naive_eval(tmp_path_factory, rule, objs):
+    path = tmp_path_factory.mktemp("scenes") / "m.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    records = [MetadataRecord.from_json(o) for o in objs]
+    expected = [m.scene_id for m in records if naive_eval(rule, m)]
+    assert retrieve_by_rule(rule, load_metadata(str(path))) == expected

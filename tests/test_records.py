@@ -31,7 +31,8 @@ from ctxforge.records import (
     SUBTASK_TO_TAXONOMY,
     TAXONOMIES,
     UnknownSubtaskWarning,
-    _exact_metadata,
+    SceneTable,
+    _exact_scene,
     _iter_jsonl,
     load_embeddings,
     load_episodes,
@@ -176,7 +177,7 @@ class TestMetadata:
         ]
         path = tmp_path / "meta.jsonl"
         save_metadata(recs, path)
-        assert load_metadata(path) == recs
+        assert list(load_metadata(path)) == recs
 
     def test_duplicate_scene_id(self, tmp_path):
         rec = MetadataRecord(scene_id="s", instances=(), scene_attributes={}, scores={})
@@ -502,15 +503,55 @@ def test_store_add_after_load(tmp_path):
 # ---------------------------------------------------------------------------
 # one-pass loaders against the plain from_json path
 
+
+class Raw(str):
+    """JSON text that ``_dumps`` writes as it is: what ``json.dumps`` cannot
+    make, such as ``1e400`` or an object with a duplicate key."""
+
+
+def _dumps(obj):
+    """``json.dumps(obj)``, with every ``Raw`` in ``obj`` written as it is."""
+    if isinstance(obj, Raw):
+        return str(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
+    return json.dumps(obj)
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# Values on which orjson and json part ways, beside NaN and Infinity:
+# integers beyond 64 bits (orjson makes floats of them, json ints), literals
+# orjson refuses (1e400, an escaped lone surrogate), duplicate keys (both keep
+# the last value), and nesting too deep for json, which orjson accepts and an
+# extra key or a duplicate key's discarded value can hide.
+BIG_INTS = [2**64, 2**64 + 2048, 2**64 + 2049, -(2**64 + 6144), 10**25, 2**1024 - 2**970]
+ODD_FLOATS = [Raw("1e400"), Raw("-1e400"), Raw("1e-400"), Raw("2.4703282292062328e-324"),
+              -math.inf]
+ODD_STRINGS = [Raw('"\\ud800"'), Raw('"mu\\udc00g"')]
+DEEP = [Raw(_nested(150)), Raw(_nested(1000))]
+ODD_OBJECTS = [
+    Raw('{"color": "red", "color": "big"}'),
+    Raw('{"q": 0.5, "q": 1}'),
+    Raw('{"q": 1, "q": 0.5}'),
+    Raw('{"category": "cup", "bbox": [0.0, 0.0, 1.0, 1.0], "category": "mug"}'),
+    *(Raw(f'{{"category": {d}, "category": "mug", "bbox": [0.0, 0.0, 1.0, 1.0]}}') for d in DEEP),
+    *(Raw(f'{{"category": "mug", "bbox": [0.0, 0.0, 1.0, 1.0], "x": {d}}}') for d in DEEP),
+]
 # Replacements by the type of the value they replace: values from_json
 # converts (ints, bools, numeric strings), values it rejects (NaN, inf,
 # 400-digit ints, null, ...) and values of the right type out of range or order.
 SPOILERS = {
-    float: [0, 1, True, "0.5", "nan", 10**400, math.nan, math.inf, -0.5, 1.5, None, -0.0, 0.75, 1.0],
+    float: [0, 1, True, "0.5", "nan", 10**400, math.nan, math.inf, -0.5, 1.5, None, -0.0, 0.75, 1.0,
+            *BIG_INTS, *ODD_FLOATS],
     int: [True, 1.0, "1", -1, 0, 1, 5, 10**400, None],
-    str: ["", "x", "Perception", "und", "clean", 1, None, ["Perception"]],
-    list: [None, "x", {}, [], [0.5], ["x"]],
-    dict: [None, "x", [], {"a": 1}, {"a": "b"}],
+    str: ["", "x", "Perception", "und", "clean", 1, None, ["Perception"], *ODD_STRINGS],
+    list: [None, "x", {}, [], [0.5], ["x"], *DEEP],
+    dict: [None, "x", [], {"a": 1}, {"a": "b"}, *ODD_OBJECTS],
 }
 REMOVE = object()
 NOT_AN_OBJECT = [None, 1, "x", [], [{"scene_id": "s"}]]
@@ -522,6 +563,8 @@ SCENE_EXAMPLE = {
     "scene_attributes": {"place": "kitchen"},
     "scores": {"q": 0.5},
 }
+# a scene with an extra key nested past orjson's guard
+SCENE_EXAMPLES = [SCENE_EXAMPLE, {**SCENE_EXAMPLE, "x": DEEP[0]}]
 RESULT_EXAMPLES = [
     {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",
      "perturbation": "interference", "shots": [0, 2, 4], "values": [1.0, 2.0, 3.0]},
@@ -585,7 +628,7 @@ SCENE = st.fixed_dictionaries({
     }), max_size=2),
     "scene_attributes": STR_DICT,
     "scores": st.dictionaries(st.sampled_from(["q", "rel"]), st.floats(-1e6, 1e6), max_size=1),
-})
+}, optional={"x": st.sampled_from(DEEP)})
 
 
 @st.composite
@@ -620,7 +663,13 @@ def _plain_load(from_json, key=None):
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    rec = from_json(json.loads(line))
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:
+                    raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
+                try:
+                    rec = from_json(obj)
                 except ValidationError as exc:
                     raise ValidationError(f"{path}: line {lineno}: {exc}") from None
                 if key is not None:
@@ -712,14 +761,14 @@ def _assert_same_store(text, path, normalize):
 
 def _assert_same(objs, load, plain, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(json.dumps(o) + "\n" for o in objs))
+        fh.write("".join(_dumps(o) + "\n" for o in objs))
     assert _outcome(load, path) == _outcome(plain, path), objs
 
 
 @pytest.mark.parametrize(
     "examples, prefix, load, plain",
     [
-        ([SCENE_EXAMPLE], [], load_metadata, PLAIN_METADATA),
+        (SCENE_EXAMPLES, [], lambda p: list(load_metadata(p)), PLAIN_METADATA),
         (RESULT_EXAMPLES, [], load_results, PLAIN_RESULTS),
         # after the prefix, a spoiled id, modality or dim can also collide
         # with a stored id or dim
@@ -745,7 +794,8 @@ def test_each_single_spoil_matches_from_json(tmp_path, examples, prefix, load, p
 @given(st.lists(spoiled(SCENE) | st.sampled_from(NOT_AN_OBJECT), min_size=1, max_size=3))
 def test_load_metadata_matches_from_json(scenes):
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_same(scenes, load_metadata, PLAIN_METADATA, os.path.join(tmp, "m.jsonl"))
+        _assert_same(scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA,
+                     os.path.join(tmp, "m.jsonl"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -774,10 +824,6 @@ def test_load_embeddings_matches_from_json(objs, normalize):
     with tempfile.TemporaryDirectory() as tmp:
         text = "".join(json.dumps(o) + "\n" for o in objs)
         _assert_same_store(text, os.path.join(tmp, "e.jsonl"), normalize)
-
-
-def _nested(depth):
-    return "[" * depth + "]" * depth
 
 
 # Lines on which orjson and json part ways; each must load as json has it.
@@ -841,9 +887,11 @@ def test_line_reader_matches_json_loads(tmp_path, line):
 
 
 def test_exact_types_take_the_one_pass_path():
-    assert _exact_metadata(SCENE_EXAMPLE) == MetadataRecord.from_json(SCENE_EXAMPLE)
+    table = SceneTable()
+    table._append(*_exact_scene(SCENE_EXAMPLE))
+    assert list(table) == [MetadataRecord.from_json(SCENE_EXAMPLE)]
     for row in RESULT_EXAMPLES:
         assert _exact_result(row) == ResultRow.from_json(row)
     # an int where a float belongs goes to from_json, which converts it
-    assert _exact_metadata(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
+    assert _exact_scene(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
     assert _exact_result(dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0])) is None
