@@ -33,7 +33,7 @@ from .records import (
     Demonstration,
     Episode,
     TAXONOMY_ORDER,
-    _iter_jsonl,
+    _read_jsonl,
     is_container,
     is_finite_number,
     load_embeddings,
@@ -55,10 +55,17 @@ def _log(message: str) -> None:
 
 
 def _emit_lines(lines: Sequence[str], out: str | None) -> None:
+    """Write ``lines`` to ``out`` or stdout, or nothing if they are not
+    valid UTF-8 (a string can hold a lone surrogate)."""
     text = "".join(line + "\n" for line in lines)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValidationError(f"data line {line} cannot be written as UTF-8: {exc.reason}") from None
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.write(text)
 
@@ -174,6 +181,7 @@ _SETTINGS = {
     "step": _POSITIVE,
     "tolerance": _POSITIVE,
     "max_shots": _int_at_least(0),
+    "rule": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -184,14 +192,19 @@ def _resolve(flag_value: Any, config: dict[str, Any], key: str, default: Any) ->
 
 def _setting(flag_value: Any, config: dict[str, Any], key: str, default: Any = None) -> Any:
     """Resolve ``key`` and exit 2 naming it when the value breaks its rule in
-    ``_SETTINGS``.  A setting whose default is ``None`` may stay unset.
-    Flag-only settings pass an empty config."""
+    ``_SETTINGS`` or is text that is not UTF-8.  A setting whose default is
+    ``None`` may stay unset.  Flag-only settings pass an empty config."""
     value = _resolve(flag_value, config, key, default)
     if value is None and default is None:
         return None
     what, valid = _SETTINGS[key]
     if not valid(value):
         raise UsageError(f"{key} must be {what}, got {value!r}")
+    if isinstance(value, str):  # a lone surrogate: Python's decoding of non-UTF-8 argv bytes
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise UsageError(f"{key} must be UTF-8 text, got {value!r}") from None
     return value
 
 
@@ -216,16 +229,20 @@ def _stub_demo(item_id: str) -> Demonstration:
 
 
 def _read_query_ids(path: str) -> list[str]:
-    ids: list[str] = []
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
+    ids: dict[str, None] = {}
+
+    def query_id(obj: Any) -> str:  # names no number in an error, so takes orjson's value
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
-            raise ValidationError(f"{path}: line {lineno}: expected an object with a non-empty 'id'")
-        if obj["id"] in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate query id {obj['id']!r}")
-        seen.add(obj["id"])
-        ids.append(obj["id"])
-    return ids
+            raise ValidationError("expected an object with a non-empty 'id'")
+        return obj["id"]
+
+    def add(lineno: int, qid: str) -> None:
+        if qid in ids:
+            raise ValidationError(f"duplicate query id {qid!r}")
+        ids[qid] = None
+
+    _read_jsonl(path, query_id, query_id, add)
+    return list(ids)
 
 
 # The taxonomy and subtask of the episodes each retrieve mode emits by default.
@@ -316,7 +333,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             raise UsageError("retrieve --mode intent requires --metadata")
         if args.rule is None and not args.rule_file:
             raise UsageError("retrieve --mode intent requires --rule or --rule-file")
-        rule_text = args.rule
+        rule_text = _setting(args.rule, {}, "rule")
         if rule_text is None:
             rule_text = _read_text(args.rule_file).strip()
         rule = intent.parse_rule(rule_text)
@@ -445,24 +462,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.report == "align":
         groups: dict[str, tuple[list[float], list[float]]] = {}
-        for lineno, obj in _iter_jsonl(args.results):
+
+        def pair(obj: Any) -> tuple[str, float, float]:
             if not isinstance(obj, dict):
-                raise ValidationError(f"{args.results}: line {lineno}: expected an object")
+                raise ValidationError("expected an object")
             task = obj.get("task", "all")
             if not isinstance(task, str):
-                raise ValidationError(
-                    f"{args.results}: line {lineno}: task must be a string, got {task!r}"
-                )
+                raise ValidationError(f"task must be a string, got {task!r}")
             try:
-                x = float(obj[args.x_field])
-                y = float(obj[args.y_field])
+                return task, float(obj[args.x_field]), float(obj[args.y_field])
             except (KeyError, TypeError, ValueError, OverflowError):
                 raise ValidationError(
-                    f"{args.results}: line {lineno}: needs numeric "
-                    f"{args.x_field!r} and {args.y_field!r}"
+                    f"needs numeric {args.x_field!r} and {args.y_field!r}"
                 ) from None
-            groups.setdefault(task, ([], []))[0].append(x)
-            groups[task][1].append(y)
+
+        def exact_pair(obj: Any) -> tuple[str, float, float] | None:
+            # an error names json's value of a task, not orjson's
+            return pair(obj) if type(obj) is not dict or type(obj.get("task", "")) is str else None
+
+        def add_pair(lineno: int, fields: tuple[str, float, float]) -> None:
+            task, x, y = fields
+            xs, ys = groups.setdefault(task, ([], []))
+            xs.append(x)
+            ys.append(y)
+
+        _read_jsonl(args.results, exact_pair, pair, add_pair)
         rows = [
             {"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
              "spearman": metrics.spearman(xs, ys)}
@@ -503,20 +527,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # human study outcomes
     by_metric: dict[str, list[str]] = {}
     pooled: list[str] = []
-    for lineno, obj in _iter_jsonl(args.results):
+
+    def judgment(obj: Any) -> tuple[str, str]:
         if not isinstance(obj, dict) or "outcome" not in obj:
-            raise ValidationError(f"{args.results}: line {lineno}: expected an 'outcome' field")
+            raise ValidationError("expected an 'outcome' field")
         metric = obj.get("metric", "all")
         if not isinstance(metric, str):
-            raise ValidationError(
-                f"{args.results}: line {lineno}: metric must be a string, got {metric!r}"
-            )
+            raise ValidationError(f"metric must be a string, got {metric!r}")
         if metric == "Overall":
-            raise ValidationError(
-                f"{args.results}: line {lineno}: metric 'Overall' is reserved for the pooled row"
-            )
-        by_metric.setdefault(metric, []).append(obj["outcome"])
-        pooled.append(obj["outcome"])
+            raise ValidationError("metric 'Overall' is reserved for the pooled row")
+        outcome = obj["outcome"]
+        if outcome not in ("win", "tie", "lose"):  # indexed as in the pooled outcomes
+            raise ValidationError(f"outcomes[{len(pooled)}] = {outcome!r} not win/tie/lose")
+        return metric, outcome
+
+    def exact_judgment(obj: Any) -> tuple[str, str] | None:
+        # an error names json's value of a metric or outcome, not orjson's
+        if type(obj) is dict and type(obj.get("metric", "")) is type(obj.get("outcome")) is str:
+            return judgment(obj)
+        return None
+
+    def add_judgment(lineno: int, fields: tuple[str, str]) -> None:
+        metric, outcome = fields
+        by_metric.setdefault(metric, []).append(outcome)
+        pooled.append(outcome)
+
+    _read_jsonl(args.results, exact_judgment, judgment, add_judgment)
     if not pooled:
         raise ValidationError(f"{args.results}: no outcomes")
     rows = []

@@ -15,7 +15,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .records import ShotCurve, TAXONOMIES, _iter_jsonl, _unchecked
+from .records import ShotCurve, TAXONOMIES, _read_jsonl, _unchecked
 
 PERTURBATION_KINDS = ("random_replace", "reverse_order", "interference")
 RESULT_MODALITIES = ("und", "gen")
@@ -270,15 +270,8 @@ class ResultRow:
 
 
 def load_results(path: str) -> list[ResultRow]:
-    rows = []
-    for lineno, obj in _iter_jsonl(path):
-        row = _exact_result(obj)
-        if row is None:
-            try:
-                row = ResultRow.from_json(obj)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-        rows.append(row)
+    rows: list[ResultRow] = []
+    _read_jsonl(path, _exact_result, ResultRow.from_json, lambda lineno, row: rows.append(row))
     return rows
 
 

@@ -33,7 +33,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -501,23 +501,11 @@ class ShotCurve:
 # JSONL plumbing
 
 
-# ``json.loads`` skips leading whitespace and rejects trailing data around this
-# same call; a line that needs neither is decoded in one scan.
-_RAW_DECODE = json.JSONDecoder().raw_decode
-
-
-def _decode_line(line: str) -> Any:
-    """``json.loads(line)``.  A line holding one value followed by nothing
-    but JSON whitespace is decoded by ``raw_decode`` alone; any other line
-    goes to ``json.loads``, so its value or error is json's own."""
-    try:
-        obj, end = _RAW_DECODE(line)
-    except ValueError:
-        pass
-    else:
-        if not line[end:].strip(" \t\n\r"):
-            return obj
-    return json.loads(line)
+# orjson returns json's doubles several times faster.  It also accepts
+# nesting too deep for json, which an extra key or a duplicated key's
+# discarded value can hide, so it only reads lines holding at most this many
+# "{" and "[" together: far below the interpreter's recursion limit.
+_ORJSON_MAX_BRACKETS = 128
 
 
 def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -531,50 +519,45 @@ def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
             raise ValidationError(f"{path}: not valid UTF-8 text") from None
 
 
-def _parse_line(path: str, lineno: int, line: str) -> Any:
-    """``_decode_line(line)``, with any parse failure raised as a
-    ``ValidationError`` naming the file and line."""
-    try:
-        return _decode_line(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-        raise ValidationError(f"{path}: line {lineno}: parse error: {exc}") from None
-
-
-# orjson returns json's doubles several times faster.  It also accepts
-# nesting too deep for json, which an extra key or a duplicated key's
-# discarded value can hide, so it only reads lines holding at most this many
-# "{" and "[" together: far below the interpreter's recursion limit.
-_ORJSON_MAX_BRACKETS = 128
-
-
-def _orjson_lines(path: str) -> Iterator[tuple[int, str, Any]]:
-    """``_iter_lines(path)``, each line with orjson's value of it, or with
-    ``None`` for a line orjson refuses (NaN, ``1e400``, an escaped lone
-    surrogate, ...) or may not read; ``json`` decides those.  orjson makes
-    floats of integers beyond 64 bits, so a caller takes its value only where
-    such a float means what ``json``'s int would."""
-    import orjson  # here, not at the top: only the metadata and embedding loaders need it
+def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any], Any],
+                add: Callable[[int, Any], None]) -> None:
+    """Call ``add(lineno, fields)`` for each line of the JSONL file at
+    ``path``.  ``fields`` is ``exact`` of orjson's value of the line; where
+    orjson refuses the line or ``exact`` returns ``None``, it is ``exact``,
+    or else ``convert``, of json's value.  orjson refuses what only json
+    reads (NaN, ``1e400``, an escaped lone surrogate, ...) and makes floats
+    of integers beyond 64 bits, so ``exact`` takes its value only where it
+    means what json's would, and raises no error that tells the two apart.
+    A ``ValidationError`` from ``exact``, ``convert`` or ``add`` is raised
+    again naming the file and line."""
+    import orjson  # here, not at the top: ``import ctxforge.cli`` must not load it
 
     for lineno, line in _iter_lines(path):
-        obj = None
-        # ``find`` scans a long line several times faster than ``count``, so
-        # a line with at most one of each (an embedding) is settled without counting
-        if (
-            line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0
-            or line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS
-        ):
-            try:
-                obj = orjson.loads(line)
-            except orjson.JSONDecodeError:
-                pass
-        yield lineno, line, obj
-
-
-def _iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    for lineno, line in _iter_lines(path):
-        yield lineno, _parse_line(path, lineno, line)
+        try:
+            fields = None
+            # ``find`` scans a long line several times faster than ``count``, so
+            # a line with at most one of each (an embedding) is settled without counting
+            if (
+                line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0
+                or line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS
+            ):
+                try:
+                    fields = exact(orjson.loads(line))
+                except orjson.JSONDecodeError:
+                    pass
+            if fields is None:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"parse error: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                    raise ValidationError(f"parse error: {exc}") from None
+                fields = exact(obj)
+                if fields is None:
+                    fields = convert(obj)
+            add(lineno, fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
 
 
 def _write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
@@ -590,25 +573,20 @@ def load_episodes(path: str, max_shots: int = DEFAULT_MAX_SHOTS) -> list[Episode
     ``max_shots`` is the explicit override for the default shot-count ceiling
     of 8.  Duplicate ``episode_id`` values are rejected.
     """
-    episodes: list[Episode] = []
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            ep = Episode.from_json(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    episodes: dict[str, Episode] = {}
+
+    def add(lineno: int, ep: Episode) -> None:
         if len(ep.shots) > max_shots:
             raise ValidationError(
-                f"{path}: line {lineno}: episode.shots: shot count out of range "
-                f"(got {len(ep.shots)}, max {max_shots})"
+                f"episode.shots: shot count out of range (got {len(ep.shots)}, max {max_shots})"
             )
-        if ep.episode_id in seen:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate episode_id {ep.episode_id!r}"
-            )
-        seen.add(ep.episode_id)
-        episodes.append(ep)
-    return episodes
+        if ep.episode_id in episodes:
+            raise ValidationError(f"duplicate episode_id {ep.episode_id!r}")
+        episodes[ep.episode_id] = ep
+
+    # ``from_json`` names no number in an error, so it may take orjson's value
+    _read_jsonl(path, Episode.from_json, Episode.from_json, add)
+    return list(episodes.values())
 
 
 def save_episodes(episodes: Iterable[Episode], path: str) -> None:
@@ -733,22 +711,15 @@ def load_metadata(path: str) -> SceneTable:
     are rejected."""
     table = SceneTable()
     seen: set[str] = set()
-    for lineno, line, obj in _orjson_lines(path):
-        fields = _exact_scene(obj)
-        if fields is None:
-            obj = _parse_line(path, lineno, line)
-            fields = _exact_scene(obj)
-        if fields is None:
-            try:
-                rec = MetadataRecord.from_json(obj)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            fields = _record_fields(rec)
+
+    def add(lineno: int, fields: tuple[str, list, dict, dict]) -> None:
         scene_id = fields[0]
         if scene_id in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate scene_id {scene_id!r}")
+            raise ValidationError(f"duplicate scene_id {scene_id!r}")
         seen.add(scene_id)
         table._append(*fields)
+
+    _read_jsonl(path, _exact_scene, lambda obj: _record_fields(MetadataRecord.from_json(obj)), add)
     return table
 
 
@@ -934,7 +905,7 @@ def load_embeddings(path: str, normalize: bool = False) -> EmbeddingStore:
     # row keeps its line or record number to report; an error found while
     # reading is raised only after the rows before it pass those checks.
     positions = {m: array("q") for m in EMBEDDING_MODALITIES}
-    unit, read = ("record", _read_container) if is_container(path) else ("line", _read_jsonl)
+    unit, read = ("record", _read_container) if is_container(path) else ("line", _read_embedding_lines)
     try:
         read(store, path, positions)
     except ValidationError:
@@ -961,20 +932,18 @@ def _read_container(store: EmbeddingStore, path: str, positions: dict[str, array
         positions["visual"].append(i)
 
 
-def _read_jsonl(store: EmbeddingStore, path: str, positions: dict[str, array]) -> None:
-    for lineno, line, obj in _orjson_lines(path):
-        modality = _add_exact_embedding(store, obj)
-        if modality is None:
-            obj = _parse_line(path, lineno, line)
-            modality = _add_exact_embedding(store, obj)
-        if modality is None:  # from_json converts what float takes, or says what is wrong
-            try:
-                rec = EmbeddingRecord.from_json(obj)
-                store.add(rec)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            modality = rec.modality
-        positions[modality].append(lineno)
+def _read_embedding_lines(store: EmbeddingStore, path: str, positions: dict[str, array]) -> None:
+    def convert(obj: Any) -> str:  # from_json converts what float takes, or says what is wrong
+        rec = EmbeddingRecord.from_json(obj)
+        store.add(rec)
+        return rec.modality
+
+    _read_jsonl(
+        path,
+        lambda obj: _add_exact_embedding(store, obj),
+        convert,
+        lambda lineno, modality: positions[modality].append(lineno),
+    )
 
 
 def _add_exact_embedding(store: EmbeddingStore, obj: Any) -> str | None:

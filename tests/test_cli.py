@@ -373,6 +373,36 @@ class TestRetrieveIntent:
         assert (code, out) == (2, "")
         assert err == f"forge: usage error: {key} must be a non-empty string, got ''\n"
 
+    @pytest.mark.parametrize(
+        "flags, config, key",
+        [
+            # Python decodes argv bytes that are not UTF-8 to lone surrogates
+            (["--taxonomy", "\udcff"], {}, "taxonomy"),
+            ([], {"taxonomy": "\ud800"}, "taxonomy"),
+            (["--subtask", "x\udcff"], {}, "subtask"),
+            ([], {"subtask": "x\ud800"}, "subtask"),
+            (["--episode-id", "\udcff"], {}, "episode_id"),
+            (["--rule", 'room == "\udcff"'], {}, "rule"),
+        ],
+        ids=["flag-taxonomy", "config-taxonomy", "flag-subtask", "config-subtask",
+             "flag-episode-id", "flag-rule"],
+    )
+    def test_text_that_is_not_utf8_exits_2(self, scenes, tmp_path, flags, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["retrieve", "--mode", "intent", "--metadata", str(scenes), "--config", str(cfg)]
+        code, out, err = run_cli([*argv, *(["--rule", "true"] if key != "rule" else []), *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"forge: usage error: {key} must be UTF-8 text, got ")
+
+    def test_out_path_need_not_be_utf8(self, scenes, tmp_path):
+        out_file = str(tmp_path / "\udcff.out")
+        code, out, _ = run_cli(["retrieve", "--mode", "intent", "--metadata", str(scenes),
+                                "--rule", "true", "--out", out_file])
+        assert (code, out) == (0, "")
+        with open(out_file, encoding="utf-8") as fh:
+            assert len(json.loads(fh.read())["shots"]) == 2
+
 
 class TestFilter:
     def test_bounds_and_counts(self, tmp_path):
@@ -391,6 +421,21 @@ class TestFilter:
         kept = [json.loads(line)["scene_id"] for line in out.splitlines()]
         assert kept == ["b", "c"]  # closed interval keeps both endpoints
         assert "kept=2" in err and "missing_field=1" in err
+
+    def test_lone_surrogate_in_data_exits_3_writing_nothing(self, tmp_path):
+        # json reads an escaped lone surrogate, which no UTF-8 stream can carry
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"scene_id": "a", "scores": {"q": 1.0}}\n'
+                        '{"scene_id": "s\\ud800", "scores": {"q": 1.0}}\n')
+        out_file = tmp_path / "out.jsonl"
+        argv = ["filter", "--metadata", str(path), "--score-field", "q"]
+        code, out, err = run_cli([*argv, "--out", str(out_file)])
+        assert (code, out) == (3, "")
+        assert "data line 2 cannot be written as UTF-8: surrogates not allowed" in err
+        assert not out_file.exists()
+        proc = run_proc(argv)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "forge: data line 2 cannot be written as UTF-8: surrogates not allowed\n"
 
 
 class TestEval:
@@ -476,6 +521,15 @@ class TestEval:
         code, out, err = run_cli(["eval", "human", "--results", str(path)])
         assert (code, out) == (3, "")
         assert f"{path}: line 2: metric 'Overall' is reserved for the pooled row" in err
+
+    def test_human_bad_outcome_names_file_and_line(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text('{"outcome": "win", "metric": "a"}\n{"outcome": "tie", "metric": "b"}\n'
+                        '{"outcome": 18446744073709551616, "metric": "b"}\n')
+        code, out, err = run_cli(["eval", "human", "--results", str(path)])
+        assert (code, out) == (3, "")
+        assert err == (f"forge: {path}: line 3: "
+                       "outcomes[2] = 18446744073709551616 not win/tie/lose\n")
 
     def test_non_finite_value_exits_4_naming_report_and_field(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -595,6 +649,80 @@ def test_unparseable_number_or_nesting_exits_3(tmp_path, text, message):
     code, out, err = run_cli(["validate", "--metadata", str(path)])
     assert (code, out) == (3, "")
     assert f"{path}: line 1: {message}" in err
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# JSON text on which orjson and json part ways: integers beyond 64 bits
+# (orjson makes floats of them), what orjson refuses and json reads, and
+# nesting too deep for json, which orjson accepts
+DIVERGENT_VALUES = {
+    "20-digits": str(2**64),
+    "309-digits": str(10**308),
+    "309-digits-past-max": str(2**1024 - 2**970),
+    "310-digits": str(10**309),
+    "1e400": "1e400",
+    "nan": "NaN",
+    "minus-infinity": "-Infinity",
+    "lone-surrogate": '"\\ud800"',
+}
+# each reader's file: three valid lines, as (key, JSON value) pairs
+READER_LINES = {
+    "queries": [[("id", '"it3"')], [("id", '"it0"')], [("id", '"it5"')]],
+    "align": [[("task", '"t"'), ("primary", str(x)), ("auxiliary", str(y))]
+              for x, y in ((1.0, 2.0), (2.0, 1.0), (3.0, 5.0))],
+    "human": [[("metric", '"m"'), ("outcome", o)] for o in ('"win"', '"tie"', '"lose"')],
+}
+
+
+def _divergent_cases():
+    for reader, lines in READER_LINES.items():
+        pairs = lines[1]
+        for key, good in pairs:
+            others = [p for p in pairs if p[0] != key]
+            for name, value in DIVERGENT_VALUES.items():
+                yield f"{reader}-{key}-{name}", reader, [(key, value), *others]
+            # duplicate keys: both decoders keep the last value
+            yield f"{reader}-{key}-duplicate-kept", reader, [(key, good), *others, (key, '"x"')]
+            yield f"{reader}-{key}-duplicate-dropped", reader, [(key, '"x"'), *others, (key, good)]
+        for depth in (150, 990, 1000, 1100):
+            nested = _nested(depth)
+            yield f"{reader}-nested-{depth}-extra-key", reader, [*pairs, ("x", nested)]
+            key, good = pairs[0]
+            yield (f"{reader}-nested-{depth}-duplicate-key", reader,
+                   [(key, nested), *pairs[1:], (key, good)])
+
+
+DIVERGENT_CASES = list(_divergent_cases())
+
+
+@pytest.mark.parametrize("reader, spoiled", [c[1:] for c in DIVERGENT_CASES],
+                         ids=[c[0] for c in DIVERGENT_CASES])
+def test_cli_readers_match_a_json_only_run(tmp_path, monkeypatch, reader, spoiled):
+    import orjson
+
+    lines = [*READER_LINES[reader][:1], spoiled, *READER_LINES[reader][2:]]
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join("{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}\n"
+                            for pairs in lines))
+    if reader == "queries":
+        store = tmp_path / "e.jsonl"
+        store.write_text("".join(
+            json.dumps({"id": f"it{i}", "modality": m, "dim": 2, "values": [1.0, i]}) + "\n"
+            for i in range(6) for m in ("visual", "text")
+        ))
+        argv = ["retrieve", "--mode", "fusion", "--embeddings", str(store), "--queries", str(path)]
+    else:
+        argv = ["eval", reader, "--results", str(path)]
+    got = run_cli(argv)
+
+    def refuse(line):
+        raise orjson.JSONDecodeError("refused", line, 0)
+
+    monkeypatch.setattr(orjson, "loads", refuse)  # every line then goes to json.loads
+    assert got == run_cli(argv)
 
 
 GOLDEN_FILES = {

@@ -33,7 +33,7 @@ from ctxforge.records import (
     UnknownSubtaskWarning,
     SceneTable,
     _exact_scene,
-    _iter_jsonl,
+    _read_jsonl,
     load_embeddings,
     load_episodes,
     load_metadata,
@@ -571,6 +571,16 @@ RESULT_EXAMPLES = [
     {"model": "m", "task": "t", "taxonomy": "Analogy", "modality": "gen",
      "perturbation": "clean", "shots": [1], "values": [0.5]},
 ]
+EPISODE_EXAMPLES = [
+    {"episode_id": "e1", "taxonomy": "Perception", "subtask": "Visual Grounding",
+     "shots": [{"id": "d1", "image_ref": "i1", "instruction": "point", "output": {"text": "left"}},
+               {"id": "d2", "instruction": "point", "output": {"image_ref": "o2"}}],
+     "query": {"id": "q", "image_ref": "iq", "instruction": "point"},
+     "gold": {"text": "right"}},
+    # an extra key nested past orjson's guard
+    {"episode_id": "e2", "taxonomy": "Conception", "subtask": "Fast Concept Mapping",
+     "shots": [], "query": {"id": "q", "instruction": "map"}, "x": DEEP[0]},
+]
 EMBEDDING_PREFIX = [
     {"id": "p", "modality": "visual", "dim": 2, "values": [1.0, 0.0]},
     {"id": "p", "modality": "text", "dim": 3, "values": [0.0, 1.0, 0.0]},
@@ -685,6 +695,7 @@ def _plain_load(from_json, key=None):
 
 PLAIN_METADATA = _plain_load(MetadataRecord.from_json, "scene_id")
 PLAIN_RESULTS = _plain_load(ResultRow.from_json)
+PLAIN_EPISODES = _plain_load(Episode.from_json, "episode_id")
 
 
 def _fsum_normalized(rec):
@@ -770,12 +781,13 @@ def _assert_same(objs, load, plain, path):
     [
         (SCENE_EXAMPLES, [], lambda p: list(load_metadata(p)), PLAIN_METADATA),
         (RESULT_EXAMPLES, [], load_results, PLAIN_RESULTS),
+        (EPISODE_EXAMPLES, [], load_episodes, PLAIN_EPISODES),
         # after the prefix, a spoiled id, modality or dim can also collide
         # with a stored id or dim
         (EMBEDDING_EXAMPLES, EMBEDDING_PREFIX, _store_view(load_embeddings),
          _store_view(PLAIN_EMBEDDINGS)),
     ],
-    ids=["metadata", "results", "embeddings"],
+    ids=["metadata", "results", "episodes", "embeddings"],
 )
 def test_each_single_spoil_matches_from_json(tmp_path, examples, prefix, load, plain):
     path = tmp_path / "records.jsonl"
@@ -879,11 +891,32 @@ def test_line_reader_matches_json_loads(tmp_path, line):
         expected = f"{path}: line 1: parse error: {exc.msg}"
     except (ValueError, RecursionError) as exc:
         expected = f"{path}: line 1: parse error: {exc}"
+    got = []
     try:
-        got = list(_iter_jsonl(str(path)))
+        # orjson's value is taken for an object, json's for anything else
+        _read_jsonl(str(path), lambda obj: obj if type(obj) is dict else None, lambda obj: obj,
+                    lambda lineno, obj: got.append((lineno, obj)))
     except ValidationError as exc:
         got = str(exc)
     assert got == expected
+
+
+def test_unknown_subtask_warns_once_per_episode_line(tmp_path):
+    # orjson reads line 1 and refuses line 2 (an escaped lone surrogate);
+    # line 3 fails after its warning
+    ep = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "x", "shots": [],
+          "query": {"id": "q", "instruction": "i"}}
+    lines = [ep, {**ep, "episode_id": "e2", "gold": {"text": "\ud800"}},
+             {**ep, "episode_id": "e3", "shots": [{"id": "d", "instruction": "i"}] * 2}]
+    path = tmp_path / "e.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=r"line 3: episode: shots\[1\]\.id: duplicate id 'd'"):
+            load_episodes(str(path))
+    assert [str(w.message) for w in caught] == [
+        f"episode 'e{i}': unknown subtask 'x'" for i in (1, 2, 3)
+    ]
 
 
 def test_exact_types_take_the_one_pass_path():

@@ -59,6 +59,43 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
 
 
+# Each function allowed to decode JSON: the one JSONL reader, which keeps
+# orjson's and json's values of a line apart, and two readers of one JSON
+# document (a config file, a parameter file's manifest line).
+JSON_DECODE_SITES = {("records.py", "_read_jsonl"), ("cli.py", "_load_config"),
+                     ("capm.py", "load_params")}
+JSON_DECODERS = {"load", "loads", "JSONDecoder"}
+
+
+def _json_decodes(path: Path) -> list[tuple[str | None, int]]:
+    """(outermost function or None, line) of each use of a json or orjson decoder."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if child.value.id in ("json", "orjson") and child.attr in JSON_DECODERS:
+                    found.append((func, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and child.module in ("json", "orjson"):
+                if any(alias.name in JSON_DECODERS for alias in child.names):
+                    found.append((func, child.lineno))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, func or (child.name if is_func else None))
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return found
+
+
+def test_json_is_decoded_only_where_allowed():
+    stray = [
+        f"{path.relative_to(ROOT).as_posix()}:{lineno} (in {func})"
+        for path in sorted((ROOT / "src" / "ctxforge").rglob("*.py"))
+        for func, lineno in _json_decodes(path)
+        if (path.name, func) not in JSON_DECODE_SITES
+    ]
+    assert not stray, f"JSON decoded outside records._read_jsonl: {stray}"
+
+
 def _bench_tracing():
     import importlib.util
 
