@@ -32,9 +32,12 @@ with a token mask, and every demo-side stage runs once over that batch
    initialization and ``b2`` starts at a positive constant, so a fresh module
    is a near-identity: ``Y' = sigmoid(b2) * Y`` regardless of demos.
 
-Everything is float64 numpy.  ``capm_backward`` computes exact reverse-mode
-gradients for every parameter and for the inputs ``h``, ``y``, and the demo
-tokens; ``gradient_check`` verifies them against central finite differences.
+Everything is float64 numpy.  The stages are one ordered list, ``_STAGES``:
+``capm_forward`` runs it, ``capm_backward`` walks it in reverse for exact
+gradients of every parameter and of the inputs ``h``, ``y`` and the demo
+tokens, and ``gradient_check`` verifies them against central finite
+differences, re-running a perturbed forward from the first stage that reads
+the perturbed tensor.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -428,11 +431,9 @@ def _check_demo(tokens, segments, hyper: CapmHyper) -> tuple[np.ndarray, np.ndar
     return tok, is_user
 
 
-def _stack_demos(demos, hyper: CapmHyper):
-    """Check each demo, then zero-pad them into one ``(N, L_max, d_b)`` batch.
-
-    Returns the tokens plus two ``(N, L_max)`` masks: ``valid`` marks real
-    tokens, ``user`` marks the user-segment ones."""
+def _encode_forward(demos, params: CapmParams, hyper: CapmHyper):
+    """Check each demo, zero-pad them into one ``(N, L_max, d_b)`` batch with
+    ``valid`` and ``user`` token masks, and read it into ``(N, K + 2, d_p)`` slots."""
     checked = [_check_demo(tokens, segments, hyper) for tokens, segments in demos]
     lengths = np.array([len(is_user) for _, is_user in checked])
     valid = np.arange(lengths.max()) < lengths[:, None]
@@ -440,11 +441,6 @@ def _stack_demos(demos, hyper: CapmHyper):
     user = np.zeros(valid.shape, dtype=bool)
     tokens[valid] = np.concatenate([tok for tok, _ in checked])
     user[valid] = np.concatenate([is_user for _, is_user in checked])
-    return tokens, valid, user
-
-
-def _encode_forward(tokens, valid, user, params: CapmParams, hyper: CapmHyper):
-    """``(N, L, d_b)`` padded demos -> ``(N, K + 2, d_p)`` slots."""
     mask = np.repeat(valid[:, None], hyper.K + 2, axis=1)
     mask[:, 0] &= user  # c_in reads the user segment only
     mask[:, 1] &= ~user  # c_out reads the assistant segment only
@@ -453,11 +449,11 @@ def _encode_forward(tokens, valid, user, params: CapmParams, hyper: CapmHyper):
         queries, tokens @ params.w_in,
         params.enc_wq, params.enc_wk, params.enc_wv, params.enc_wo, hyper.heads, mask,
     )
-    return slots, (tokens, mha_cache)
+    return (slots,), (tokens, lengths, mha_cache)
 
 
-def _encode_backward(d_slots, cache, params: CapmParams, grads: dict[str, np.ndarray]):
-    tokens, mha_cache = cache
+def _encode_backward(d_slots, cache, params: CapmParams, grads, hyper: CapmHyper):
+    tokens, lengths, mha_cache = cache
     dq_rows, dxp, dwq, dwk, dwv, dwo = _mha_backward(d_slots, mha_cache)
     grads["queries"] += dq_rows.sum(axis=0)
     grads["enc_wq"] += dwq
@@ -465,7 +461,8 @@ def _encode_backward(d_slots, cache, params: CapmParams, grads: dict[str, np.nda
     grads["enc_wv"] += dwv
     grads["enc_wo"] += dwo
     grads["w_in"] += _flat(tokens).T @ _flat(dxp)
-    return dxp @ params.w_in.T  # d tokens, zero on padding
+    d_tok = dxp @ params.w_in.T  # zero on padding
+    return ([d_tok[i, :length] for i, length in enumerate(lengths)],)
 
 
 def _modulate_forward(slots, params: CapmParams, hyper: CapmHyper):
@@ -487,7 +484,7 @@ def _modulate_forward(slots, params: CapmParams, hyper: CapmHyper):
     s = np.einsum("nrd,nd->nr", b, g)
     z = g + hyper.eta * np.einsum("nr,nrd->nd", alpha * s, a)
     cache = (slots, rms_cache, ln_cache, phi, pre1, hid, u, v, alpha, a, b, s, g)
-    return z, cache
+    return (z,), cache
 
 
 def _modulate_backward(dz, cache, params: CapmParams, grads, hyper: CapmHyper):
@@ -522,7 +519,7 @@ def _modulate_backward(dz, cache, params: CapmParams, grads, hyper: CapmHyper):
     dcn = np.broadcast_to(dg[:, None] / hyper.K, d_slots[:, 2:].shape)
     d_slots[:, 2:], drms_gain = _rms_backward(dcn, rms_cache)
     grads["rms_gain"] += drms_gain
-    return d_slots
+    return (d_slots,)
 
 
 def _interact_forward(z_rows, params: CapmParams, hyper: CapmHyper):
@@ -531,10 +528,10 @@ def _interact_forward(z_rows, params: CapmParams, hyper: CapmHyper):
         ln[None], ln[None], params.int_wq, params.int_wk, params.int_wv, params.int_wo,
         hyper.heads,
     )
-    return z_rows + attn[0], (ln_cache, mha_cache)
+    return (z_rows + attn[0],), (ln_cache, mha_cache)
 
 
-def _interact_backward(dzhat, cache, params: CapmParams, grads):
+def _interact_backward(dzhat, cache, params: CapmParams, grads, hyper: CapmHyper):
     ln_cache, mha_cache = cache
     dq_rows, dkv_rows, dwq, dwk, dwv, dwo = _mha_backward(dzhat[None], mha_cache)
     grads["int_wq"] += dwq
@@ -544,7 +541,7 @@ def _interact_backward(dzhat, cache, params: CapmParams, grads):
     dz, dgain, dbias = _ln_backward(dq_rows[0] + dkv_rows[0], ln_cache)
     grads["int_ln_gain"] += dgain
     grads["int_ln_bias"] += dbias
-    return dzhat + dz
+    return (dzhat + dz,)
 
 
 def _bank_forward(z_hat, slots, params: CapmParams, hyper: CapmHyper):
@@ -554,10 +551,10 @@ def _bank_forward(z_hat, slots, params: CapmParams, hyper: CapmHyper):
     kind = np.array([_KIND_Z, _KIND_C_IN, _KIND_C_OUT] + [_KIND_CONTEXT] * hyper.K)
     cal = raw * params.cal_scale[kind] + params.cal_shift[kind]
     bank, l2_cache = _l2rows_forward(cal, "bank: zero-norm row after calibration")
-    return bank.reshape(-1, hyper.d_p), (raw, kind, l2_cache)
+    return (bank.reshape(-1, hyper.d_p),), (raw, kind, l2_cache)
 
 
-def _bank_backward(dbank, cache, params: CapmParams, grads):
+def _bank_backward(dbank, cache, params: CapmParams, grads, hyper: CapmHyper):
     raw, kind, l2_cache = cache
     dcal = _l2rows_backward(dbank.reshape(raw.shape), l2_cache)
     np.add.at(grads["cal_scale"], kind, (dcal * raw).sum(axis=0))
@@ -605,7 +602,7 @@ def _route_backward(dcontext, cache, params: CapmParams, grads, hyper: CapmHyper
     return dh, dbank, d_zhat
 
 
-def _gate_forward(h, context, y, params: CapmParams):
+def _gate_forward(h, context, y, params: CapmParams, hyper: CapmHyper):
     lnh, ln_cache = _ln_forward(h, params.gate_ln_gain, params.gate_ln_bias)
     xg = np.concatenate([lnh, context], axis=1)
     pre1 = xg @ params.gate_w1 + params.gate_b1
@@ -613,10 +610,10 @@ def _gate_forward(h, context, y, params: CapmParams):
     pre2 = hid @ params.gate_w2 + params.gate_b2
     m = expit(pre2)
     y_prime = y * m
-    return y_prime, m, (ln_cache, xg, pre1, hid, m, y, h.shape[1])
+    return (y_prime, m), (ln_cache, xg, pre1, hid, m, y, h.shape[1])
 
 
-def _gate_backward(dyp, cache, params: CapmParams, grads):
+def _gate_backward(dyp, cache, params: CapmParams, grads, hyper: CapmHyper):
     ln_cache, xg, pre1, hid, m, y, d_b = cache
     dy = dyp * m
     dm = dyp * y
@@ -637,7 +634,60 @@ def _gate_backward(dyp, cache, params: CapmParams, grads):
 
 
 # ---------------------------------------------------------------------------
-# composed forward / backward
+# the stage list: forward, backward and the gradient check all run it
+
+
+class _Stage(NamedTuple):
+    """``forward(*reads, params, hyper) -> (writes, cache)``; ``backward(d writes[0],
+    cache, params, grads, hyper) -> d reads``: only the first write has a gradient."""
+
+    name: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    params: tuple[str, ...]
+    forward: Callable
+    backward: Callable
+
+
+# in order; the inputs are ``demos``, ``h`` and ``y``; the rest fill ``CapmTrace``
+_STAGES = (
+    _Stage("encode", ("demos",), ("slots",),
+           ("w_in", "queries", "enc_wq", "enc_wk", "enc_wv", "enc_wo"),
+           _encode_forward, _encode_backward),
+    _Stage("modulate", ("slots",), ("z",),
+           ("rms_gain", "phi_ln_gain", "phi_ln_bias", "hcoef_w1", "hcoef_b1", "hcoef_w2",
+            "hcoef_b2", "u_base", "v_base"),
+           _modulate_forward, _modulate_backward),
+    _Stage("interact", ("z",), ("z_hat",),
+           ("int_ln_gain", "int_ln_bias", "int_wq", "int_wk", "int_wv", "int_wo"),
+           _interact_forward, _interact_backward),
+    _Stage("bank", ("z_hat", "slots"), ("bank",), ("cal_scale", "cal_shift"),
+           _bank_forward, _bank_backward),
+    _Stage("route", ("h", "bank", "z_hat"), ("context", "tau", "weights"),
+           ("psi", "tau_w1", "tau_b1", "tau_w2", "tau_b2"), _route_forward, _route_backward),
+    _Stage("gate", ("h", "context", "y"), ("y_prime", "m"),
+           ("gate_ln_gain", "gate_ln_bias", "gate_w1", "gate_b1", "gate_w2", "gate_b2"),
+           _gate_forward, _gate_backward),
+)
+
+
+def _run(stages, values: dict[str, Any], params: CapmParams, hyper: CapmHyper) -> dict[str, Any]:
+    """Run ``stages`` in order over ``values``; returns their caches by stage name."""
+    caches = {}
+    for st in stages:
+        outs, caches[st.name] = st.forward(*[values[k] for k in st.reads], params, hyper)
+        values.update(zip(st.writes, outs))
+    return caches
+
+
+def _resume(values: dict[str, Any], name: str, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
+    """``y_prime`` of a forward over ``values`` (a trace's fields and inputs) that
+    re-runs only the stages from the first one reading ``name``, a parameter or input."""
+    stages = [st for st in _STAGES if st.name in values["caches"]]
+    start = next((i for i, st in enumerate(stages) if name in st.reads + st.params), len(stages))
+    values = dict(values)
+    _run(stages[start:], values, params, hyper)
+    return values["y_prime"]
 
 
 def capm_forward(
@@ -661,51 +711,15 @@ def capm_forward(
         raise ValidationError(
             f"capm_forward: h and y must share shape, got {hv.shape} vs {yv.shape}"
         )
-    t_len = hv.shape[0]
-
-    if len(demos) > 0:
-        tokens, valid, user = _stack_demos(demos, hyper)
-        slots, enc_cache = _encode_forward(tokens, valid, user, params, hyper)
-        z_rows, mod_cache = _modulate_forward(slots, params, hyper)
-        z_hat, int_cache = _interact_forward(z_rows, params, hyper)
-        bank, bank_cache = _bank_forward(z_hat, slots, params, hyper)
-        (context, tau, weights), route_cache = _route_forward(hv, bank, z_hat, params, hyper)
-        lengths = valid.sum(axis=1)
-    else:
-        enc_cache = mod_cache = int_cache = bank_cache = route_cache = None
-        slots = np.zeros((0, hyper.K + 2, hyper.d_p))
-        z_rows = np.zeros((0, hyper.d_p))
-        z_hat = np.zeros((0, hyper.d_p))
-        bank = np.zeros((0, hyper.d_p))
-        context = np.zeros((t_len, hyper.d_p))
-        tau = None
-        weights = np.zeros((t_len, 0))
-        lengths = []
-
-    y_prime, m, gate_cache = _gate_forward(hv, context, yv, params)
-    trace = CapmTrace(
-        h=hv,
-        y=yv,
-        slots=slots,
-        z=z_rows,
-        z_hat=z_hat,
-        bank=bank,
-        tau=tau,
-        weights=weights,
-        context=context,
-        m=m,
-        y_prime=y_prime,
-        caches={
-            "enc": enc_cache,
-            "mod": mod_cache,
-            "int": int_cache,
-            "bank": bank_cache,
-            "route": route_cache,
-            "gate": gate_cache,
-            "lengths": lengths,
-        },
-    )
-    return y_prime, trace
+    values: dict[str, Any] = {"demos": demos, "h": hv, "y": yv}
+    if not len(demos):  # the gate alone, over an empty bank and zero context
+        values.update(slots=np.zeros((0, hyper.K + 2, hyper.d_p)), z=np.zeros((0, hyper.d_p)),
+                      z_hat=np.zeros((0, hyper.d_p)), bank=np.zeros((0, hyper.d_p)), tau=None,
+                      context=np.zeros((len(hv), hyper.d_p)), weights=np.zeros((len(hv), 0)))
+    caches = _run(_STAGES if len(demos) else _STAGES[-1:], values, params, hyper)
+    del values["demos"]
+    trace = CapmTrace(caches=caches, **values)
+    return trace.y_prime, trace
 
 
 def capm_backward(
@@ -723,19 +737,12 @@ def capm_backward(
             f"capm_backward: grad shape {g.shape} does not match output {trace.y_prime.shape}"
         )
     grads = {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
-    caches = trace.caches
-
-    dh, dcontext, dy = _gate_backward(g, caches["gate"], params, grads)
-    d_tokens: list[np.ndarray] = []
-    if len(caches["lengths"]):
-        dh2, dbank, d_zhat = _route_backward(dcontext, caches["route"], params, grads, hyper)
-        dh += dh2
-        d_zhat2, d_slots = _bank_backward(dbank, caches["bank"], params, grads)
-        dz = _interact_backward(d_zhat + d_zhat2, caches["int"], params, grads)
-        d_slots += _modulate_backward(dz, caches["mod"], params, grads, hyper)
-        d_tok = _encode_backward(d_slots, caches["enc"], params, grads)
-        d_tokens = [d_tok[i, :length] for i, length in enumerate(caches["lengths"])]
-    return CapmGrads(params=grads, d_h=dh, d_y=dy, d_tokens=d_tokens)
+    d: dict[str, Any] = {"y_prime": g}
+    for st in reversed([st for st in _STAGES if st.name in trace.caches]):
+        d_reads = st.backward(d[st.writes[0]], trace.caches[st.name], params, grads, hyper)
+        for key, grad in zip(st.reads, d_reads):  # summed in reverse stage order
+            d[key] = d[key] + grad if key in d else grad
+    return CapmGrads(params=grads, d_h=d["h"], d_y=d["y"], d_tokens=d.get("demos", []))
 
 
 # ---------------------------------------------------------------------------
@@ -894,27 +901,20 @@ def gradient_check(
     y_prime, trace = capm_forward(demo_list, hv, yv, params, hyper)
     analytic = capm_backward(trace, g, params, hyper)
 
-    work = {name: arr.copy() for name, arr in params.as_dict().items()}
-    h_work = hv.copy()
-    y_work = yv.copy()
-    tok_work = [t.copy() for t, _ in demo_list]
+    work = params.copy()
+    inputs = {"h": hv.copy(), "y": yv.copy(), "demos": [(t.copy(), s) for t, s in demo_list]}
+    base = dict(vars(trace), **inputs)
 
-    def objective() -> float:
-        p = CapmParams(**work)
-        ds = [(tok_work[i], demo_list[i][1]) for i in range(len(demo_list))]
-        out, _ = capm_forward(ds, h_work, y_work, p, hyper)
-        return float((g * out).sum())
-
-    def numeric_grad(arr: np.ndarray) -> np.ndarray:
+    def numeric_grad(arr: np.ndarray, name: str) -> np.ndarray:
         num = np.zeros_like(arr)
         flat = arr.ravel()
         nflat = num.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            f_plus = objective()
+            f_plus = float((g * _resume(base, name, work, hyper)).sum())
             flat[i] = orig - step
-            f_minus = objective()
+            f_minus = float((g * _resume(base, name, work, hyper)).sum())
             flat[i] = orig
             nflat[i] = (f_plus - f_minus) / (2.0 * step)
         return num
@@ -927,11 +927,11 @@ def gradient_check(
 
     per_tensor: dict[str, float] = {}
     for name in PARAM_FIELDS:
-        per_tensor[name] = rel_err(analytic.params[name], numeric_grad(work[name]))
-    per_tensor["h"] = rel_err(analytic.d_h, numeric_grad(h_work))
-    per_tensor["y"] = rel_err(analytic.d_y, numeric_grad(y_work))
-    for i in range(len(demo_list)):
-        per_tensor[f"tokens[{i}]"] = rel_err(analytic.d_tokens[i], numeric_grad(tok_work[i]))
+        per_tensor[name] = rel_err(analytic.params[name], numeric_grad(getattr(work, name), name))
+    per_tensor["h"] = rel_err(analytic.d_h, numeric_grad(inputs["h"], "h"))
+    per_tensor["y"] = rel_err(analytic.d_y, numeric_grad(inputs["y"], "y"))
+    for i, (tokens, _) in enumerate(inputs["demos"]):
+        per_tensor[f"tokens[{i}]"] = rel_err(analytic.d_tokens[i], numeric_grad(tokens, "demos"))
 
     max_rel_err = max(per_tensor.values())
     return GradCheckReport(max_rel_err=max_rel_err, per_tensor=per_tensor, tolerance=tolerance)

@@ -613,6 +613,16 @@ def cmd_capm(args: argparse.Namespace) -> int:
     # imported here: capm pulls in scipy, which no other command needs
     from . import capm
 
+    # only demo reads or writes a parameter file, whose manifest sets every size
+    if args.action != "demo":
+        for name in ("params", "save_params"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"capm {args.action} takes no --{name.replace('_', '-')}")
+    elif args.params is not None:
+        for f in dataclasses.fields(capm.CapmHyper):
+            if getattr(args, f.name) is not None:
+                flag = "--" + f.name.replace("_", "-")
+                raise UsageError(f"{flag} cannot be used with --params, whose manifest sets {f.name}")
     config = _load_config(args)
     hyper = _capm_hyper(args, config)
     seed = _setting(args.seed, config, "seed", _env_int("FORGE_SEED", 0))

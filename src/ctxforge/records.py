@@ -519,6 +519,25 @@ def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
             raise ValidationError(f"{path}: not valid UTF-8 text") from None
 
 
+def _holds_lone_surrogate(obj: Any) -> bool:
+    """Whether a key or string of ``obj``, a value ``json`` decoded, holds a
+    lone surrogate (``json`` decodes one from an escape such as ``"\\ud800"``)."""
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:
+                return True
+        elif isinstance(item, dict):
+            todo += item
+            todo += item.values()
+        elif isinstance(item, list):
+            todo += item
+    return False
+
+
 def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any], Any],
                 add: Callable[[int, Any], None]) -> None:
     """Call ``add(lineno, fields)`` for each line of the JSONL file at
@@ -528,13 +547,15 @@ def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any],
     reads (NaN, ``1e400``, an escaped lone surrogate, ...) and makes floats
     of integers beyond 64 bits, so ``exact`` takes its value only where it
     means what json's would, and raises no error that tells the two apart.
-    A ``ValidationError`` from ``exact``, ``convert`` or ``add`` is raised
-    again naming the file and line."""
+    A line json decodes to a lone surrogate is refused, as no UTF-8 text can
+    carry it.  A ``ValidationError`` from ``exact``, ``convert`` or ``add``
+    is raised again naming the file and line."""
     import orjson  # here, not at the top: ``import ctxforge.cli`` must not load it
 
     for lineno, line in _iter_lines(path):
         try:
             fields = None
+            refused = True  # orjson refuses every line that decodes to a lone surrogate
             # ``find`` scans a long line several times faster than ``count``, so
             # a line with at most one of each (an embedding) is settled without counting
             if (
@@ -543,6 +564,7 @@ def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any],
             ):
                 try:
                     fields = exact(orjson.loads(line))
+                    refused = False
                 except orjson.JSONDecodeError:
                     pass
             if fields is None:
@@ -552,6 +574,9 @@ def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any],
                     raise ValidationError(f"parse error: {exc.msg}") from None
                 except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
                     raise ValidationError(f"parse error: {exc}") from None
+                if refused and _holds_lone_surrogate(obj):
+                    raise ValidationError("parse error: a string holds an escaped lone surrogate, "
+                                          "which is not UTF-8 text")
                 fields = exact(obj)
                 if fields is None:
                     fields = convert(obj)

@@ -21,6 +21,7 @@ from ctxforge.cli import main as cli_main
 from ctxforge.fusion import CandidatePool, brute_force_map, build_dpp_factor, greedy_dpp_select
 from ctxforge.records import Instance, MetadataRecord, ShotCurve
 
+from test_cli import child_env
 from test_intent import naive_eval, random_rule, random_scene
 
 
@@ -341,7 +342,8 @@ def test_a11_cli_determinism_and_exit_codes(tmp_path):
     ]
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "ctxforge.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "ctxforge.cli", *args], capture_output=True, text=True,
+            env=child_env(),
         )
         for _ in range(2)
     ]

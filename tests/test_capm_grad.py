@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from ctxforge.capm import CapmHyper, capm_backward, capm_forward, gradient_check, random_params
+from ctxforge.capm import (
+    _STAGES, PARAM_FIELDS, CapmHyper, CapmTrace, _resume, capm_backward, capm_forward,
+    gradient_check, random_params,
+)
 
 HYPER = CapmHyper(d_b=12, d_p=8, K=2, r=2, heads=2)
 
@@ -90,3 +95,47 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch):
     report = capm_module.gradient_check(params, HYPER, demos, h, y, grad_out)
     assert not report.passed
     assert report.per_tensor["psi"] > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the stage list that the forward, the backward and the gradient check share
+
+
+@pytest.mark.parametrize("lengths", [(3, 6, 9), ()], ids=["demos-3-6-9", "no-demos"])
+def test_resumed_objective_equals_full_forward(lengths):
+    hyper = CapmHyper(d_b=6, d_p=4, K=2, r=1, heads=2)
+    params, _, h, y, grad_out = setup(12, n_demos=0, t_len=3, hyper=hyper)
+    rng = np.random.default_rng(12)
+    demos = [(rng.standard_normal((n, hyper.d_b)), ["assistant", "user", "user"] * (n // 3))
+             for n in lengths]
+    _, trace = capm_forward(demos, h, y, params, hyper)
+    work = params.copy()
+    inputs = {"h": h.copy(), "y": y.copy(), "demos": [(t.copy(), s) for t, s in demos]}
+    base = dict(vars(trace), **inputs)
+    tensors = [(getattr(work, name), name) for name in PARAM_FIELDS]
+    tensors += [(inputs["h"], "h"), (inputs["y"], "y")] + [(t, "demos") for t, _ in inputs["demos"]]
+    assert len(tensors) == len(PARAM_FIELDS) + 2 + len(lengths)
+    for arr, name in tensors:
+        flat = arr.ravel()
+        for i in sorted({0, flat.size // 2, flat.size - 1}):
+            orig = flat[i]
+            for moved in (orig + 1e-5, orig - 1e-5):
+                flat[i] = moved
+                resumed = _resume(base, name, work, hyper)
+                full, _ = capm_forward(inputs["demos"], inputs["h"], inputs["y"], work, hyper)
+                assert float((grad_out * resumed).sum()) == float((grad_out * full).sum()), (name, i)
+                assert np.array_equal(resumed, full), (name, i)
+            flat[i] = orig
+
+
+def test_each_parameter_is_read_by_exactly_one_stage():
+    assert sorted(name for stage in _STAGES for name in stage.params) == sorted(PARAM_FIELDS)
+
+
+def test_each_stage_reads_only_inputs_and_earlier_writes():
+    known = {"demos", "h", "y"}
+    for stage in _STAGES:
+        assert set(stage.reads) <= known, stage.name
+        known |= set(stage.writes)
+    # every value past the inputs fills the trace field of its name
+    assert known - {"demos"} == {f.name for f in fields(CapmTrace)} - {"caches"}

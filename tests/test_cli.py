@@ -12,8 +12,18 @@ import numpy as np
 import pytest
 
 from ctxforge.cli import main
+from ctxforge.errors import ValidationError
 from ctxforge.intent import MAX_RULE_DEPTH
 from ctxforge.records import EmbeddingRecord, pack_vector_block, save_embeddings_binary
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env(extra=None):
+    """This process's environment plus ``extra``, with this checkout's sources
+    first on ``PYTHONPATH``, so a child process imports this ``ctxforge``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **(extra or {})}
 
 
 def run_cli(args, **kwargs):
@@ -28,11 +38,9 @@ def run_cli(args, **kwargs):
 
 
 def run_proc(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "ctxforge.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ctxforge.cli", *args], capture_output=True, text=True,
+        env=child_env(env_extra),
     )
 
 
@@ -427,15 +435,30 @@ class TestFilter:
         path = tmp_path / "m.jsonl"
         path.write_text('{"scene_id": "a", "scores": {"q": 1.0}}\n'
                         '{"scene_id": "s\\ud800", "scores": {"q": 1.0}}\n')
+        message = (f"forge: {path}: line 2: parse error: a string holds an escaped lone surrogate, "
+                   "which is not UTF-8 text\n")
         out_file = tmp_path / "out.jsonl"
         argv = ["filter", "--metadata", str(path), "--score-field", "q"]
-        code, out, err = run_cli([*argv, "--out", str(out_file)])
-        assert (code, out) == (3, "")
-        assert "data line 2 cannot be written as UTF-8: surrogates not allowed" in err
+        assert run_cli([*argv, "--out", str(out_file)]) == (3, "", message)
         assert not out_file.exists()
+        assert run_cli(["validate", "--metadata", str(path)]) == (3, "", message)
         proc = run_proc(argv)
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "forge: data line 2 cannot be written as UTF-8: surrogates not allowed\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+        # a valid escaped pair still loads
+        path.write_text('{"scene_id": "s\\ud83d\\ude00", "scores": {"q": 1.0}}\n')
+        code, out, _ = run_cli(argv)
+        assert code == 0 and json.loads(out)["scene_id"] == "s\U0001f600"
+
+    def test_emit_lines_writes_nothing_that_is_not_utf8(self, tmp_path, capsys):
+        from ctxforge.cli import _emit_lines
+
+        out_file = tmp_path / "out.jsonl"
+        for out in (str(out_file), None):
+            with pytest.raises(ValidationError,
+                               match="^data line 2 cannot be written as UTF-8: surrogates not allowed$"):
+                _emit_lines(["{}", '{"a": "s\ud800"}'], out)
+        assert not out_file.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestEval:
@@ -657,7 +680,8 @@ def _nested(depth):
 
 # JSON text on which orjson and json part ways: integers beyond 64 bits
 # (orjson makes floats of them), what orjson refuses and json reads, and
-# nesting too deep for json, which orjson accepts
+# nesting too deep for json, which orjson accepts.  json also reads an escaped
+# lone surrogate, which the readers refuse naming the file and line.
 DIVERGENT_VALUES = {
     "20-digits": str(2**64),
     "309-digits": str(10**308),
@@ -717,6 +741,8 @@ def test_cli_readers_match_a_json_only_run(tmp_path, monkeypatch, reader, spoile
     else:
         argv = ["eval", reader, "--results", str(path)]
     got = run_cli(argv)
+    if DIVERGENT_VALUES["lone-surrogate"] in dict(spoiled).values():
+        assert got[:2] == (3, "") and got[2].startswith(f"forge: {path}: line 2: parse error: "), got
 
     def refuse(line):
         raise orjson.JSONDecodeError("refused", line, 0)
@@ -858,6 +884,29 @@ class TestCapmCli:
         # same seed, parameters only differ by the f32 round trip
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["tau"] == pytest.approx(b["tau"], rel=1e-4)
+
+    @pytest.mark.parametrize("action", ["gradcheck", "diagnose"])
+    @pytest.mark.parametrize("flag", ["--params", "--save-params"])
+    def test_only_demo_takes_a_parameter_file(self, tmp_path, action, flag):
+        path = tmp_path / "p.capm"
+        if flag == "--params":
+            assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        code, out, err = run_cli(["capm", action, "--seed", "7", flag, str(path)])
+        assert (code, out, err) == (2, "", f"forge: usage error: capm {action} takes no {flag}\n")
+        assert path.exists() == (flag == "--params")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--d-b", "16"), ("--d-p", "4"), ("--K", "3"), ("--r", "1"), ("--heads", "1"),
+         ("--eta", "0.2"), ("--tau-min", "0.1"), ("--tau-max", "3"), ("--b2-init", "1")],
+    )
+    def test_demo_params_refuses_a_flag_its_manifest_sets(self, tmp_path, flag, value):
+        path = tmp_path / "p.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        code, out, err = run_cli(["capm", "demo", "--params", str(path), flag, value])
+        assert (code, out) == (2, "")
+        key = flag[2:].replace("-", "_")
+        assert err == f"forge: usage error: {flag} cannot be used with --params, whose manifest sets {key}\n"
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
     def test_gradcheck_step_must_be_positive_and_finite(self, step):
@@ -1178,13 +1227,15 @@ class TestTopLevel:
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = "import sys, ctxforge.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_leaves_orjson_unloaded(self):
         # only the JSONL embedding loader imports it, when it runs
         code = "import sys, ctxforge.cli; print('orjson' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
         assert proc.stdout.strip() == "False"
 
     def test_stdout_carries_only_data(self, tmp_path):

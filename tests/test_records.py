@@ -666,14 +666,29 @@ def _outcome(load, path):
         return str(exc)
 
 
+LONE_SURROGATE = "a string holds an escaped lone surrogate, which is not UTF-8 text"
+
+
+def _json_loads(line):
+    """``json.loads``, refusing a value that holds a lone surrogate: only a
+    ``\\u`` escape decodes to one, and no UTF-8 text can carry it."""
+    obj = json.loads(line)
+    if "\\u" in line:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(LONE_SURROGATE) from None
+    return obj
+
+
 def _plain_load(from_json, key=None):
-    """A loader that parses with ``json.loads`` and builds with ``from_json``."""
+    """A loader that parses with ``_json_loads`` and builds with ``from_json``."""
     def load(path):
         out, seen = [], set()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    obj = json.loads(line)
+                    obj = _json_loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
                 except (ValueError, RecursionError) as exc:
@@ -713,7 +728,7 @@ def _fsum_normalized(rec):
 
 
 def PLAIN_EMBEDDINGS(path, normalize=False):
-    """``json.loads``, then ``EmbeddingRecord.from_json``, then ``store.add``;
+    """``_json_loads``, then ``EmbeddingRecord.from_json``, then ``store.add``;
     a line's duplicate id or dim is reported before its norm."""
     store, raw = EmbeddingStore(), EmbeddingStore()
     with open(path, encoding="utf-8") as fh:
@@ -721,7 +736,7 @@ def PLAIN_EMBEDDINGS(path, normalize=False):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _json_loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: parse error: {exc.msg}") from None
             except (ValueError, RecursionError) as exc:
@@ -878,15 +893,17 @@ def test_orjson_divergences_load_as_json_has_them(tmp_path, fields, normalize):
 @pytest.mark.parametrize(
     "line",
     ['  {"a": 1}', '{"a": 1} \t\r', '{"a": 1} x', '{"a": 1}{"b": 2}', '{"a": 1}\x0c', '\ufeff{"a": 1}',
-     '{"a": 1', '[1, 2] 3', '"\\ud800"', "1" * 5000, "[" * 100_000],
+     '{"a": 1', '[1, 2] 3', '"\\ud800"', '{"a\\udfff": 1}', '["x", {"a": "\\ud83d\\ude00"}]',
+     '{"a": "\\\\ud800"}', '{"a": "\\ud800", "a": 1}', "1" * 5000, "[" * 100_000],
     ids=["leading-space", "trailing-space", "extra-data", "two-values", "form-feed", "bom",
-         "truncated", "array-extra", "lone-surrogate", "integer-digits", "nesting"],
+         "truncated", "array-extra", "lone-surrogate", "lone-surrogate-key", "surrogate-pair",
+         "escaped-backslash", "lone-surrogate-dropped", "integer-digits", "nesting"],
 )
 def test_line_reader_matches_json_loads(tmp_path, line):
     path = tmp_path / "lines.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     try:
-        expected = [(1, json.loads(line + "\n"))]
+        expected = [(1, _json_loads(line + "\n"))]
     except json.JSONDecodeError as exc:
         expected = f"{path}: line 1: parse error: {exc.msg}"
     except (ValueError, RecursionError) as exc:
@@ -902,14 +919,14 @@ def test_line_reader_matches_json_loads(tmp_path, line):
 
 
 def test_unknown_subtask_warns_once_per_episode_line(tmp_path):
-    # orjson reads line 1 and refuses line 2 (an escaped lone surrogate);
+    # orjson reads line 1 and refuses line 2 (an unused key holding 1e400);
     # line 3 fails after its warning
     ep = {"episode_id": "e1", "taxonomy": "Perception", "subtask": "x", "shots": [],
           "query": {"id": "q", "instruction": "i"}}
-    lines = [ep, {**ep, "episode_id": "e2", "gold": {"text": "\ud800"}},
+    lines = [ep, {**ep, "episode_id": "e2", "x": 0},
              {**ep, "episode_id": "e3", "shots": [{"id": "d", "instruction": "i"}] * 2}]
     path = tmp_path / "e.jsonl"
-    path.write_text("".join(json.dumps(o) + "\n" for o in lines))
+    path.write_text("".join(json.dumps(o) + "\n" for o in lines).replace('"x": 0', '"x": 1e400'))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValidationError, match=r"line 3: episode: shots\[1\]\.id: duplicate id 'd'"):
