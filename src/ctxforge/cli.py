@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,8 @@ from .records import (
     Demonstration,
     Episode,
     TAXONOMY_ORDER,
+    UnknownSubtaskWarning,
+    _known_labels,
     _read_jsonl,
     is_container,
     is_finite_number,
@@ -228,10 +231,17 @@ def _stub_demo(item_id: str) -> Demonstration:
     return Demonstration(id=item_id, image_ref=item_id, instruction="")
 
 
+def _episode(**fields: Any) -> Episode:
+    """An ``Episode`` whose labels ``cmd_retrieve`` checked, and warned about, once."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownSubtaskWarning)
+        return Episode(**fields)
+
+
 def _read_query_ids(path: str) -> list[str]:
     ids: dict[str, None] = {}
 
-    def query_id(obj: Any) -> str:  # names no number in an error, so takes orjson's value
+    def query_id(obj: Any) -> str:
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
             raise ValidationError("expected an object with a non-empty 'id'")
         return obj["id"]
@@ -241,7 +251,7 @@ def _read_query_ids(path: str) -> list[str]:
             raise ValidationError(f"duplicate query id {qid!r}")
         ids[qid] = None
 
-    _read_jsonl(path, query_id, query_id, add)
+    _read_jsonl(path, query_id, add)
     return list(ids)
 
 
@@ -258,6 +268,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     default_taxonomy, default_subtask = _EPISODE_LABELS[args.mode]
     taxonomy = _setting(args.taxonomy, config, "taxonomy", default_taxonomy)
     subtask = _setting(args.subtask, config, "subtask", default_subtask)
+    if not _known_labels(taxonomy, subtask):
+        _log(f"retrieve: warning: unknown subtask {subtask!r}")
 
     if args.mode == "fusion":
         if not args.embeddings or not args.queries:
@@ -320,7 +332,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                     )
                 selected = [ids[i] for i in chosen]
             episodes.append(
-                Episode(
+                _episode(
                     episode_id=qid,
                     taxonomy=taxonomy,
                     subtask=subtask,
@@ -342,7 +354,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         selected = matched[:k]
         episode_id = _setting(args.episode_id, {}, "episode_id", "intent-0")
         episodes = [
-            Episode(
+            _episode(
                 episode_id=episode_id,
                 taxonomy=taxonomy,
                 subtask=subtask,
@@ -476,17 +488,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     f"needs numeric {args.x_field!r} and {args.y_field!r}"
                 ) from None
 
-        def exact_pair(obj: Any) -> tuple[str, float, float] | None:
-            # an error names json's value of a task, not orjson's
-            return pair(obj) if type(obj) is not dict or type(obj.get("task", "")) is str else None
-
         def add_pair(lineno: int, fields: tuple[str, float, float]) -> None:
             task, x, y = fields
             xs, ys = groups.setdefault(task, ([], []))
             xs.append(x)
             ys.append(y)
 
-        _read_jsonl(args.results, exact_pair, pair, add_pair)
+        _read_jsonl(args.results, pair, add_pair)
         rows = [
             {"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
              "spearman": metrics.spearman(xs, ys)}
@@ -541,18 +549,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValidationError(f"outcomes[{len(pooled)}] = {outcome!r} not win/tie/lose")
         return metric, outcome
 
-    def exact_judgment(obj: Any) -> tuple[str, str] | None:
-        # an error names json's value of a metric or outcome, not orjson's
-        if type(obj) is dict and type(obj.get("metric", "")) is type(obj.get("outcome")) is str:
-            return judgment(obj)
-        return None
-
     def add_judgment(lineno: int, fields: tuple[str, str]) -> None:
         metric, outcome = fields
         by_metric.setdefault(metric, []).append(outcome)
         pooled.append(outcome)
 
-    _read_jsonl(args.results, exact_judgment, judgment, add_judgment)
+    _read_jsonl(args.results, judgment, add_judgment)
     if not pooled:
         raise ValidationError(f"{args.results}: no outcomes")
     rows = []
@@ -618,12 +620,17 @@ def cmd_capm(args: argparse.Namespace) -> int:
         for name in ("params", "save_params"):
             if getattr(args, name) is not None:
                 raise UsageError(f"capm {args.action} takes no --{name.replace('_', '-')}")
-    elif args.params is not None:
+    config = _load_config(args)
+    section = config.get("capm", {})
+    if args.params is not None and isinstance(section, dict):
         for f in dataclasses.fields(capm.CapmHyper):
             if getattr(args, f.name) is not None:
-                flag = "--" + f.name.replace("_", "-")
-                raise UsageError(f"{flag} cannot be used with --params, whose manifest sets {f.name}")
-    config = _load_config(args)
+                key = "--" + f.name.replace("_", "-")
+            elif f.name in section:
+                key = f"config capm.{f.name}"
+            else:
+                continue
+            raise UsageError(f"{key} cannot be used with --params, whose manifest sets {f.name}")
     hyper = _capm_hyper(args, config)
     seed = _setting(args.seed, config, "seed", _env_int("FORGE_SEED", 0))
     # independent streams so loading parameters from a file does not shift
@@ -664,7 +671,7 @@ def cmd_capm(args: argparse.Namespace) -> int:
         step = _setting(args.step, {}, "step")
         tolerance = _setting(args.tolerance, {}, "tolerance")
         params = capm.random_params(hyper, param_rng)
-        demos, h, y = _capm_inputs(args, hyper, rng, max(shots, 1))
+        demos, h, y = _capm_inputs(args, hyper, rng, shots)
         grad_out = rng.standard_normal(y.shape)
         report = capm.gradient_check(
             params, hyper, demos, h, y, grad_out, step=step, tolerance=tolerance

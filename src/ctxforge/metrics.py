@@ -271,7 +271,8 @@ class ResultRow:
 
 def load_results(path: str) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    _read_jsonl(path, _exact_result, ResultRow.from_json, lambda lineno, row: rows.append(row))
+    _read_jsonl(path, lambda obj: _exact_result(obj) or ResultRow.from_json(obj),
+                lambda lineno, row: rows.append(row))
     return rows
 
 

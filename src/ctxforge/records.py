@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import struct
 import sys
 import warnings
@@ -119,6 +120,17 @@ def _check_finite(values: Sequence[float], path: str) -> None:
     for i, v in enumerate(values):
         if not is_finite_number(v):
             raise ValidationError(f"{path}[{i}]: non-finite or non-numeric value {v!r}")
+
+
+def _known_labels(taxonomy: Any, subtask: Any) -> bool:
+    """Whether ``subtask`` is in the canonical table; raise ``ValidationError``
+    for a ``taxonomy`` outside it or a known subtask of another level."""
+    if taxonomy not in TAXONOMIES:
+        raise ValidationError(f"taxonomy: {taxonomy!r} is not one of {sorted(TAXONOMIES)}")
+    expected = SUBTASK_TO_TAXONOMY.get(subtask)
+    if expected is not None and expected != taxonomy:
+        raise ValidationError(f"subtask: {subtask!r} belongs to taxonomy {expected!r}, got {taxonomy!r}")
+    return expected is not None
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +233,11 @@ class Episode:
     def __post_init__(self) -> None:
         if not isinstance(self.episode_id, str) or not self.episode_id:
             raise ValidationError("episode_id: must be a non-empty string")
-        if self.taxonomy not in TAXONOMIES:
-            raise ValidationError(
-                f"taxonomy: {self.taxonomy!r} is not one of {sorted(TAXONOMIES)}"
-            )
-        expected = SUBTASK_TO_TAXONOMY.get(self.subtask)
-        if expected is None:
+        if not _known_labels(self.taxonomy, self.subtask):
             warnings.warn(
                 f"episode {self.episode_id!r}: unknown subtask {self.subtask!r}",
                 UnknownSubtaskWarning,
-                stacklevel=2,
-            )
-        elif expected != self.taxonomy:
-            raise ValidationError(
-                f"subtask: {self.subtask!r} belongs to taxonomy {expected!r}, got {self.taxonomy!r}"
+                stacklevel=3,  # past the dataclass's __init__, to the code building the episode
             )
         seen: set[str] = set()
         for i, shot in enumerate(self.shots):
@@ -501,13 +504,6 @@ class ShotCurve:
 # JSONL plumbing
 
 
-# orjson returns json's doubles several times faster.  It also accepts
-# nesting too deep for json, which an extra key or a duplicated key's
-# discarded value can hide, so it only reads lines holding at most this many
-# "{" and "[" together: far below the interpreter's recursion limit.
-_ORJSON_MAX_BRACKETS = 128
-
-
 def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
     """The non-blank lines of a UTF-8 text file, with their line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -538,48 +534,53 @@ def _holds_lone_surrogate(obj: Any) -> bool:
     return False
 
 
-def _read_jsonl(path: str, exact: Callable[[Any], Any], convert: Callable[[Any], Any],
-                add: Callable[[int, Any], None]) -> None:
-    """Call ``add(lineno, fields)`` for each line of the JSONL file at
-    ``path``.  ``fields`` is ``exact`` of orjson's value of the line; where
-    orjson refuses the line or ``exact`` returns ``None``, it is ``exact``,
-    or else ``convert``, of json's value.  orjson refuses what only json
-    reads (NaN, ``1e400``, an escaped lone surrogate, ...) and makes floats
-    of integers beyond 64 bits, so ``exact`` takes its value only where it
-    means what json's would, and raises no error that tells the two apart.
-    A line json decodes to a lone surrogate is refused, as no UTF-8 text can
-    carry it.  A ``ValidationError`` from ``exact``, ``convert`` or ``add``
-    is raised again naming the file and line."""
+def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any], None]) -> None:
+    """Call ``add(lineno, parse(value))`` for each line of the JSONL file at
+    ``path``; a ``ValidationError`` from ``parse`` or ``add`` is raised again
+    naming the file and line.
+
+    orjson decodes a line first: it returns json's doubles several times
+    faster.  It accepts nesting too deep for json, which an extra key or a
+    duplicated key's discarded value can hide, so it reads only lines holding
+    at most 128 "{" and "[" together.  json decodes the lines orjson refuses
+    (NaN, ``1e400``, an escaped lone surrogate, ...), and a line json decodes
+    to a lone surrogate is refused, as no UTF-8 text can carry it.  orjson's
+    value differs from json's only in an integer literal of 19 or more
+    digits, which orjson may turn into the double ``float()`` makes of json's
+    int; so ``parse`` runs again on json's value when it rejects orjson's
+    value of a line holding 19 digits in a row.  Every value and error is
+    thus the one json's value gives."""
     import orjson  # here, not at the top: ``import ctxforge.cli`` must not load it
 
     for lineno, line in _iter_lines(path):
         try:
-            fields = None
-            refused = True  # orjson refuses every line that decodes to a lone surrogate
             # ``find`` scans a long line several times faster than ``count``, so
             # a line with at most one of each (an embedding) is settled without counting
-            if (
+            fast = (
                 line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0
-                or line.count("{") + line.count("[") <= _ORJSON_MAX_BRACKETS
-            ):
+                or line.count("{") + line.count("[") <= 128
+            )
+            if fast:
                 try:
-                    fields = exact(orjson.loads(line))
-                    refused = False
+                    fields = parse(orjson.loads(line))
                 except orjson.JSONDecodeError:
-                    pass
-            if fields is None:
+                    fast = False
+                except ValidationError:  # json's value differs only in an integer of 19+ digits
+                    if not re.search(r"\d{19}", line):
+                        raise
+                    fast = False
+            if not fast:
+                # decoded here, not in a helper: json's nesting limit counts this frame's depth
                 try:
-                    obj = json.loads(line)
+                    value = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"parse error: {exc.msg}") from None
                 except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
                     raise ValidationError(f"parse error: {exc}") from None
-                if refused and _holds_lone_surrogate(obj):
+                if _holds_lone_surrogate(value):
                     raise ValidationError("parse error: a string holds an escaped lone surrogate, "
                                           "which is not UTF-8 text")
-                fields = exact(obj)
-                if fields is None:
-                    fields = convert(obj)
+                fields = parse(value)
             add(lineno, fields)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
@@ -609,8 +610,7 @@ def load_episodes(path: str, max_shots: int = DEFAULT_MAX_SHOTS) -> list[Episode
             raise ValidationError(f"duplicate episode_id {ep.episode_id!r}")
         episodes[ep.episode_id] = ep
 
-    # ``from_json`` names no number in an error, so it may take orjson's value
-    _read_jsonl(path, Episode.from_json, Episode.from_json, add)
+    _read_jsonl(path, Episode.from_json, add)
     return list(episodes.values())
 
 
@@ -744,7 +744,8 @@ def load_metadata(path: str) -> SceneTable:
         seen.add(scene_id)
         table._append(*fields)
 
-    _read_jsonl(path, _exact_scene, lambda obj: _record_fields(MetadataRecord.from_json(obj)), add)
+    _read_jsonl(path, lambda obj: _exact_scene(obj) or _record_fields(MetadataRecord.from_json(obj)),
+                add)
     return table
 
 
@@ -963,12 +964,8 @@ def _read_embedding_lines(store: EmbeddingStore, path: str, positions: dict[str,
         store.add(rec)
         return rec.modality
 
-    _read_jsonl(
-        path,
-        lambda obj: _add_exact_embedding(store, obj),
-        convert,
-        lambda lineno, modality: positions[modality].append(lineno),
-    )
+    _read_jsonl(path, lambda obj: _add_exact_embedding(store, obj) or convert(obj),
+                lambda lineno, modality: positions[modality].append(lineno))
 
 
 def _add_exact_embedding(store: EmbeddingStore, obj: Any) -> str | None:
@@ -976,8 +973,7 @@ def _add_exact_embedding(store: EmbeddingStore, obj: Any) -> str | None:
     when every field has its exact JSON type and passes the store's checks;
     return its modality, or ``None`` for any other object.
 
-    The row's finiteness and norm are left to ``_check_rows``.  An exact
-    ``int`` dim keeps out the floats orjson makes of integers beyond 64 bits.
+    The row's finiteness and norm are left to ``_check_rows``.
     """
     if type(obj) is not dict:
         return None

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ import pytest
 from ctxforge.cli import main
 from ctxforge.errors import ValidationError
 from ctxforge.intent import MAX_RULE_DEPTH
-from ctxforge.records import EmbeddingRecord, pack_vector_block, save_embeddings_binary
+from ctxforge.records import (
+    TAXONOMY_ORDER,
+    EmbeddingRecord,
+    pack_vector_block,
+    save_embeddings_binary,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -277,6 +283,39 @@ class TestRetrieveFusion:
         assert first.returncode == 0
         assert first.stdout == second.stdout  # byte-identical
         assert len(json.loads(first.stdout)["shots"]) == 8
+
+
+class TestRetrieveLabels:
+    def test_unknown_subtask_is_logged_once(self, fusion_fixture, tmp_path):
+        emb, _, _ = fusion_fixture
+        queries = tmp_path / "three.jsonl"
+        queries.write_text("".join(json.dumps({"id": q}) + "\n" for q in ("cand1", "cand2", "cand3")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["retrieve", "--mode", "fusion", "--embeddings", str(emb),
+                                      "--queries", str(queries), "--subtask", "Custom"])
+        assert code == 0
+        assert [json.loads(line)["subtask"] for line in out.splitlines()] == ["Custom"] * 3
+        assert [line for line in err.splitlines() if "Custom" in line] == [
+            "retrieve: warning: unknown subtask 'Custom'"
+        ]
+        assert caught == []
+
+    @pytest.mark.parametrize("mode", ["fusion", "intent"])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(["--taxonomy", "Analogy", "--subtask", "Visual Grounding"],
+          "subtask: 'Visual Grounding' belongs to taxonomy 'Perception', got 'Analogy'"),
+         (["--taxonomy", "Sorcery"],
+          f"taxonomy: 'Sorcery' is not one of {sorted(TAXONOMY_ORDER)}")],
+        ids=["wrong-level", "unknown-taxonomy"],
+    )
+    def test_bad_labels_exit_3_before_any_file_is_read(self, tmp_path, mode, labels, message):
+        missing = str(tmp_path / "missing.jsonl")  # reading it would exit 3 naming it
+        data = (["--embeddings", missing, "--queries", missing] if mode == "fusion"
+                else ["--metadata", missing, "--rule-file", missing])
+        code, out, err = run_cli(["retrieve", "--mode", mode, *data, *labels])
+        assert (code, out, err) == (3, "", f"forge: {message}\n")
 
 
 class TestRetrieveIntent:
@@ -907,6 +946,23 @@ class TestCapmCli:
         assert (code, out) == (2, "")
         key = flag[2:].replace("-", "_")
         assert err == f"forge: usage error: {flag} cannot be used with --params, whose manifest sets {key}\n"
+
+    def test_demo_params_refuses_the_configs_capm_section(self, tmp_path):
+        path = tmp_path / "p.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"capm": {"d_b": 16, "eta": 0.5}}))
+        code, out, err = run_cli(["capm", "demo", "--params", str(path), "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err == ("forge: usage error: config capm.d_b cannot be used with --params, "
+                       "whose manifest sets d_b\n")
+
+    def test_gradcheck_with_no_shots_checks_no_demo(self):
+        code, out, _ = run_cli(["capm", "gradcheck", "--seed", "5", "--shots", "0"])
+        assert code == 0
+        report = json.loads(out)
+        # the 34 parameter tensors, h and y: no demonstration's tokens
+        assert (report["verdict"], report["tensors"]) == ("PASS", 36)
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
     def test_gradcheck_step_must_be_positive_and_finite(self, step):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 import warnings
 
@@ -93,6 +94,12 @@ class TestEpisode:
         with pytest.warns(UnknownSubtaskWarning):
             ep = make_episode(subtask="Underwater Basket Weaving")
         assert ep.subtask == "Underwater Basket Weaving"
+
+    def test_unknown_subtask_warning_names_the_caller(self):
+        # not the dataclass's generated __init__, which has no file
+        with pytest.warns(UnknownSubtaskWarning) as caught:
+            make_episode(subtask="Underwater Basket Weaving")
+        assert [w.filename for w in caught] == [__file__]
 
     def test_duplicate_shot_ids_rejected(self):
         shots = (
@@ -910,9 +917,7 @@ def test_line_reader_matches_json_loads(tmp_path, line):
         expected = f"{path}: line 1: parse error: {exc}"
     got = []
     try:
-        # orjson's value is taken for an object, json's for anything else
-        _read_jsonl(str(path), lambda obj: obj if type(obj) is dict else None, lambda obj: obj,
-                    lambda lineno, obj: got.append((lineno, obj)))
+        _read_jsonl(str(path), lambda obj: obj, lambda lineno, obj: got.append((lineno, obj)))
     except ValidationError as exc:
         got = str(exc)
     assert got == expected
@@ -945,3 +950,67 @@ def test_exact_types_take_the_one_pass_path():
     # an int where a float belongs goes to from_json, which converts it
     assert _exact_scene(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
     assert _exact_result(dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0])) is None
+
+
+def _count_json_loads(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+def test_lines_that_need_conversion_are_decoded_once(tmp_path, monkeypatch):
+    # ints where floats belong fail the exact-type paths; from_json converts
+    # them from the first decoder's value, with no second decode
+    scenes = [dict(SCENE_EXAMPLE, scene_id=f"s{i}", scores={"q": i},
+                   instances=[{"category": "mug", "bbox": [0, 0, 1, 1]}]) for i in range(40)]
+    rows = [dict(RESULT_EXAMPLES[0], model=f"m{i}", values=[1, 2, i]) for i in range(40)]
+    vectors = [dict(EMBEDDING_EXAMPLES[0], id=f"v{i}", values=[1, i]) for i in range(20)]
+    cases = [(scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA),
+             (rows, load_results, PLAIN_RESULTS),
+             (vectors, _store_view(load_embeddings), _store_view(PLAIN_EMBEDDINGS))]
+    for objs, load, plain in cases:
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        want = _outcome(plain, path)
+        calls = _count_json_loads(monkeypatch)
+        assert _outcome(load, path) == want
+        assert calls == []
+        monkeypatch.undo()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(19, 309).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+       st.booleans())
+def test_long_integer_reads_as_float_of_it(n, negative):
+    # the JSONL reader's rule rests on this: where orjson reads an integer of
+    # 19 or more digits, it gives json's int or the double float() makes of it
+    import orjson
+
+    n = min(n, int(sys.float_info.max))
+    if negative:
+        n = -n
+    got = orjson.loads(str(n))
+    if type(got) is int:
+        assert got == n and -(2**63) <= n < 2**64
+    else:
+        assert type(got) is float and got.hex() == float(n).hex()
+
+
+def test_long_integers_load_as_json_has_them(tmp_path):
+    big = 12345678901234567890  # 20 digits, beyond 64 bits
+    low = -(2**63) - 1  # 19 digits, below 64 bits
+    scenes = [dict(SCENE_EXAMPLE, scores={"q": big}), dict(SCENE_EXAMPLE, scores={"q": -big}),
+              dict(SCENE_EXAMPLE, instances=[{"category": "mug", "bbox": [0.0, 0.0, 1.0, big]}])]
+    rows = [dict(RESULT_EXAMPLES[0], values=[1.0, big, -big]),
+            dict(RESULT_EXAMPLES[0], shots=[0, 2, big]),
+            dict(RESULT_EXAMPLES[0], shots=[0, 2, low])]
+    for objs, load, plain in ((scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA),
+                              (rows, load_results, PLAIN_RESULTS)):
+        for obj in objs:
+            _assert_same([obj], load, plain, tmp_path / "records.jsonl")

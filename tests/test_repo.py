@@ -59,26 +59,35 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
 
 
-# Each function allowed to decode JSON: the one JSONL reader, which keeps
-# orjson's and json's values of a line apart, and two readers of one JSON
-# document (a config file, a parameter file's manifest line).
+# Each function allowed to decode JSON with json: the one JSONL reader and two
+# readers of one JSON document (a config file, a parameter file's manifest
+# line).  orjson, whose values part from json's in a few ways, is used only by
+# the JSONL reader, which keeps the two apart.
 JSON_DECODE_SITES = {("records.py", "_read_jsonl"), ("cli.py", "_load_config"),
                      ("capm.py", "load_params")}
+ORJSON_SITES = {("records.py", "_read_jsonl")}
 JSON_DECODERS = {"load", "loads", "JSONDecoder"}
 
 
-def _json_decodes(path: Path) -> list[tuple[str | None, int]]:
-    """(outermost function or None, line) of each use of a json or orjson decoder."""
+def _json_uses(path: Path) -> list[tuple[str, str | None, int]]:
+    """(module, outermost function or None, line) of each use of a json
+    decoder, and of each mention of orjson."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-                if child.value.id in ("json", "orjson") and child.attr in JSON_DECODERS:
-                    found.append((func, child.lineno))
-            elif isinstance(child, ast.ImportFrom) and child.module in ("json", "orjson"):
+                if child.value.id == "json" and child.attr in JSON_DECODERS:
+                    found.append(("json", func, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and child.module == "json":
                 if any(alias.name in JSON_DECODERS for alias in child.names):
-                    found.append((func, child.lineno))
+                    found.append(("json", func, child.lineno))
+            if (
+                isinstance(child, ast.Name) and child.id == "orjson"
+                or isinstance(child, ast.Import) and any(a.name == "orjson" for a in child.names)
+                or isinstance(child, ast.ImportFrom) and child.module == "orjson"
+            ):
+                found.append(("orjson", func, child.lineno))
             is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, func or (child.name if is_func else None))
 
@@ -87,13 +96,14 @@ def _json_decodes(path: Path) -> list[tuple[str | None, int]]:
 
 
 def test_json_is_decoded_only_where_allowed():
+    allowed = {"json": JSON_DECODE_SITES, "orjson": ORJSON_SITES}
     stray = [
-        f"{path.relative_to(ROOT).as_posix()}:{lineno} (in {func})"
+        f"{path.relative_to(ROOT).as_posix()}:{lineno} ({module} in {func})"
         for path in sorted((ROOT / "src" / "ctxforge").rglob("*.py"))
-        for func, lineno in _json_decodes(path)
-        if (path.name, func) not in JSON_DECODE_SITES
+        for module, func, lineno in _json_uses(path)
+        if (path.name, func) not in allowed[module]
     ]
-    assert not stray, f"JSON decoded outside records._read_jsonl: {stray}"
+    assert not stray, f"JSON decoded outside its allowed sites: {stray}"
 
 
 def _bench_tracing():
