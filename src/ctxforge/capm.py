@@ -243,7 +243,8 @@ def random_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
 
 @dataclass(eq=False)
 class CapmTrace:
-    """Forward intermediates: public state per stage plus backward caches."""
+    """Forward intermediates: public state per stage plus the backward caches,
+    which ``capm_backward`` takes out as it runs."""
 
     h: np.ndarray
     y: np.ndarray
@@ -315,16 +316,20 @@ def _ln_forward(x, gain, bias, eps=_LN_EPS):
 
 
 def _ln_backward(dout, cache):
+    # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in place
+    # in that operation order, so it keeps the bits of the allocating form
     xhat, inv, gain = cache
     d = xhat.shape[-1]
-    dgain = (dout * xhat).reshape(-1, d).sum(axis=0)
+    tmp = dout * xhat
+    dgain = tmp.reshape(-1, d).sum(axis=0)
     dbias = dout.reshape(-1, d).sum(axis=0)
-    dxhat = dout * gain
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = dout * gain  # dxhat until the first subtraction
+    np.multiply(dx, xhat, out=tmp)
+    proj = tmp.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dgain, dbias
 
 
@@ -615,9 +620,9 @@ def _gate_forward(h, context, y, params: CapmParams, hyper: CapmHyper):
 
 def _gate_backward(dyp, cache, params: CapmParams, grads, hyper: CapmHyper):
     ln_cache, xg, pre1, hid, m, y, d_b = cache
-    dy = dyp * m
-    dm = dyp * y
-    dpre2 = dm * m * (1.0 - m)
+    dpre2 = dyp * y  # dm, then dm * m * (1 - m) in place
+    dpre2 *= m
+    dpre2 *= 1.0 - m
     grads["gate_w2"] += hid.T @ dpre2
     grads["gate_b2"] += dpre2.sum(axis=0)
     dhid = dpre2 @ params.gate_w2.T
@@ -625,11 +630,11 @@ def _gate_backward(dyp, cache, params: CapmParams, grads, hyper: CapmHyper):
     grads["gate_w1"] += xg.T @ dpre1
     grads["gate_b1"] += dpre1.sum(axis=0)
     dxg = dpre1 @ params.gate_w1.T
-    dlnh = dxg[:, :d_b]
-    dcontext = dxg[:, d_b:]
-    dh, dgain, dbias = _ln_backward(dlnh, ln_cache)
+    dcontext = dxg[:, d_b:].copy()  # not a view that keeps all of dxg alive
+    dh, dgain, dbias = _ln_backward(dxg[:, :d_b], ln_cache)
     grads["gate_ln_gain"] += dgain
     grads["gate_ln_bias"] += dbias
+    dy = np.multiply(dyp, m, out=dpre2)  # dpre2's buffer, now read by nothing
     return dh, dcontext, dy
 
 
@@ -671,6 +676,11 @@ _STAGES = (
 )
 
 
+def _stages_run(demos) -> tuple[_Stage, ...]:
+    """The stages a forward over ``demos`` runs: without demos, the gate alone."""
+    return _STAGES if len(demos) else _STAGES[-1:]
+
+
 def _run(stages, values: dict[str, Any], params: CapmParams, hyper: CapmHyper) -> dict[str, Any]:
     """Run ``stages`` in order over ``values``; returns their caches by stage name."""
     caches = {}
@@ -683,7 +693,7 @@ def _run(stages, values: dict[str, Any], params: CapmParams, hyper: CapmHyper) -
 def _resume(values: dict[str, Any], name: str, params: CapmParams, hyper: CapmHyper) -> np.ndarray:
     """``y_prime`` of a forward over ``values`` (a trace's fields and inputs) that
     re-runs only the stages from the first one reading ``name``, a parameter or input."""
-    stages = [st for st in _STAGES if st.name in values["caches"]]
+    stages = _stages_run(values["demos"])
     start = next((i for i, st in enumerate(stages) if name in st.reads + st.params), len(stages))
     values = dict(values)
     _run(stages[start:], values, params, hyper)
@@ -716,7 +726,7 @@ def capm_forward(
         values.update(slots=np.zeros((0, hyper.K + 2, hyper.d_p)), z=np.zeros((0, hyper.d_p)),
                       z_hat=np.zeros((0, hyper.d_p)), bank=np.zeros((0, hyper.d_p)), tau=None,
                       context=np.zeros((len(hv), hyper.d_p)), weights=np.zeros((len(hv), 0)))
-    caches = _run(_STAGES if len(demos) else _STAGES[-1:], values, params, hyper)
+    caches = _run(_stages_run(demos), values, params, hyper)
     del values["demos"]
     trace = CapmTrace(caches=caches, **values)
     return trace.y_prime, trace
@@ -730,7 +740,18 @@ def capm_backward(
     ``params`` must be the object the trace was produced with.  Returns
     gradients for every parameter tensor plus ``d_h``, ``d_y`` and one
     ``d_tokens`` array per demo.
+
+    A trace feeds one backward: each stage's cache leaves ``trace.caches``
+    just before that stage's backward runs, so it is freed as soon as the
+    stage is done rather than held with the trace.  At a backbone's sizes
+    these caches are several ``(T, d_b)`` tensors.  The trace's stage states
+    stay; a second backward needs a new ``capm_forward``.
     """
+    if _STAGES[-1].name not in trace.caches:  # every forward runs the gate
+        raise ValidationError(
+            "capm_backward: the trace already fed a backward, which released its "
+            "caches; run capm_forward again"
+        )
     g = np.asarray(grad_y_prime, dtype=np.float64)
     if g.shape != trace.y_prime.shape:
         raise ValidationError(
@@ -739,7 +760,8 @@ def capm_backward(
     grads = {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
     d: dict[str, Any] = {"y_prime": g}
     for st in reversed([st for st in _STAGES if st.name in trace.caches]):
-        d_reads = st.backward(d[st.writes[0]], trace.caches[st.name], params, grads, hyper)
+        # the popped cache and first write are needed by no later stage
+        d_reads = st.backward(d.pop(st.writes[0]), trace.caches.pop(st.name), params, grads, hyper)
         for key, grad in zip(st.reads, d_reads):  # summed in reverse stage order
             d[key] = d[key] + grad if key in d else grad
     return CapmGrads(params=grads, d_h=d["h"], d_y=d["y"], d_tokens=d.get("demos", []))
@@ -820,7 +842,7 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
         line = fh.readline()
         try:
             manifest = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):  # bad UTF-8 or JSON, a huge integer, deep nesting
             raise ValidationError(f"{path}: bad parameter manifest line") from None
         if not isinstance(manifest, dict) or manifest.get("format") != "capm-params":
             raise ValidationError(f"{path}: not a parameter file")

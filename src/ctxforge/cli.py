@@ -262,6 +262,28 @@ _EPISODE_LABELS = {
 }
 
 
+def _dpp_shots(
+    qid: str, ids: list[str], phi: np.ndarray, scores: list[float], beta: float, k: int
+) -> list[str]:
+    """The diverse shots of one query's ranked pool.  The pool and its factor
+    are local here, so they are freed before the next query builds its own."""
+    pool = fusion.CandidatePool(ids=tuple(ids), phi=phi, scores=np.asarray(scores), beta=beta)
+    factor = fusion.build_dpp_factor(pool)
+    want = min(k, len(ids))
+    chosen = fusion.greedy_dpp_select(factor, want)
+    if len(chosen) < want:
+        why = (
+            "no remaining candidate's squared residual reaches it"
+            if chosen
+            else "every squared quality exp(2*beta*s) is below it"
+        )
+        _log(
+            f"retrieve: {qid}: k={want}: returned {len(chosen)} shot(s); "
+            f"stopped at the residual floor {fusion.RESIDUAL_EPS:g}: {why}"
+        )
+    return [ids[i] for i in chosen]
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     k = _setting(args.k, config, "k", DEFAULT_K)
@@ -309,28 +331,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 scores = [s for _, s in ranked]
             if k > len(ids):
                 _log(f"retrieve: {qid}: clamping k={k} to pool size {len(ids)}")
-            selected: list[str] = []
-            if ids:
-                pool = fusion.CandidatePool(
-                    ids=tuple(ids),
-                    phi=visual[store.rows(ids, "visual")],
-                    scores=np.asarray(scores),
-                    beta=beta,
-                )
-                factor = fusion.build_dpp_factor(pool)
-                want = min(k, len(ids))
-                chosen = fusion.greedy_dpp_select(factor, want)
-                if len(chosen) < want:
-                    why = (
-                        "no remaining candidate's squared residual reaches it"
-                        if chosen
-                        else "every squared quality exp(2*beta*s) is below it"
-                    )
-                    _log(
-                        f"retrieve: {qid}: k={want}: returned {len(chosen)} shot(s); "
-                        f"stopped at the residual floor {fusion.RESIDUAL_EPS:g}: {why}"
-                    )
-                selected = [ids[i] for i in chosen]
+            selected = (
+                _dpp_shots(qid, ids, visual[store.rows(ids, "visual")], scores, beta, k)
+                if ids else []
+            )
             episodes.append(
                 _episode(
                     episode_id=qid,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,136 @@ class TestBackwardSpotChecks:
         np.testing.assert_array_equal(grads.d_y, 0.0)
         for d_tok in grads.d_tokens:
             np.testing.assert_array_equal(d_tok, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a trace feeds one backward, which frees each stage's cache as it goes
+
+# the benchmark's CAPM step: 16 demos of 32 tokens over 256 backbone tokens
+BENCH_HYPER = CapmHyper(d_b=256, d_p=64, K=4, r=4, heads=4)
+BENCH_SIZES = dict(t_len=256, n_demos=16, l_len=32)
+
+
+class TestOneBackwardPerTrace:
+    @pytest.mark.parametrize("n_demos", [2, 0])
+    def test_backward_releases_the_caches_and_refuses_a_second_call(self, n_demos):
+        rng = np.random.default_rng(21)
+        params = random_params(HYPER, rng)
+        demos, h, y = make_inputs(rng, n_demos=n_demos)
+        _, trace = capm_forward(demos, h, y, params, HYPER)
+        grads = capm_backward(trace, np.ones_like(y), params, HYPER)
+        assert trace.caches == {}
+        assert len(grads.d_tokens) == n_demos
+        with pytest.raises(ValidationError) as info:
+            capm_backward(trace, np.ones_like(y), params, HYPER)
+        assert str(info.value) == (
+            "capm_backward: the trace already fed a backward, which released its "
+            "caches; run capm_forward again"
+        )
+
+    def test_stage_states_diagnostics_and_gradcheck_work_after_the_backward(self):
+        rng = np.random.default_rng(22)
+        params = random_params(HYPER, rng)
+        demos, h, y = make_inputs(rng)
+        _, t0 = capm_forward([], h, y, params, HYPER)
+        _, tk = capm_forward(demos, h, y, params, HYPER)
+        states = {stage: a.copy() for stage, a in tk.stage_states().items()}
+        stats = forward_diagnostics(t0, tk)
+        for trace in (t0, tk):
+            capm_backward(trace, np.ones_like(y), params, HYPER)
+        for stage, a in tk.stage_states().items():
+            assert np.array_equal(a, states[stage]), stage
+        assert forward_diagnostics(t0, tk) == stats
+        # gradient_check resumes its perturbed forwards from a spent trace
+        tiny = CapmHyper(d_b=6, d_p=4, K=1, r=1, heads=1)
+        params = random_params(tiny, rng)
+        demos, h, y = make_inputs(rng, hyper=tiny, t_len=2, n_demos=1, l_len=3)
+        assert capm.gradient_check(params, tiny, demos, h, y).passed
+
+    def test_little_is_held_after_the_backward_at_the_bench_shape(self):
+        rng = np.random.default_rng(23)
+        params = random_params(BENCH_HYPER, rng)
+        demos, h, y = make_inputs(rng, hyper=BENCH_HYPER, **BENCH_SIZES)
+        grad_out = rng.standard_normal(y.shape)
+        _, trace = capm_forward(demos, h, y, params, BENCH_HYPER)  # first calls allocate once
+        capm_backward(trace, grad_out, params, BENCH_HYPER)
+        del trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = capm_forward(demos, h, y, params, BENCH_HYPER)
+            grads = capm_backward(trace, grad_out, params, BENCH_HYPER)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the trace's states and the gradients; with every stage cache kept, 9.3 MB
+        assert held < 6 * 2**20, held / 2**20
+        assert grads.d_h.shape == h.shape
+
+
+# the allocating forms that the in-place backward rewrites replaced: the
+# reference the rewrites must match bit for bit
+
+
+def ln_backward_allocating(dout, cache):
+    xhat, inv, gain = cache
+    d = xhat.shape[-1]
+    dgain = (dout * xhat).reshape(-1, d).sum(axis=0)
+    dbias = dout.reshape(-1, d).sum(axis=0)
+    dxhat = dout * gain
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgain, dbias
+
+
+def gate_backward_allocating(dyp, cache, params, grads):
+    ln_cache, xg, pre1, hid, m, y, d_b = cache
+    dy = dyp * m
+    dm = dyp * y
+    dpre2 = dm * m * (1.0 - m)
+    grads["gate_w2"] += hid.T @ dpre2
+    grads["gate_b2"] += dpre2.sum(axis=0)
+    dhid = dpre2 @ params.gate_w2.T
+    dpre1 = dhid * capm._gelu_grad(pre1)
+    grads["gate_w1"] += xg.T @ dpre1
+    grads["gate_b1"] += dpre1.sum(axis=0)
+    dxg = dpre1 @ params.gate_w1.T
+    dh, dgain, dbias = ln_backward_allocating(dxg[:, :d_b], ln_cache)
+    grads["gate_ln_gain"] += dgain
+    grads["gate_ln_bias"] += dbias
+    return dh, dxg[:, d_b:], dy
+
+
+@pytest.mark.parametrize(
+    "hyper, t_len", [(BENCH_HYPER, BENCH_SIZES["t_len"]), (HYPER, 5)], ids=["bench", "cli-default"]
+)
+class TestInPlaceBackwardKeepsBits:
+    def test_layernorm_backward(self, hyper, t_len):
+        rng = np.random.default_rng(24)
+        x, dout = rng.standard_normal((2, t_len, hyper.d_b))
+        gain, bias = 1.0 + 0.2 * rng.standard_normal((2, hyper.d_b))
+        _, cache = capm._ln_forward(x, gain, bias)
+        for got, want in zip(capm._ln_backward(dout, cache), ln_backward_allocating(dout, cache)):
+            assert np.array_equal(got, want)
+
+    def test_gate_backward(self, hyper, t_len):
+        rng = np.random.default_rng(25)
+        params = random_params(hyper, rng)
+        h, y, dyp = rng.standard_normal((3, t_len, hyper.d_b))
+        context = rng.standard_normal((t_len, hyper.d_p))
+        _, cache = capm._gate_forward(h, context, y, params, hyper)
+        grads, want_grads = ({n: np.zeros_like(a) for n, a in params.as_dict().items()}
+                             for _ in range(2))
+        got = capm._gate_backward(dyp, cache, params, grads, hyper)
+        want = gate_backward_allocating(dyp, cache, params, want_grads)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert g.base is None  # no view keeps a larger temporary alive
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,13 @@ def test_resumed_objective_equals_full_forward(lengths):
     demos = [(rng.standard_normal((n, hyper.d_b)), ["assistant", "user", "user"] * (n // 3))
              for n in lengths]
     _, trace = capm_forward(demos, h, y, params, hyper)
+    # a trace whose backward released its caches resumes just the same
+    _, spent = capm_forward(demos, h, y, params, hyper)
+    capm_backward(spent, grad_out, params, hyper)
+    assert spent.caches == {}
     work = params.copy()
     inputs = {"h": h.copy(), "y": y.copy(), "demos": [(t.copy(), s) for t, s in demos]}
-    base = dict(vars(trace), **inputs)
+    bases = [dict(vars(t), **inputs) for t in (trace, spent)]
     tensors = [(getattr(work, name), name) for name in PARAM_FIELDS]
     tensors += [(inputs["h"], "h"), (inputs["y"], "y")] + [(t, "demos") for t, _ in inputs["demos"]]
     assert len(tensors) == len(PARAM_FIELDS) + 2 + len(lengths)
@@ -121,10 +125,12 @@ def test_resumed_objective_equals_full_forward(lengths):
             orig = flat[i]
             for moved in (orig + 1e-5, orig - 1e-5):
                 flat[i] = moved
-                resumed = _resume(base, name, work, hyper)
                 full, _ = capm_forward(inputs["demos"], inputs["h"], inputs["y"], work, hyper)
-                assert float((grad_out * resumed).sum()) == float((grad_out * full).sum()), (name, i)
-                assert np.array_equal(resumed, full), (name, i)
+                for base in bases:
+                    resumed = _resume(base, name, work, hyper)
+                    assert float((grad_out * resumed).sum()) == float((grad_out * full).sum()), (
+                        name, i)
+                    assert np.array_equal(resumed, full), (name, i)
             flat[i] = orig
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -155,6 +156,41 @@ class TestRetrieveFusion:
         assert code == 0
         assert json.loads(out)["shots"] == []
         assert "retrieve: query: clamping k=2 to pool size 0\n" in err
+
+    def test_each_query_pool_is_freed_before_the_next_is_built(self, tmp_path):
+        from ctxforge import fusion
+
+        rng = np.random.default_rng(3)
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            json.dumps({"id": f"it{i}", "modality": m, "dim": 4, "values": rng.normal(size=4).tolist()})
+            + "\n"
+            for i in range(8) for m in ("visual", "text")
+        ))
+        queries = tmp_path / "q.jsonl"
+        queries.write_text("".join(json.dumps({"id": f"it{i}"}) + "\n" for i in range(4)))
+        refs: list[weakref.ref] = []  # every earlier query's pool and factor
+        alive_at_build: list[int] = []
+        make_pool, build_factor = fusion.CandidatePool, fusion.build_dpp_factor
+
+        def counting_pool(*args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            return make_pool(*args, **kwargs)
+
+        def collecting_factor(pool):
+            factor = build_factor(pool)
+            refs.extend([weakref.ref(pool), weakref.ref(factor)])
+            return factor
+
+        fusion.CandidatePool, fusion.build_dpp_factor = counting_pool, collecting_factor
+        try:
+            code, out, _ = run_cli(["retrieve", "--mode", "fusion", "--embeddings", str(emb),
+                                    "--queries", str(queries), "--k", "2"])
+        finally:
+            fusion.CandidatePool, fusion.build_dpp_factor = make_pool, build_factor
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert alive_at_build == [0, 0, 0, 0]
 
     @staticmethod
     def _run_with_scores(emb, queries, meta, score):
@@ -1037,6 +1073,19 @@ class TestCapmCli:
         code, out, err = run_cli(["capm", "demo", "--params", str(path)])
         assert (code, out) == (3, "")
         assert f"{path}: manifest: eta must be a finite number, got 1000" in err
+
+    @pytest.mark.parametrize(
+        "value", [b"7" * 5000, b"[" * 5000 + b"]" * 5000], ids=["5000-digits", "5000-deep"]
+    )
+    def test_params_manifest_the_decoder_refuses_exits_3(self, tmp_path, value):
+        # json raises ValueError on an over-long integer, RecursionError on deep nesting
+        path = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        blob = path.read_bytes()
+        assert blob.count(b'"eta": 0.1,') == 1
+        path.write_bytes(blob.replace(b'"eta": 0.1,', b'"eta": ' + value + b","))
+        code, out, err = run_cli(["capm", "demo", "--params", str(path)])
+        assert (code, out, err) == (3, "", f"forge: {path}: bad parameter manifest line\n")
 
     def test_params_with_non_integer_shape_exit_3(self, tmp_path):
         path = tmp_path / "w.capm"
