@@ -51,7 +51,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .errors import NumericGuardError, ValidationError
-from .records import is_finite_number, pack_vector_block, read_vector_block
+from .records import _decode_json, is_finite_number, pack_vector_block, read_vector_block
 
 SEGMENT_LABELS = ("user", "assistant")
 
@@ -841,9 +841,11 @@ def load_params(path: str) -> tuple[CapmParams, CapmHyper]:
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
-            manifest = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError):  # bad UTF-8 or JSON, a huge integer, deep nesting
-            raise ValidationError(f"{path}: bad parameter manifest line") from None
+            manifest = _decode_json(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: bad parameter manifest line: not valid UTF-8 text") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: bad parameter manifest line: {exc}") from None
         if not isinstance(manifest, dict) or manifest.get("format") != "capm-params":
             raise ValidationError(f"{path}: not a parameter file")
         if manifest.get("version") != 1:
@@ -892,6 +894,29 @@ class GradCheckReport:
     @property
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
+
+
+def _checked_tensors(
+    params: CapmParams, h: np.ndarray, y: np.ndarray, demos: Sequence[tuple[np.ndarray, Any]]
+) -> list[tuple[str, np.ndarray, str]]:
+    """(report name, array, the input ``_resume`` perturbs) of each tensor
+    ``gradient_check`` perturbs, in its order."""
+    return [
+        *((name, getattr(params, name), name) for name in PARAM_FIELDS),
+        ("h", h, "h"),
+        ("y", y, "y"),
+        *((f"tokens[{i}]", tokens, "demos") for i, (tokens, _) in enumerate(demos)),
+    ]
+
+
+def gradient_check_size(
+    params: CapmParams, demos: Sequence[tuple[Any, Sequence[str]]], h: np.ndarray, y: np.ndarray
+) -> tuple[int, int]:
+    """How many tensors ``gradient_check`` perturbs, and how many forwards it
+    resumes for them: two per coordinate."""
+    arrays = [(np.asarray(t), s) for t, s in demos]
+    tensors = _checked_tensors(params, np.asarray(h), np.asarray(y), arrays)
+    return len(tensors), 2 * sum(arr.size for _, arr, _ in tensors)
 
 
 def gradient_check(
@@ -947,13 +972,12 @@ def gradient_check(
         denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(n)), 1e-12)
         return float(np.linalg.norm(a - n)) / denom
 
-    per_tensor: dict[str, float] = {}
-    for name in PARAM_FIELDS:
-        per_tensor[name] = rel_err(analytic.params[name], numeric_grad(getattr(work, name), name))
-    per_tensor["h"] = rel_err(analytic.d_h, numeric_grad(inputs["h"], "h"))
-    per_tensor["y"] = rel_err(analytic.d_y, numeric_grad(inputs["y"], "y"))
-    for i, (tokens, _) in enumerate(inputs["demos"]):
-        per_tensor[f"tokens[{i}]"] = rel_err(analytic.d_tokens[i], numeric_grad(tokens, "demos"))
+    exact = {**analytic.params, "h": analytic.d_h, "y": analytic.d_y,
+             **{f"tokens[{i}]": d for i, d in enumerate(analytic.d_tokens)}}
+    per_tensor = {
+        name: rel_err(exact[name], numeric_grad(arr, perturbed))
+        for name, arr, perturbed in _checked_tensors(work, inputs["h"], inputs["y"], inputs["demos"])
+    }
 
     max_rel_err = max(per_tensor.values())
     return GradCheckReport(max_rel_err=max_rel_err, per_tensor=per_tensor, tolerance=tolerance)

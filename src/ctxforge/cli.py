@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from .records import (
     Episode,
     TAXONOMY_ORDER,
     UnknownSubtaskWarning,
+    _decode_json,
     _known_labels,
     _read_jsonl,
     is_container,
@@ -138,10 +140,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     if not path:
         return {}
     try:
-        cfg = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: config parse error: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        cfg = _decode_json(_read_text(path))
+    except ValidationError as exc:
         raise ValidationError(f"{path}: config parse error: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
@@ -677,6 +677,8 @@ def cmd_capm(args: argparse.Namespace) -> int:
         params = capm.random_params(hyper, param_rng)
         demos, h, y = _capm_inputs(args, hyper, rng, shots)
         grad_out = rng.standard_normal(y.shape)
+        tensors, forwards = capm.gradient_check_size(params, demos, h, y)
+        _log(f"capm gradcheck: {tensors} tensors, {forwards} perturbed forwards (two per coordinate)")
         report = capm.gradient_check(
             params, hyper, demos, h, y, grad_out, step=step, tolerance=tolerance
         )
@@ -784,14 +786,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taxonomy", help="taxonomy label for emitted episodes")
     p.add_argument("--subtask", help="subtask label for emitted episodes")
     p.add_argument("--episode-id", dest="episode_id", help="episode id for intent mode")
-    p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("filter", parents=[config, common], help="filter metadata by a score field")
     p.add_argument("--metadata", required=True)
     p.add_argument("--score-field", dest="score_field", required=True)
     p.add_argument("--min", type=float, help="inclusive lower bound")
     p.add_argument("--max", type=float, help="inclusive upper bound")
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("eval", parents=[common], help="metric reports over result curves")
     p.add_argument("report", choices=("curves", "stability", "align", "transfer", "human"))
@@ -800,7 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", help="variant results JSONL (transfer)")
     p.add_argument("--x-field", dest="x_field", default="primary")
     p.add_argument("--y-field", dest="y_field", default="auxiliary")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("capm", parents=[config, common], help="context-modulation demos and checks")
     p.add_argument("action", choices=("demo", "gradcheck", "diagnose"))
@@ -821,26 +820,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=1e-4, help="gradcheck tolerance")
     p.add_argument("--params", help="load parameters from this file (demo)")
     p.add_argument("--save-params", dest="save_params", help="save parameters (demo)")
-    p.set_defaults(func=cmd_capm)
 
     p = sub.add_parser("validate", parents=[common], help="lint data files")
     p.add_argument("--episodes")
     p.add_argument("--embeddings")
     p.add_argument("--metadata")
     p.add_argument("--max-shots", type=int, dest="max_shots", default=8)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+# ``main``'s parser, built on its first call and reused: it holds only
+# immutable defaults, and each parse returns a new namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
+    # looked up when the command runs, so a ``cmd_*`` replaced later is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         _log(f"forge: usage error: {exc}")
         return 2

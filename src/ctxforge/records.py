@@ -515,6 +515,45 @@ def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
             raise ValidationError(f"{path}: not valid UTF-8 text") from None
 
 
+# The deepest nesting any JSON input may have, well under the interpreter's
+# recursion limit of 1000, whose frames json's decoder shares with its caller
+MAX_JSON_DEPTH = 500
+# a JSON string (skipped) or a bracket
+_JSON_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]')
+
+
+def _nested_too_deep(text: str) -> bool:
+    """Whether ``text`` opens more than ``MAX_JSON_DEPTH`` brackets at once
+    outside its strings; only text holding that many brackets is scanned."""
+    if text.count("{") + text.count("[") <= MAX_JSON_DEPTH:
+        return False
+    depth = 0
+    for match in _JSON_BRACKETS.finditer(text):
+        char = text[match.start()]
+        if char in "[{":
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                return True
+        elif char != '"':
+            depth -= 1
+    return False
+
+
+def _decode_json(text: str) -> Any:
+    """``json``'s value of the one JSON document ``text``, or a
+    ``ValidationError`` saying why it has none.  Nesting past
+    ``MAX_JSON_DEPTH`` is refused before ``json`` reads it, so whether a
+    document loads depends on its text, not on how deep the caller is."""
+    if _nested_too_deep(text):
+        raise ValidationError(f"nested deeper than {MAX_JSON_DEPTH} levels")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(exc.msg) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, a deep caller
+        raise ValidationError(str(exc)) from None
+
+
 def _holds_lone_surrogate(obj: Any) -> bool:
     """Whether a key or string of ``obj``, a value ``json`` decoded, holds a
     lone surrogate (``json`` decodes one from an escape such as ``"\\ud800"``)."""
@@ -540,9 +579,10 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
     naming the file and line.
 
     orjson decodes a line first: it returns json's doubles several times
-    faster.  It accepts nesting too deep for json, which an extra key or a
-    duplicated key's discarded value can hide, so it reads only lines holding
-    at most 128 "{" and "[" together.  json decodes the lines orjson refuses
+    faster.  It accepts nesting deeper than ``MAX_JSON_DEPTH``, which an
+    extra key or a duplicated key's discarded value can hide, so it reads
+    only lines holding at most 128 "{" and "[" together.  ``_decode_json``
+    (json under the nesting bound) decodes the lines orjson refuses
     (NaN, ``1e400``, an escaped lone surrogate, ...), and a line json decodes
     to a lone surrogate is refused, as no UTF-8 text can carry it.  orjson's
     value differs from json's only in an integer literal of 19 or more
@@ -570,12 +610,9 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
                         raise
                     fast = False
             if not fast:
-                # decoded here, not in a helper: json's nesting limit counts this frame's depth
                 try:
-                    value = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"parse error: {exc.msg}") from None
-                except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+                    value = _decode_json(line)
+                except ValidationError as exc:
                     raise ValidationError(f"parse error: {exc}") from None
                 if _holds_lone_surrogate(value):
                     raise ValidationError("parse error: a string holds an escaped lone surrogate, "

@@ -738,7 +738,7 @@ def test_huge_integer_exits_3(tmp_path, name, obj, argv, message):
 @pytest.mark.parametrize(
     "text, message",
     [("1" * 5000, "parse error: Exceeds the limit (4300 digits)"),
-     ("[" * 100_000, "parse error: maximum recursion depth exceeded")],
+     ("[" * 100_000, "parse error: nested deeper than 500 levels")],
     ids=["integer-digits", "nesting"],
 )
 def test_unparseable_number_or_nesting_exits_3(tmp_path, text, message):
@@ -1075,17 +1075,21 @@ class TestCapmCli:
         assert f"{path}: manifest: eta must be a finite number, got 1000" in err
 
     @pytest.mark.parametrize(
-        "value", [b"7" * 5000, b"[" * 5000 + b"]" * 5000], ids=["5000-digits", "5000-deep"]
+        "value, reason",
+        [(b"7" * 5000, "Exceeds the limit (4300 digits) for integer string conversion: "
+                       "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+         (b"[" * 5000 + b"]" * 5000, "nested deeper than 500 levels")],
+        ids=["5000-digits", "5000-deep"],
     )
-    def test_params_manifest_the_decoder_refuses_exits_3(self, tmp_path, value):
-        # json raises ValueError on an over-long integer, RecursionError on deep nesting
+    def test_params_manifest_the_decoder_refuses_exits_3(self, tmp_path, value, reason):
+        # json raises ValueError on an over-long integer; nesting is bounded before json
         path = tmp_path / "w.capm"
         assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
         blob = path.read_bytes()
         assert blob.count(b'"eta": 0.1,') == 1
         path.write_bytes(blob.replace(b'"eta": 0.1,', b'"eta": ' + value + b","))
         code, out, err = run_cli(["capm", "demo", "--params", str(path)])
-        assert (code, out, err) == (3, "", f"forge: {path}: bad parameter manifest line\n")
+        assert (code, out, err) == (3, "", f"forge: {path}: bad parameter manifest line: {reason}\n")
 
     def test_params_with_non_integer_shape_exit_3(self, tmp_path):
         path = tmp_path / "w.capm"
@@ -1210,7 +1214,7 @@ class TestConfigMerge:
     @pytest.mark.parametrize(
         "text, message",
         [("1" * 5000, "config parse error: Exceeds the limit (4300 digits)"),
-         ("[" * 100_000, "config parse error: maximum recursion depth exceeded")],
+         ("[" * 100_000, "config parse error: nested deeper than 500 levels")],
         ids=["integer-digits", "nesting"],
     )
     def test_unparseable_config_exits_3(self, tmp_path, text, message):
@@ -1366,3 +1370,176 @@ class TestTopLevel:
         assert code == 0
         assert out == ""
         assert json.loads(out_file.read_text())["scene_id"] == "s"
+
+
+@pytest.fixture
+def fresh_parser():
+    """Make ``main`` build its parser anew on its next call."""
+    from ctxforge import cli
+
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+HELP_AND_ERROR_ARGV = [
+    ["--help"],
+    *([sub, "--help"] for sub in ("retrieve", "filter", "eval", "capm", "validate")),
+    ["--version"],
+    [],
+    ["eval", "curves", "--no-such-flag"],
+    ["retrieve", "--mode", "intent", "--k", "four"],
+]
+
+
+class TestSharedParser:
+    """``main`` builds its parser on its first call and reuses it."""
+
+    @pytest.mark.parametrize("argv", HELP_AND_ERROR_ARGV, ids=lambda a: " ".join(a) or "no-args")
+    def test_same_argv_twice_gives_the_same_result(self, fresh_parser, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "100")
+        first = run_cli(argv)  # on a new parser
+        assert run_cli(argv) == first
+        assert first[0] in (0, 2)
+
+    @pytest.mark.parametrize("bad", HELP_AND_ERROR_ARGV[-3:], ids=["no-args", "unknown-flag", "bad-k"])
+    def test_a_usage_error_leaves_nothing_behind(self, fresh_parser, tmp_path, bad):
+        results = tmp_path / "r.jsonl"
+        results.write_text("".join(json.dumps(r) + "\n" for r in GOLDEN_FILES["r.jsonl"]))
+        argv = ["eval", "curves", "--results", str(results)]
+        expected = run_cli(argv)  # on a new parser
+        assert expected[0] == 0
+        assert run_cli(bad)[0] == 2
+        assert run_cli(argv) == expected
+
+    def test_the_second_call_builds_no_parser(self, fresh_parser, monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run_cli(["--version"])[0] == 0
+        assert built  # the first call built it
+        built.clear()
+        assert run_cli(["eval", "curves", "--help"])[0] == 0
+        assert run_cli(["--version"])[0] == 0
+        assert built == []
+
+    def test_a_command_replaced_after_the_first_call_runs(self, monkeypatch):
+        from ctxforge import cli
+
+        assert run_cli(["--version"])[0] == 0  # the parser exists
+        seen = []
+
+        def cmd_eval(args):
+            seen.append(args.report)
+            return 4
+
+        monkeypatch.setattr(cli, "cmd_eval", cmd_eval)
+        assert run_cli(["eval", "human"]) == (4, "", "")
+        assert seen == ["human"]
+
+    def test_every_default_is_immutable(self):
+        # a parser shared by every call must not hand one call's list to the next
+        import argparse
+
+        from ctxforge.cli import build_parser
+
+        def actions(parser):
+            for action in parser._actions:
+                yield parser.prog, action
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from actions(sub)
+
+        found = list(actions(build_parser()))
+        assert len({prog for prog, _ in found}) == 6  # forge and its five subcommands
+        for prog, action in found:
+            assert action.default is None or type(action.default) in (str, int, float, bool), (
+                prog, action.dest, action.default)
+
+    def test_build_parser_returns_a_new_parser(self):
+        from ctxforge.cli import build_parser
+
+        assert build_parser() is not build_parser()
+
+    def test_cli_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+            "import ctxforge.cli\n"
+            "print(len(built), ctxforge.cli._parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
+        assert proc.stdout.split() == ["0", "0"]
+
+
+def _deeper(frames, fn):
+    """``fn()`` called ``frames`` stack frames deeper than this call."""
+    return fn() if frames == 0 else _deeper(frames - 1, fn)
+
+
+def _nesting_case(tmp_path, site, depth):
+    """argv reading one document nested ``depth`` deep at ``site``, and the
+    error a document past the bound gives there."""
+    from ctxforge.records import MAX_JSON_DEPTH
+
+    assert MAX_JSON_DEPTH == 500
+    nested = "[" * (depth - 1) + "]" * (depth - 1)  # inside one object
+    if site == "jsonl":
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(SCENE) + "\n" + json.dumps(SCENE)[:-1].replace('"s"', '"t"')
+                        + f', "x": {nested}}}\n')
+        argv = ["validate", "--metadata", str(path)]
+        error = f"forge: {path}: line 2: parse error: nested deeper than 500 levels\n"
+    elif site == "config":
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"k": 1,\n "x": {nested}}}')
+        scenes = tmp_path / "s.jsonl"
+        scenes.write_text(json.dumps(SCENE) + "\n")
+        argv = ["retrieve", "--mode", "intent", "--metadata", str(scenes), "--rule", "true",
+                "--config", str(path)]
+        error = f"forge: {path}: config parse error: nested deeper than 500 levels\n"
+    else:
+        path = tmp_path / "p.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        blob = path.read_bytes()
+        assert blob.startswith(b"{")
+        path.write_bytes(b'{"x": ' + nested.encode() + b", " + blob[1:])
+        argv = ["capm", "demo", "--params", str(path)]
+        error = f"forge: {path}: bad parameter manifest line: nested deeper than 500 levels\n"
+    return argv, error
+
+
+@pytest.mark.parametrize("site", ["jsonl", "config", "manifest"])
+@pytest.mark.parametrize("depth", [500, 501])
+def test_nesting_bound_holds_at_any_stack_depth(tmp_path, site, depth):
+    argv, error = _nesting_case(tmp_path, site, depth)
+    direct = run_cli(argv)
+    if depth <= 500:
+        assert direct[0] == 0, direct
+    else:
+        assert direct == (3, "", error)
+    assert _deeper(400, lambda: run_cli(argv)) == direct
+
+
+def test_gradcheck_announces_its_size_on_stderr(monkeypatch):
+    from ctxforge import capm
+
+    resumed = []
+    resume = capm._resume
+    monkeypatch.setattr(capm, "_resume", lambda *a: (resumed.append(1), resume(*a))[1])
+    code, out, err = run_cli(["capm", "gradcheck", "--seed", "7"])
+    assert code == 0
+    first = err.splitlines()[0]
+    assert first == "capm gradcheck: 38 tensors, 5342 perturbed forwards (two per coordinate)"
+    assert len(resumed) == 5342
+    assert json.loads(out)["tensors"] == 38

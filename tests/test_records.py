@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from ctxforge.metrics import ResultRow, _exact_result, load_results
 from ctxforge.records import (
     CONTAINER_MAGIC,
     EMBEDDING_MODALITIES,
+    MAX_JSON_DEPTH,
     DemoOutput,
     Demonstration,
     EmbeddingRecord,
@@ -33,6 +35,7 @@ from ctxforge.records import (
     TAXONOMIES,
     UnknownSubtaskWarning,
     SceneTable,
+    _decode_json,
     _exact_scene,
     _read_jsonl,
     load_embeddings,
@@ -676,9 +679,34 @@ def _outcome(load, path):
 LONE_SURROGATE = "a string holds an escaped lone surrogate, which is not UTF-8 text"
 
 
+def _json_depth(text):
+    """The deepest nesting of ``text`` outside its strings, by a plain scan."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for char in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == '"':
+                in_string = False
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+    return deepest
+
+
 def _json_loads(line):
-    """``json.loads``, refusing a value that holds a lone surrogate: only a
-    ``\\u`` escape decodes to one, and no UTF-8 text can carry it."""
+    """``json.loads``, refusing nesting deeper than ``MAX_JSON_DEPTH`` before
+    it, and a value that holds a lone surrogate after it: only a ``\\u``
+    escape decodes to one, and no UTF-8 text can carry it."""
+    if _json_depth(line) > MAX_JSON_DEPTH:
+        raise ValueError(f"nested deeper than {MAX_JSON_DEPTH} levels")
     obj = json.loads(line)
     if "\\u" in line:
         try:
@@ -895,6 +923,42 @@ def test_orjson_divergences_load_as_json_has_them(tmp_path, fields, normalize):
     line = '{"id": "b", "modality": "visual", ' + fields + "}\n"
     _assert_same_store(GOOD_LINES + line + GOOD_LINES.replace('"a"', '"z"'), tmp_path / "e.jsonl",
                        normalize)
+
+
+# strings that hold brackets, quotes and backslashes, which the depth scan must skip
+BRACKETED_STRINGS = ['"["', '"]]"', '"{\\"["', '"\\\\"', '"a\\\\\\"]"', '"}"']
+
+
+@st.composite
+def nested_documents(draw):
+    """A JSON document nested near ``MAX_JSON_DEPTH``, with bracketed strings
+    at random levels."""
+    depth = draw(st.integers(MAX_JSON_DEPTH - 3, MAX_JSON_DEPTH + 3))
+    text = draw(st.sampled_from(["1", "[]", "{}", *BRACKETED_STRINGS]))
+    # an empty container as the leaf adds a level
+    levels = depth - (text in ("[]", "{}"))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(levels):
+        sibling = rnd.choice([None, *BRACKETED_STRINGS])
+        if rnd.random() < 0.5:
+            text = f"[{text}]" if sibling is None else f"[{sibling}, {text}]"
+        else:
+            text = f'{{"k": {text}}}' if sibling is None else f'{{{sibling}: {text}}}'
+    return depth, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_documents())
+def test_decode_json_bounds_nesting_by_the_text_alone(document):
+    # hypothesis raises the recursion limit, which a bound taken from the
+    # text alone does not depend on
+    depth, text = document
+    assert _json_depth(text) == depth
+    if depth > MAX_JSON_DEPTH:
+        with pytest.raises(ValidationError, match=f"^nested deeper than {MAX_JSON_DEPTH} levels$"):
+            _decode_json(text)
+    else:
+        assert _decode_json(text) == json.loads(text)
 
 
 @pytest.mark.parametrize(

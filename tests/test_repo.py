@@ -59,12 +59,12 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
 
 
-# Each function allowed to decode JSON with json: the one JSONL reader and two
-# readers of one JSON document (a config file, a parameter file's manifest
-# line).  orjson, whose values part from json's in a few ways, is used only by
-# the JSONL reader, which keeps the two apart.
-JSON_DECODE_SITES = {("records.py", "_read_jsonl"), ("cli.py", "_load_config"),
-                     ("capm.py", "load_params")}
+# The one function allowed to decode JSON with json, which bounds the nesting
+# of every document it decodes: the JSONL reader, the config file and a
+# parameter file's manifest line all call it.  orjson, whose values part from
+# json's in a few ways, is used only by the JSONL reader, which keeps the two
+# apart.
+JSON_DECODE_SITES = {("records.py", "_decode_json")}
 ORJSON_SITES = {("records.py", "_read_jsonl")}
 JSON_DECODERS = {"load", "loads", "JSONDecoder"}
 
