@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, fusion, intent, metrics
+from . import __version__
 from .errors import NumericGuardError, UsageError, ValidationError
 from .records import (
     Demonstration,
@@ -267,6 +267,8 @@ def _dpp_shots(
 ) -> list[str]:
     """The diverse shots of one query's ranked pool.  The pool and its factor
     are local here, so they are freed before the next query builds its own."""
+    from . import fusion
+
     pool = fusion.CandidatePool(ids=tuple(ids), phi=phi, scores=np.asarray(scores), beta=beta)
     factor = fusion.build_dpp_factor(pool)
     want = min(k, len(ids))
@@ -296,6 +298,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if args.mode == "fusion":
         if not args.embeddings or not args.queries:
             raise UsageError("retrieve --mode fusion requires --embeddings and --queries")
+        from . import fusion
+
         lam = _setting(args.lam, config, "lambda", fusion.DEFAULT_LAMBDA)
         beta = _setting(args.beta, config, "beta", fusion.DEFAULT_BETA)
         top_n = _setting(args.top_n, config, "top_n", DEFAULT_TOP_N)
@@ -349,6 +353,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             raise UsageError("retrieve --mode intent requires --metadata")
         if args.rule is None and not args.rule_file:
             raise UsageError("retrieve --mode intent requires --rule or --rule-file")
+        from . import intent
+
         rule_text = _setting(args.rule, {}, "rule")
         if rule_text is None:
             rule_text = _read_text(args.rule_file).strip()
@@ -414,7 +420,15 @@ def _taxonomy_rank(taxonomy: str) -> int:
     return TAXONOMY_ORDER.index(taxonomy)
 
 
+def _curve_error(report: str, row: Any, exc: ValidationError) -> ValidationError:
+    """``exc`` prefixed with ``report`` and the (model, task, modality) of the
+    result row whose curve it is about."""
+    return ValidationError(f"{report}: {(row.model, row.task, row.modality)}: {exc}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics
+
     report = f"eval {args.report}"
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
@@ -423,7 +437,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         results.sort(key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality))
         rows = []
         for row in results:
-            summary = metrics.summarize(row.curve)
+            try:
+                summary = metrics.summarize(row.curve)
+            except ValidationError as exc:
+                raise _curve_error("curves", row, exc) from None
             rows.append(
                 {
                     "model": row.model,
@@ -455,15 +472,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if key not in clean:
                 raise ValidationError(f"stability: no clean curve for {key}")
             base = clean[key].curve
-            base_sub = base
-            if base.shots != row.curve.shots:
-                # perturbation grids may start later (k >= 1); align on the subset
-                values = tuple(base.value_at(s) for s in row.curve.shots)
-                base_sub = type(base)(shots=row.curve.shots, values=values)
-            stability = metrics.StabilityReport(
-                perturbation=row.perturbation,
-                deviation_percent=metrics.stability_score(base_sub, row.curve),
-            )
+            try:
+                if base.shots != row.curve.shots:
+                    # perturbation grids may start later (k >= 1); align on the subset
+                    values = tuple(base.value_at(s) for s in row.curve.shots)
+                    base = type(base)(shots=row.curve.shots, values=values)
+                stability = metrics.StabilityReport(
+                    perturbation=row.perturbation,
+                    deviation_percent=metrics.stability_score(base, row.curve),
+                )
+            except ValidationError as exc:
+                raise _curve_error("stability", row, exc) from None
             rows.append(
                 {
                     "model": row.model,
@@ -486,11 +505,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if not isinstance(task, str):
                 raise ValidationError(f"task must be a string, got {task!r}")
             try:
-                return task, float(obj[args.x_field]), float(obj[args.y_field])
+                x, y = float(obj[args.x_field]), float(obj[args.y_field])
+                if math.isfinite(x) and math.isfinite(y):
+                    return task, x, y
             except (KeyError, TypeError, ValueError, OverflowError):
-                raise ValidationError(
-                    f"needs numeric {args.x_field!r} and {args.y_field!r}"
-                ) from None
+                pass
+            raise ValidationError(f"needs numeric {args.x_field!r} and {args.y_field!r}")
 
         def add_pair(lineno: int, fields: tuple[str, float, float]) -> None:
             task, x, y = fields
@@ -518,20 +538,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValidationError(f"transfer: unmatched curves for {sorted(missing)}")
         if not base_map:
             raise ValidationError(f"transfer: no result rows in {args.base} or {args.variant}")
-        per_tax: dict[str, list[tuple[Any, Any]]] = {}
+        per_tax: dict[str, list[tuple[Any, Any, Any]]] = {}
         for key in sorted(base_map):
             row = base_map[key]
-            per_tax.setdefault(row.taxonomy, []).append((row.curve, var_map[key].curve))
-        rows = [
-            {
-                "taxonomy": taxonomy,
-                "relative_change_percent": metrics.relative_change(
-                    [b for b, _ in per_tax[taxonomy]], [v for _, v in per_tax[taxonomy]]
-                ),
-            }
-            for taxonomy in TAXONOMY_ORDER
-            if taxonomy in per_tax
-        ]
+            per_tax.setdefault(row.taxonomy, []).append((row, row.curve, var_map[key].curve))
+        rows = []
+        for taxonomy in TAXONOMY_ORDER:
+            if taxonomy in per_tax:
+                _, bases, variants = zip(*per_tax[taxonomy])
+                try:
+                    change = metrics.relative_change(bases, variants)
+                except ValidationError:
+                    # relative_change knows the curve at fault only by its index here
+                    for row, b, v in per_tax[taxonomy]:
+                        try:
+                            metrics._percent_changes(b, v)
+                        except ValidationError as exc:
+                            raise _curve_error("transfer", row, exc) from None
+                    raise
+                rows.append({"taxonomy": taxonomy, "relative_change_percent": change})
         average = float(np.mean([r["relative_change_percent"] for r in rows]))
         rows.append({"taxonomy": "Average", "relative_change_percent": average})
         return _report(report, rows, ["Taxonomy", "RelChange%"], "+.3f", args.out)

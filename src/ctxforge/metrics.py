@@ -175,15 +175,21 @@ def relative_change(base: Sequence[ShotCurve], variant: Sequence[ShotCurve]) -> 
         raise ValidationError("relative_change: no curves")
     diffs: list[float] = []
     for i, (b, v) in enumerate(zip(base, variant)):
-        if b.shots != v.shots:
-            raise ValidationError(
-                f"relative_change: curve {i} grid mismatch {b.shots} vs {v.shots}"
-            )
-        for j, (bv, vv) in enumerate(zip(b.values, v.values)):
-            if bv == 0:
-                raise ValidationError(f"relative_change: zero base value at curve {i}, point {j}")
-            diffs.append(100.0 * (vv - bv) / bv)
+        try:
+            diffs.extend(_percent_changes(b, v))
+        except ValidationError as exc:
+            raise ValidationError(f"relative_change: curve {i}: {exc}") from None
     return float(np.mean(diffs))
+
+
+def _percent_changes(base: ShotCurve, variant: ShotCurve) -> list[float]:
+    """Percent change of ``variant`` over ``base`` at each point of their shared grid."""
+    if base.shots != variant.shots:
+        raise ValidationError(f"grid mismatch {base.shots} vs {variant.shots}")
+    for j, bv in enumerate(base.values):
+        if bv == 0:
+            raise ValidationError(f"zero base value at point {j}")
+    return [100.0 * (vv - bv) / bv for bv, vv in zip(base.values, variant.values)]
 
 
 def win_tie_lose(outcomes: Sequence[str]) -> tuple[float, float, float]:

@@ -691,11 +691,28 @@ class TestHyper:
 
 
 def test_every_export_resolves_and_param_order_is_the_shape_order():
+    import importlib
+
     import ctxforge
 
+    assert len(set(ctxforge.__all__)) == len(ctxforge.__all__)
+    assert set(ctxforge.__all__) <= set(dir(ctxforge))
+    exported = {"__version__"}
+    for module_name, names in ctxforge._EXPORTS.items():
+        module = importlib.import_module(f"ctxforge.{module_name}")
+        assert getattr(ctxforge, module_name) is module
+        for name in names:
+            obj = getattr(module, name)
+            assert getattr(ctxforge, name) is obj, name
+            # the defining module, not one that imported the name
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+        exported.update(names)
+    assert exported == set(ctxforge.__all__)
+    namespace: dict = {}
+    exec("from ctxforge import *", namespace)
     for name in ctxforge.__all__:
-        assert getattr(ctxforge, name) is not None, name
-    for name in ("CapmHyper", "capm_forward", "save_params"):  # loaded lazily
-        assert getattr(ctxforge, name) is getattr(capm, name)
+        assert namespace[name] is getattr(ctxforge, name), name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ctxforge.no_such_name
     # save_params and load_params write and read tensors in this order
     assert capm.PARAM_FIELDS == tuple(capm.expected_shapes(HYPER))

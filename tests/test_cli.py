@@ -536,6 +536,13 @@ class TestFilter:
         assert capsys.readouterr().out == ""
 
 
+def curve_row(task, shots, values, perturbation=None):
+    """A result row of model ``m`` on ``task`` in the Perception taxonomy."""
+    row = {"model": "m", "task": task, "taxonomy": "Perception", "modality": "und",
+           "shots": shots, "values": values}
+    return row if perturbation is None else dict(row, perturbation=perturbation)
+
+
 class TestEval:
     @pytest.fixture
     def results(self, tmp_path):
@@ -661,6 +668,42 @@ class TestEval:
         assert code == 3
         assert "clean" in err
 
+    @pytest.mark.parametrize(
+        "report, files, message",
+        [
+            ("curves", {"results": [curve_row("t", [1, 2], [1.0, 2.0])]},
+             "curves: ('m', 't', 'und'): icl_efficiency: missing shot 0 (grid (1, 2))"),
+            ("stability", {"results": [curve_row("t", [0, 1], [0.0, 1.0]),
+                                       curve_row("t", [0, 1], [1.0, 1.0], "interference")]},
+             "stability: ('m', 't', 'und'): stability_score: clean values[0] = 0.0 not positive"),
+            ("stability", {"results": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                       curve_row("t", [3], [1.0], "interference")]},
+             "stability: ('m', 't', 'und'): curve: shot 3 not on grid (0, 1)"),
+            # the second curve of a taxonomy, which relative_change knows as curve 1
+            ("transfer", {"base": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                   curve_row("t2", [0, 1], [1.0, 0.0])],
+                          "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                      curve_row("t2", [0, 1], [1.0, 1.0])]},
+             "transfer: ('m', 't2', 'und'): zero base value at point 1"),
+            ("transfer", {"base": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                   curve_row("t2", [0, 1], [1.0, 1.0])],
+                          "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                      curve_row("t2", [0, 2], [1.0, 1.0])]},
+             "transfer: ('m', 't2', 'und'): grid mismatch (0, 1) vs (0, 2)"),
+        ],
+        ids=["curves-no-shot-0", "stability-zero-clean", "stability-off-grid",
+             "transfer-zero-base", "transfer-grid-mismatch"],
+    )
+    def test_curve_error_names_the_curve(self, tmp_path, report, files, message):
+        argv = ["eval", report]
+        for flag, rows in files.items():
+            path = tmp_path / f"{flag}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            argv += [f"--{flag}", str(path)]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err == f"forge: {message}\n"
+
     def test_align_survives_overflowing_sums(self, tmp_path):
         path = tmp_path / "a.jsonl"
         pairs = [(1e200, 1.0), (-1e200, 3.0), (1e200, 2.0)]
@@ -724,8 +767,15 @@ RESULT_ROW = {"model": "m", "task": "t", "taxonomy": "Perception", "modality": "
          ["eval", "curves", "--results"], "result: shots[2]: too large for float arithmetic"),
         ("r.jsonl", dict(RESULT_ROW, primary=HUGE),
          ["eval", "align", "--results"], "needs numeric 'primary' and 'auxiliary'"),
+        # values float() takes but that are not finite (json writes NaN and Infinity)
+        *[("r.jsonl", dict(RESULT_ROW, **{field: value}),
+           ["eval", "align", "--results"], "needs numeric 'primary' and 'auxiliary'")
+          for field, value in [("primary", math.nan), ("auxiliary", "nan"), ("primary", math.inf),
+                               ("auxiliary", "-inf"), ("primary", "1e400")]],
     ],
-    ids=["metadata-bbox", "metadata-scores", "results-values", "results-shots", "align-field"],
+    ids=["metadata-bbox", "metadata-scores", "results-values", "results-shots", "align-field",
+         "align-nan-literal", "align-nan-string", "align-infinity-literal", "align-inf-string",
+         "align-overflowing-string"],
 )
 def test_huge_integer_exits_3(tmp_path, name, obj, argv, message):
     path = tmp_path / name
@@ -733,6 +783,7 @@ def test_huge_integer_exits_3(tmp_path, name, obj, argv, message):
     code, out, err = run_cli([*argv, str(path)])
     assert (code, out) == (3, "")
     assert f"{path}: line 1: {message}" in err
+
 
 
 @pytest.mark.parametrize(
@@ -1318,6 +1369,10 @@ class TestValidate:
         assert code == 3
 
 
+# the statement of a child process that runs one ``forge`` command in-process
+RUN_MAIN = "from ctxforge.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
 class TestTopLevel:
     def test_version(self):
         proc = run_proc(["--version"])
@@ -1334,18 +1389,42 @@ class TestTopLevel:
         proc = run_proc(["transmogrify"])
         assert proc.returncode == 2
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        code = "import sys, ctxforge.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=child_env(), check=True)
-        assert proc.stdout.strip() == "False"
-
-    def test_cli_import_leaves_orjson_unloaded(self):
-        # only the JSONL embedding loader imports it, when it runs
-        code = "import sys, ctxforge.cli; print('orjson' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=child_env(), check=True)
-        assert proc.stdout.strip() == "False"
+    # Each case runs in a new process, then prints which of ctxforge's modules
+    # and its heavy dependencies are loaded.  The package loads a module on
+    # first use, and a command imports the modules it runs where it runs them.
+    # orjson is imported by the JSONL reader when it runs, numpy by records.
+    @pytest.mark.parametrize(
+        "statement, argv, loaded",
+        [
+            ("import ctxforge", [], []),
+            ("import ctxforge.cli", [], ["cli", "errors", "records", "numpy"]),
+            (RUN_MAIN, ["eval", "curves", "--results", "{results}"],
+             ["cli", "errors", "metrics", "records", "numpy", "orjson"]),
+            (RUN_MAIN, ["retrieve", "--mode", "intent", "--metadata", "{meta}", "--rule", "true"],
+             ["cli", "errors", "intent", "records", "numpy", "orjson"]),
+            (RUN_MAIN, ["retrieve", "--mode", "fusion", "--embeddings", "{emb}", "--queries", "{queries}"],
+             ["cli", "errors", "fusion", "records", "numpy", "orjson"]),
+            (RUN_MAIN, ["capm", "demo"], ["capm", "cli", "errors", "records", "numpy", "scipy"]),
+        ],
+        ids=["import-ctxforge", "import-cli", "eval-curves", "retrieve-intent", "retrieve-fusion",
+             "capm-demo"],
+    )
+    def test_import_loads_only_the_modules_run(self, fusion_fixture, tmp_path, statement, argv, loaded):
+        emb, queries, meta = fusion_fixture
+        results = tmp_path / "r.jsonl"
+        results.write_text(json.dumps(RESULT_ROW) + "\n")
+        paths = {"results": results, "emb": emb, "queries": queries, "meta": meta}
+        code = (
+            f"import sys\n{statement}\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('ctxforge.') "
+            "or m in ('numpy', 'scipy', 'orjson')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *(arg.format(**paths) for arg in argv)],
+            capture_output=True, text=True, env=child_env(), check=True,
+        )
+        modules = {m.removeprefix("ctxforge.") for m in proc.stdout.splitlines()[-1].split()}
+        assert modules == set(loaded)
 
     def test_stdout_carries_only_data(self, tmp_path):
         meta = tmp_path / "m.jsonl"
