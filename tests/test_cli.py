@@ -1389,6 +1389,19 @@ class TestTopLevel:
         proc = run_proc(["transmogrify"])
         assert proc.returncode == 2
 
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, ctxforge.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
+        assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_orjson_unloaded(self):
+        # only the JSONL embedding loader imports it, when it runs
+        code = "import sys, ctxforge.cli; print('orjson' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(), check=True)
+        assert proc.stdout.strip() == "False"
+
     # Each case runs in a new process, then prints which of ctxforge's modules
     # and its heavy dependencies are loaded.  The package loads a module on
     # first use, and a command imports the modules it runs where it runs them.
