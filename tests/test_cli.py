@@ -113,6 +113,30 @@ class TestRetrieveFusion:
         assert code == 2
         assert "requires" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--mode", "fusion", "--embeddings", "{emb}", "--queries", "{queries}",
+              "--s-field", "rel"], 2, "forge: usage error: --s-field requires --metadata\n"),
+            (["--mode", "fusion", "--embeddings", "{emb}", "--queries", "{queries}",
+              "--s-field", "other", "--metadata", "{meta}"],
+             3, "forge: candidate 'cand1': no metadata score 'other'\n"),
+            (["--mode", "fusion", "--embeddings", "{emb}", "--queries", "{dup}"],
+             3, "forge: {dup}: line 2: duplicate query id 'query'\n"),
+            (["--mode", "intent", "--rule", "true"],
+             2, "forge: usage error: retrieve --mode intent requires --metadata\n"),
+        ],
+        ids=["s-field-without-metadata", "candidate-without-score", "duplicate-query-id",
+             "intent-without-metadata"],
+    )
+    def test_missing_input_exits_naming_it(self, fusion_fixture, tmp_path, argv, code, message):
+        emb, queries, meta = fusion_fixture
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text(queries.read_text() * 2)
+        paths = {"{emb}": emb, "{queries}": queries, "{meta}": meta, "{dup}": dup}
+        got = run_cli(["retrieve", *(str(paths.get(a, a)) for a in argv)])
+        assert got == (code, "", message.replace("{dup}", str(dup)))
+
     def test_seed_is_not_an_option(self, fusion_fixture):
         emb, queries, _ = fusion_fixture
         code, out, err = run_cli(["retrieve", "--mode", "fusion", "--embeddings", str(emb),
@@ -690,9 +714,18 @@ class TestEval:
                           "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
                                       curve_row("t2", [0, 2], [1.0, 1.0])]},
              "transfer: ('m', 't2', 'und'): grid mismatch (0, 1) vs (0, 2)"),
+            ("stability", {"results": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                       curve_row("t", [0, 1], [2.0, 2.0])]},
+             "stability: duplicate clean curve for ('m', 't', 'und')"),
+            ("transfer", {"base": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                   curve_row("t2", [0, 1], [1.0, 1.0])],
+                          "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                      curve_row("t3", [0, 1], [1.0, 1.0])]},
+             "transfer: unmatched curves for [('m', 't2', 'und'), ('m', 't3', 'und')]"),
         ],
         ids=["curves-no-shot-0", "stability-zero-clean", "stability-off-grid",
-             "transfer-zero-base", "transfer-grid-mismatch"],
+             "transfer-zero-base", "transfer-grid-mismatch", "stability-duplicate-clean",
+             "transfer-unmatched"],
     )
     def test_curve_error_names_the_curve(self, tmp_path, report, files, message):
         argv = ["eval", report]
@@ -737,9 +770,13 @@ class TestEval:
             ("human", [{"metric": "a", "outcome": "win"}, {"metric": 5, "outcome": "win"}],
              "line 2: metric must be a string, got 5"),
             ("human", [{"outcome": ["win"]}], "outcomes[0] = ['win'] not win/tie/lose"),
+            ("human", [{"metric": "a", "outcome": "win"}, {"metric": "a"}],
+             "line 2: expected an 'outcome' field"),
+            ("human", [], "r.jsonl: no outcomes"),
         ],
         ids=["align-list-task", "align-int-beside-str-task", "human-list-metric",
-             "human-int-beside-str-metric", "human-list-outcome"],
+             "human-int-beside-str-metric", "human-list-outcome", "human-no-outcome",
+             "human-empty-file"],
     )
     def test_non_string_group_or_outcome_exits_3(self, tmp_path, report, rows, message):
         path = tmp_path / "r.jsonl"
@@ -961,6 +998,21 @@ def test_stderr_table_golden(tmp_path, argv, table):
     assert len(out.splitlines()) == len(table.splitlines()) - 2  # one JSON row per table row
 
 
+# CAPM sizes at which a gradcheck makes a few hundred forwards
+TINY_CAPM = ["--d-b", "4", "--d-p", "2", "--K", "1", "--r", "1", "--heads", "1",
+             "--t-len", "2", "--l-len", "2"]
+
+
+def _two_record_first_block(blob):
+    """A parameter file whose first tensor block holds two records."""
+    from ctxforge.records import CONTAINER_MAGIC
+
+    manifest, blocks = blob.split(b"\n", 1)
+    end = blocks.index(CONTAINER_MAGIC, len(CONTAINER_MAGIC))
+    two = pack_vector_block(["w_in 12x8"] * 2, np.zeros((2, 96)))
+    return manifest + b"\n" + two + blocks[end:]
+
+
 class TestCapmCli:
     def test_gradcheck_passes(self):
         code, out, _ = run_cli(["capm", "gradcheck", "--seed", "7", "--d-b", "12", "--d-p", "8", "--r", "2"])
@@ -1160,6 +1212,57 @@ class TestCapmCli:
         code, out, err = run_cli(["capm", "demo", "--params", str(path)])
         assert (code, out) == (3, "")
         assert err == f"forge: {path}: tensor 'phi_ln_gain': truncated values at record 0\n"
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda b: b.replace(b'"capm-params"', b'"capm-\xffparams"'),
+             "bad parameter manifest line: not valid UTF-8 text"),
+            (lambda b: b.replace(b'"capm-params"', b'"capm-other"'), "not a parameter file"),
+            (lambda b: b.replace(b'"version": 1', b'"version": 2'), "unsupported version 2"),
+            (lambda b: b.replace(b'"hyper": {', b'"hyper": {"width": 1, '),
+             "bad hyperparameter manifest"),
+            (lambda b: _two_record_first_block(b), "tensor block for w_in must hold one record"),
+            (lambda b: b.replace(b"w_in 12x8", b"w_xx 12x8"), "expected tensor 'w_in', found 'w_xx'"),
+            (lambda b: b.replace(b"w_in 12x8", b"w_in 12x9"),
+             "tensor 'w_in' size does not match its shape"),
+            (lambda b: b + b"\0", "trailing bytes after final tensor"),
+        ],
+        ids=["manifest-not-utf8", "not-a-parameter-file", "unsupported-version",
+             "bad-hyper-manifest", "two-records", "wrong-tensor-name", "size-not-shape",
+             "trailing-bytes"],
+    )
+    def test_spoiled_params_exit_3_naming_the_fault(self, tmp_path, spoil, message):
+        path = tmp_path / "w.capm"
+        assert run_cli(["capm", "demo", "--seed", "8", "--save-params", str(path)])[0] == 0
+        blob = path.read_bytes()
+        spoiled = spoil(blob)
+        assert spoiled != blob
+        path.write_bytes(spoiled)
+        got = run_cli(["capm", "demo", "--params", str(path)])
+        assert got == (3, "", f"forge: {path}: {message}\n")
+
+    def test_diagnose_without_shots_is_usage_error(self):
+        got = run_cli(["capm", "diagnose", "--shots", "0"])
+        assert got == (2, "", "forge: usage error: capm diagnose requires --shots >= 1\n")
+
+    def test_failing_gradcheck_writes_its_verdict_and_exits_4(self):
+        code, out, err = run_cli(["capm", "gradcheck", "--seed", "3", *TINY_CAPM, "--shots", "1",
+                                  "--tolerance", "1e-300"])
+        assert code == 4
+        report = json.loads(out)
+        assert (report["verdict"], report["tolerance"]) == ("FAIL", 1e-300)
+        assert err.endswith(
+            f"forge: numeric guard: gradcheck FAIL: max_rel_err={report['max_rel_err']:.3e} "
+            "exceeds 1e-300\n"
+        )
+
+    @pytest.mark.parametrize("section", [[], 1, "d_b"], ids=["list", "int", "string"])
+    def test_capm_section_that_is_not_an_object_exits_3(self, tmp_path, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"capm": section}))
+        got = run_cli(["capm", "demo", "--config", str(cfg)])
+        assert got == (3, "", "forge: config 'capm' section must be an object\n")
 
     def test_save_params_beyond_float32_exits_3_writing_nothing(self, tmp_path):
         path = tmp_path / "p.bin"

@@ -75,6 +75,34 @@ class TestParser:
         assert "byte" in str(exc.value)
         assert exc.value.offset == 5
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('a == "x" @', "byte 9: unexpected character '@'"),
+            ('a == "é" @', "byte 10: unexpected character '@'"),  # é is two bytes
+            ('a == "b\\q"', "byte 7: bad string escape \\q"),
+            ('a == "é\\n"', "byte 8: bad string escape \\n"),
+            ("exists x", "byte 7: unexpected 'x' (expected ()"),
+            ("(true", "byte 5: unexpected end of input (expected ))"),
+            ("exists(bbox within 3)", "byte 19: unexpected '3' (expected box)"),
+            ("exists(bbox within", "byte 18: unexpected end of input (expected box)"),
+            ("exists(bbox within box(0, 0, 1 1))", "byte 31: unexpected '1' (expected ,)"),
+            (")", "byte 0: unexpected ')' (expected (, not, true, false, exists, identifier)"),
+            ("", "byte 0: unexpected end of input (expected (, not, true, false, exists, identifier)"),
+            ("a b", "byte 2: unexpected 'b' (expected ==, !=, <, <=, >, >=)"),
+            ("a", "byte 1: unexpected end of input (expected ==, !=, <, <=, >, >=)"),
+            ("a == and", "byte 5: unexpected 'and' (expected string literal, number)"),
+        ],
+        ids=["character", "character-after-multibyte", "escape", "escape-after-multibyte",
+             "expect", "expect-eof", "expect-word", "expect-word-eof", "expect-comma",
+             "primary", "primary-eof", "pred-op", "pred-op-eof", "pred-literal"],
+    )
+    def test_syntax_error_message_and_offset(self, text, message):
+        with pytest.raises(RuleSyntaxError) as exc:
+            parse_rule(text)
+        assert str(exc.value) == message
+        assert exc.value.offset == int(message.split(":")[0].removeprefix("byte "))
+
     def test_unterminated_string(self):
         with pytest.raises(RuleSyntaxError, match="unterminated"):
             parse_rule('a == "oops')

@@ -196,6 +196,25 @@ class TestMetadata:
         with pytest.raises(ValidationError, match="duplicate"):
             load_metadata(path)
 
+    def test_table_indexes_as_a_sequence(self, tmp_path):
+        recs = [
+            MetadataRecord(
+                scene_id=f"s{i}",
+                instances=(Instance(category="mug", attributes={}, bbox=(0, 0, 1, 0.5 * i)),) * i,
+                scene_attributes={},
+                scores={"clip": float(i)},
+            )
+            for i in range(3)
+        ]
+        path = tmp_path / "meta.jsonl"
+        save_metadata(recs, path)
+        table = load_metadata(path)
+        assert (table[0], table[2], table[-1], table[-3]) == (recs[0], recs[2], recs[2], recs[0])
+        assert (table[1:], table[::-1], table[5:]) == (recs[1:], recs[::-1], [])
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                table[index]
+
 
 class TestShotCurve:
     def test_strictly_increasing(self):
