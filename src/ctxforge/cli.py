@@ -47,10 +47,9 @@ from .records import (
 )
 
 if TYPE_CHECKING:
-    from . import capm
+    from . import capm, metrics
 
 DEFAULT_K = 4
-DEFAULT_TOP_N = 50
 # CAPM sizes; the other CAPM defaults are ``capm.CapmHyper``'s own
 DEFAULT_CAPM = {"d_b": 12, "d_p": 8, "K": 2, "r": 2}
 
@@ -302,7 +301,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
         lam = _setting(args.lam, config, "lambda", fusion.DEFAULT_LAMBDA)
         beta = _setting(args.beta, config, "beta", fusion.DEFAULT_BETA)
-        top_n = _setting(args.top_n, config, "top_n", DEFAULT_TOP_N)
+        top_n = _setting(args.top_n, config, "top_n", fusion.DEFAULT_TOP_N)
         cfg = fusion.FusionConfig(lam=lam, top_n=top_n)
         if is_container(args.embeddings):
             raise ValidationError(
@@ -426,6 +425,19 @@ def _curve_error(report: str, row: Any, exc: ValidationError) -> ValidationError
     return ValidationError(f"{report}: {(row.model, row.task, row.modality)}: {exc}")
 
 
+def _clean_curves(report: str, rows: Sequence[metrics.ResultRow]) -> dict[tuple, metrics.ResultRow]:
+    """The clean row of each (model, task, modality) in ``rows``, in file order:
+    the one curve an ``eval`` report reads.  A second one is a data error."""
+    clean = {}
+    for row in rows:
+        if row.perturbation is None:
+            key = (row.model, row.task, row.modality)
+            if key in clean:
+                raise ValidationError(f"{report}: duplicate clean curve for {key}")
+            clean[key] = row
+    return clean
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
@@ -433,8 +445,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
     if args.report == "curves":
-        results = [r for r in metrics.load_results(args.results) if r.perturbation is None]
-        results.sort(key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality))
+        results = sorted(
+            _clean_curves("curves", metrics.load_results(args.results)).values(),
+            key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality),
+        )
         rows = []
         for row in results:
             try:
@@ -457,13 +471,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.report == "stability":
         results = metrics.load_results(args.results)
-        clean: dict[tuple[str, str, str], metrics.ResultRow] = {}
-        for row in results:
-            if row.perturbation is None:
-                key = (row.model, row.task, row.modality)
-                if key in clean:
-                    raise ValidationError(f"stability: duplicate clean curve for {key}")
-                clean[key] = row
+        clean = _clean_curves("stability", results)
         rows = []
         for row in results:
             if row.perturbation is None:
@@ -477,10 +485,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     # perturbation grids may start later (k >= 1); align on the subset
                     values = tuple(base.value_at(s) for s in row.curve.shots)
                     base = type(base)(shots=row.curve.shots, values=values)
-                stability = metrics.StabilityReport(
-                    perturbation=row.perturbation,
-                    deviation_percent=metrics.stability_score(base, row.curve),
-                )
+                deviation = metrics.stability_score(base, row.curve)
             except ValidationError as exc:
                 raise _curve_error("stability", row, exc) from None
             rows.append(
@@ -488,8 +493,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     "model": row.model,
                     "task": row.task,
                     "modality": row.modality,
-                    "perturbation": stability.perturbation,
-                    "deviation_percent": stability.deviation_percent,
+                    "perturbation": row.perturbation,
+                    "deviation_percent": deviation,
                 }
             )
         headers = ["Model", "Task", "Mod", "Perturbation", "Dev%"]
@@ -529,34 +534,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.report == "transfer":
         if not args.base or not args.variant:
             raise UsageError("eval transfer requires --base and --variant")
-        base_rows = metrics.load_results(args.base)
-        var_rows = metrics.load_results(args.variant)
-        base_map = {(r.model, r.task, r.modality): r for r in base_rows}
-        var_map = {(r.model, r.task, r.modality): r for r in var_rows}
-        if set(base_map) != set(var_map):
-            missing = set(base_map) ^ set(var_map)
-            raise ValidationError(f"transfer: unmatched curves for {sorted(missing)}")
+        base_map, var_map = (_clean_curves(f"transfer: {p}", metrics.load_results(p))
+                             for p in (args.base, args.variant))
+        unmatched = sorted(base_map.keys() ^ var_map.keys())
+        if unmatched:
+            raise ValidationError(f"transfer: unmatched curves for {unmatched}")
         if not base_map:
-            raise ValidationError(f"transfer: no result rows in {args.base} or {args.variant}")
-        per_tax: dict[str, list[tuple[Any, Any, Any]]] = {}
-        for key in sorted(base_map):
-            row = base_map[key]
-            per_tax.setdefault(row.taxonomy, []).append((row, row.curve, var_map[key].curve))
-        rows = []
-        for taxonomy in TAXONOMY_ORDER:
-            if taxonomy in per_tax:
-                _, bases, variants = zip(*per_tax[taxonomy])
-                try:
-                    change = metrics.relative_change(bases, variants)
-                except ValidationError:
-                    # relative_change knows the curve at fault only by its index here
-                    for row, b, v in per_tax[taxonomy]:
-                        try:
-                            metrics._percent_changes(b, v)
-                        except ValidationError as exc:
-                            raise _curve_error("transfer", row, exc) from None
-                    raise
-                rows.append({"taxonomy": taxonomy, "relative_change_percent": change})
+            raise ValidationError(
+                f"transfer: no result rows with a clean curve in {args.base} or {args.variant}")
+        # one pass in report order, so each taxonomy's mean has relative_change's bits
+        changes: dict[str, list[float]] = {}
+        for key in sorted(base_map, key=lambda k: (_taxonomy_rank(base_map[k].taxonomy), k)):
+            row, variant = base_map[key], var_map[key]
+            try:
+                if variant.taxonomy != row.taxonomy:
+                    raise ValidationError(
+                        f"base taxonomy {row.taxonomy!r}, variant taxonomy {variant.taxonomy!r}")
+                changes.setdefault(row.taxonomy, []).extend(
+                    metrics._percent_changes(row.curve, variant.curve)
+                )
+            except ValidationError as exc:
+                raise _curve_error("transfer", row, exc) from None
+        rows = [{"taxonomy": t, "relative_change_percent": float(np.mean(v))}
+                for t, v in changes.items()]
         average = float(np.mean([r["relative_change_percent"] for r in rows]))
         rows.append({"taxonomy": "Average", "relative_change_percent": average})
         return _report(report, rows, ["Taxonomy", "RelChange%"], "+.3f", args.out)

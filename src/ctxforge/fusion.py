@@ -27,6 +27,7 @@ QUALITY_EXP_LIMIT = 350.0
 
 DEFAULT_LAMBDA = 0.5
 DEFAULT_BETA = 8.0
+DEFAULT_TOP_N = 50
 
 # fused_score's order: lambda weighs the first modality, 1 - lambda the second
 MODALITIES = ("visual", "text")
@@ -45,7 +46,7 @@ class FusionConfig:
     """Knobs for fused scoring: ``lam`` is the visual-vs-text weight."""
 
     lam: float = DEFAULT_LAMBDA
-    top_n: int = 50
+    top_n: int = DEFAULT_TOP_N
 
     def __post_init__(self) -> None:
         if not (isinstance(self.lam, (int, float)) and 0.0 <= self.lam <= 1.0):

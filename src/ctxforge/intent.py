@@ -229,20 +229,19 @@ class _Parser:
     def error(self, message: str, expected: tuple[str, ...] = ()) -> RuleSyntaxError:
         return RuleSyntaxError(message, _byte_offset(self.text, self.cur.pos), expected)
 
+    def unexpected(self, expected: tuple[str, ...]) -> RuleSyntaxError:
+        """The error for the current token where one of ``expected`` belongs."""
+        found = "end of input" if self.cur.kind == "eof" else repr(self.cur.text)
+        return self.error(f"unexpected {found}", expected)
+
     def expect(self, kind: str, expected_label: str) -> _Token:
         if self.cur.kind != kind:
-            raise self.error(
-                f"unexpected {self.cur.text!r}" if self.cur.kind != "eof" else "unexpected end of input",
-                (expected_label,),
-            )
+            raise self.unexpected((expected_label,))
         return self.advance()
 
     def expect_word(self, word: str) -> None:
         if self.cur.kind != "ident" or self.cur.text != word:
-            raise self.error(
-                f"unexpected {self.cur.text!r}" if self.cur.kind != "eof" else "unexpected end of input",
-                (word,),
-            )
+            raise self.unexpected((word,))
         self.advance()
 
     def at_word(self, word: str) -> bool:
@@ -318,18 +317,12 @@ class _Parser:
             if tok.text in RESERVED_WORDS:
                 raise self.error(f"unexpected keyword {tok.text!r}", ("predicate", "(", "true", "false"))
             return self.parse_pred()
-        raise self.error(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            ("(", "not", "true", "false", "exists", "identifier"),
-        )
+        raise self.unexpected(("(", "not", "true", "false", "exists", "identifier"))
 
     def parse_pred(self) -> Rule:
         field_tok = self.advance()
         if self.cur.kind != "op":
-            raise self.error(
-                f"unexpected {self.cur.text!r}" if self.cur.kind != "eof" else "unexpected end of input",
-                COMPARISON_OPS,
-            )
+            raise self.unexpected(COMPARISON_OPS)
         op = self.advance().text
         lit_tok = self.cur
         if lit_tok.kind == "string" or lit_tok.kind == "number":
@@ -337,10 +330,7 @@ class _Parser:
             assert lit_tok.value is not None or lit_tok.kind == "string"
             literal = lit_tok.value if lit_tok.value is not None else ""
             return Pred(field=field_tok.text, op=op, literal=literal)
-        raise self.error(
-            f"unexpected {lit_tok.text!r}" if lit_tok.kind != "eof" else "unexpected end of input",
-            ("string literal", "number"),
-        )
+        raise self.unexpected(("string literal", "number"))
 
     def parse_within(self) -> Rule:
         start = self.cur

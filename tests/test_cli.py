@@ -722,10 +722,26 @@ class TestEval:
                           "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
                                       curve_row("t3", [0, 1], [1.0, 1.0])]},
              "transfer: unmatched curves for [('m', 't2', 'und'), ('m', 't3', 'und')]"),
+            ("transfer", {"base": [curve_row("t", [0, 1], [1.0, 1.0])],
+                          "variant": [dict(curve_row("t", [0, 1], [1.0, 1.0]), taxonomy="Analogy")]},
+             "transfer: ('m', 't', 'und'): base taxonomy 'Perception', variant taxonomy 'Analogy'"),
+            ("curves", {"results": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                    curve_row("t", [0, 1], [1.0, 1.0], "interference"),
+                                    curve_row("t", [0, 1], [2.0, 2.0])]},
+             "curves: duplicate clean curve for ('m', 't', 'und')"),
+            ("transfer", {"base": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                   curve_row("t", [0, 1], [2.0, 2.0])],
+                          "variant": [curve_row("t", [0, 1], [1.0, 1.0])]},
+             "transfer: {dir}/base.jsonl: duplicate clean curve for ('m', 't', 'und')"),
+            ("transfer", {"base": [curve_row("t", [0, 1], [1.0, 1.0])],
+                          "variant": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                      curve_row("t", [0, 1], [2.0, 2.0])]},
+             "transfer: {dir}/variant.jsonl: duplicate clean curve for ('m', 't', 'und')"),
         ],
         ids=["curves-no-shot-0", "stability-zero-clean", "stability-off-grid",
              "transfer-zero-base", "transfer-grid-mismatch", "stability-duplicate-clean",
-             "transfer-unmatched"],
+             "transfer-unmatched", "transfer-taxonomy-mismatch", "curves-duplicate-clean",
+             "transfer-duplicate-clean-base", "transfer-duplicate-clean-variant"],
     )
     def test_curve_error_names_the_curve(self, tmp_path, report, files, message):
         argv = ["eval", report]
@@ -735,7 +751,25 @@ class TestEval:
             argv += [f"--{flag}", str(path)]
         code, out, err = run_cli(argv)
         assert (code, out) == (3, "")
-        assert err == f"forge: {message}\n"
+        assert err == f"forge: {message}\n".replace("{dir}", str(tmp_path))
+
+    def test_transfer_reads_only_clean_curves(self, tmp_path):
+        # a perturbed twin in the base no longer stands in for its clean curve
+        base, var = tmp_path / "b.jsonl", tmp_path / "v.jsonl"
+        base.write_text(json.dumps(curve_row("t", [0, 1], [10.0, 20.0])) + "\n"
+                        + json.dumps(curve_row("t", [0, 1], [40.0, 80.0], "random_replace")) + "\n")
+        var.write_text(json.dumps(curve_row("t", [0, 1], [20.0, 40.0])) + "\n")
+        code, out, _ = run_cli(["eval", "transfer", "--base", str(base), "--variant", str(var)])
+        assert code == 0
+        assert [json.loads(line)["relative_change_percent"] for line in out.splitlines()] == [100.0] * 2
+
+    def test_non_finite_deviation_exits_4_like_every_report(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        rows = [curve_row("t", [0, 1], [1.0, 1.0]),
+                curve_row("t", [0, 1], [-1.7e308, -1.7e308], "reverse_order")]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        got = run_cli(["eval", "stability", "--results", str(path)])
+        assert got == (4, "", "forge: numeric guard: eval stability: deviation_percent is not finite\n")
 
     def test_align_survives_overflowing_sums(self, tmp_path):
         path = tmp_path / "a.jsonl"
