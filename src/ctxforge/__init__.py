@@ -51,8 +51,8 @@ _EXPORTS = {
         "load_params",
     ),
     "metrics": (
-        "CurveSummary", "StabilityReport", "ResultRow", "icl_efficiency", "summarize",
-        "stability_score", "pearson", "spearman", "relative_change", "win_tie_lose",
+        "CurveSummary", "StabilityReport", "ResultRow", "ResultTable", "icl_efficiency",
+        "summarize", "stability_score", "pearson", "spearman", "relative_change", "win_tie_lose",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -85,11 +85,15 @@ def _non_finite_fields(obj: Any, path: str) -> Iterator[str]:
             yield from _non_finite_fields(value, f"{path}[{i}]")
 
 
+# ``json.dumps`` with these arguments builds a new encoder on every call
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
 def _jsonl(obj: dict[str, Any], report: str) -> str:
     """One strict JSON line: RFC 8259 has no NaN or Infinity, so a
     non-finite value trips the numeric guard instead of reaching stdout."""
     try:
-        return json.dumps(obj, ensure_ascii=False, allow_nan=False)
+        return _ENCODER.encode(obj)
     except ValueError:
         fields = ", ".join(_non_finite_fields(obj, ""))
         raise NumericGuardError(f"{report}: {fields} is not finite") from None
@@ -425,78 +429,144 @@ def _curve_error(report: str, row: Any, exc: ValidationError) -> ValidationError
     return ValidationError(f"{report}: {(row.model, row.task, row.modality)}: {exc}")
 
 
-def _clean_curves(report: str, rows: Sequence[metrics.ResultRow]) -> dict[tuple, metrics.ResultRow]:
-    """The clean row of each (model, task, modality) in ``rows``, in file order:
-    the one curve an ``eval`` report reads.  A second one is a data error."""
+def _clean_curves(report: str, path: str) -> tuple[metrics.ResultTable, dict[tuple, int]]:
+    """The result rows at ``path``, and the index of the clean row of each
+    (model, task, modality), in file order: the one curve an ``eval`` report
+    reads.  A second one is a data error."""
+    from . import metrics
+
+    table = metrics.load_results(path)
     clean = {}
-    for row in rows:
-        if row.perturbation is None:
-            key = (row.model, row.task, row.modality)
+    for i, key in enumerate(zip(table.models, table.tasks, table.modalities)):
+        if table.perturbations[i] is None:
             if key in clean:
                 raise ValidationError(f"{report}: duplicate clean curve for {key}")
-            clean[key] = row
-    return clean
+            clean[key] = i
+    return table, clean
+
+
+def _positions_by(keys: Sequence[Any]) -> dict[Any, list[int]]:
+    """The positions in ``keys`` of each distinct key, in order."""
+    positions: dict[Any, list[int]] = {}
+    for p, key in enumerate(keys):
+        positions.setdefault(key, []).append(p)
+    return positions
+
+
+def _twin_deviation(table: metrics.ResultTable, i: int, twin: int | None) -> float:
+    """The stability report's deviation of perturbed row ``i`` from its clean
+    twin, one curve at a time; the report's error for a row it rejects."""
+    from . import metrics
+
+    row = table[i]
+    if twin is None:
+        raise ValidationError(
+            f"stability: no clean curve for {(row.model, row.task, row.modality)}")
+    base = table[twin].curve
+    try:
+        if base.shots != row.curve.shots:
+            # perturbation grids may start later (k >= 1); align on the subset
+            values = tuple(base.value_at(s) for s in row.curve.shots)
+            base = type(base)(shots=row.curve.shots, values=values)
+        return metrics.stability_score(base, row.curve)
+    except ValidationError as exc:
+        raise _curve_error("stability", row, exc) from None
+
+
+def _transfer_changes(
+    base: metrics.ResultTable, variant: metrics.ResultTable, b: int, v: int
+) -> list[float]:
+    """The transfer report's percent changes of variant row ``v`` over base
+    row ``b``, one curve at a time; the report's error for a pair it rejects."""
+    from . import metrics
+
+    row, other = base[b], variant[v]
+    try:
+        if other.taxonomy != row.taxonomy:
+            raise ValidationError(
+                f"base taxonomy {row.taxonomy!r}, variant taxonomy {other.taxonomy!r}")
+        return metrics._percent_changes(row.curve, other.curve)
+    except ValidationError as exc:
+        raise _curve_error("transfer", row, exc) from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
+    # Each report computes its curves on one float64 matrix per shot grid
+    # with metrics' row-wise twins of its one-curve functions, which give
+    # their bits.  A row they reject is computed again, in report order, by
+    # the one-curve path, which raises its error.
     report = f"eval {args.report}"
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
     if args.report == "curves":
-        results = sorted(
-            _clean_curves("curves", metrics.load_results(args.results)).values(),
-            key=lambda r: (_taxonomy_rank(r.taxonomy), r.task, r.model, r.modality),
-        )
-        rows = []
-        for row in results:
+        table, clean = _clean_curves("curves", args.results)
+        order = sorted(clean.values(), key=lambda i: (_taxonomy_rank(table.taxonomies[i]),
+                                                      table.tasks[i], table.models[i],
+                                                      table.modalities[i]))
+        summary = np.empty((3, len(order)))
+        bad = np.zeros(len(order), dtype=bool)
+        for grid, positions in _positions_by([table.shots[i] for i in order]).items():
+            values = np.array([table.values[order[p]] for p in positions])
             try:
-                summary = metrics.summarize(row.curve)
+                summary[:, positions] = metrics._summarize_rows(grid, values)
+            except ValidationError:
+                bad[positions] = True
+        for p in np.flatnonzero(bad):
+            row = table[order[p]]
+            try:
+                s = metrics.summarize(row.curve)
             except ValidationError as exc:
                 raise _curve_error("curves", row, exc) from None
-            rows.append(
-                {
-                    "model": row.model,
-                    "task": row.task,
-                    "taxonomy": row.taxonomy,
-                    "modality": row.modality,
-                    "zero_shot": summary.zero_shot,
-                    "peak": summary.peak,
-                    "efficiency": summary.efficiency,
-                }
-            )
+            summary[:, p] = s.zero_shot, s.peak, s.efficiency
+        rows = [
+            {
+                "model": table.models[i],
+                "task": table.tasks[i],
+                "taxonomy": table.taxonomies[i],
+                "modality": table.modalities[i],
+                "zero_shot": zero_shot,
+                "peak": peak,
+                "efficiency": efficiency,
+            }
+            for i, zero_shot, peak, efficiency in zip(order, *summary.tolist())
+        ]
         headers = ["Model", "Task", "Taxonomy", "Mod", "Z-S", "Peak", "Eff"]
         return _report(report, rows, headers, ".3f", args.out)
 
     if args.report == "stability":
-        results = metrics.load_results(args.results)
-        clean = _clean_curves("stability", results)
-        rows = []
-        for row in results:
-            if row.perturbation is None:
+        table, clean = _clean_curves("stability", args.results)
+        order = [i for i, pert in enumerate(table.perturbations) if pert is not None]
+        twins = [clean.get((table.models[i], table.tasks[i], table.modalities[i])) for i in order]
+        deviation = np.empty(len(order))
+        bad = np.array([twin is None for twin in twins], dtype=bool)
+        pairs = [(table.shots[twin], table.shots[i]) if twin is not None else None
+                 for i, twin in zip(order, twins)]
+        for pair, positions in _positions_by(pairs).items():
+            if pair is None:
                 continue
-            key = (row.model, row.task, row.modality)
-            if key not in clean:
-                raise ValidationError(f"stability: no clean curve for {key}")
-            base = clean[key].curve
-            try:
-                if base.shots != row.curve.shots:
-                    # perturbation grids may start later (k >= 1); align on the subset
-                    values = tuple(base.value_at(s) for s in row.curve.shots)
-                    base = type(base)(shots=row.curve.shots, values=values)
-                deviation = metrics.stability_score(base, row.curve)
-            except ValidationError as exc:
-                raise _curve_error("stability", row, exc) from None
-            rows.append(
-                {
-                    "model": row.model,
-                    "task": row.task,
-                    "modality": row.modality,
-                    "perturbation": row.perturbation,
-                    "deviation_percent": deviation,
-                }
-            )
+            base_grid, grid = pair
+            if not set(grid) <= set(base_grid):
+                bad[positions] = True
+                continue
+            # perturbation grids may start later (k >= 1); align on the subset
+            columns = [base_grid.index(s) for s in grid]
+            base = np.array([table.values[twins[p]] for p in positions])[:, columns]
+            perturbed = np.array([table.values[order[p]] for p in positions])
+            deviation[positions], bad[positions] = metrics._stability_rows(grid, base, perturbed)
+        for p in np.flatnonzero(bad):
+            deviation[p] = _twin_deviation(table, order[p], twins[p])
+        rows = [
+            {
+                "model": table.models[i],
+                "task": table.tasks[i],
+                "modality": table.modalities[i],
+                "perturbation": table.perturbations[i],
+                "deviation_percent": d,
+            }
+            for i, d in zip(order, deviation.tolist())
+        ]
         headers = ["Model", "Task", "Mod", "Perturbation", "Dev%"]
         return _report(report, rows, headers, ".3f", args.out)
 
@@ -524,39 +594,56 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ys.append(y)
 
         _read_jsonl(args.results, pair, add_pair)
-        rows = [
-            {"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
-             "spearman": metrics.spearman(xs, ys)}
-            for task, (xs, ys) in sorted(groups.items())
-        ]
+        tasks = sorted(groups)
+        # spearman's average ranks, for all tasks of one size at once
+        ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for positions in _positions_by([len(groups[t][0]) for t in tasks]).values():
+            x_ranks, y_ranks = (
+                metrics._average_ranks_rows(np.array([groups[tasks[p]][axis] for p in positions]))
+                for axis in (0, 1))
+            ranks.update((tasks[p], (x, y)) for p, x, y in zip(positions, x_ranks, y_ranks))
+        rows = []
+        for task in tasks:
+            xs, ys = groups[task]
+            try:
+                rows.append({"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
+                             "spearman": metrics.pearson(*ranks[task])})
+            except ValidationError as exc:
+                raise ValidationError(f"align: task {task!r}: {exc}") from None
         return _report(report, rows, ["Task", "N", "Pearson", "Spearman"], ".4f", args.out)
 
     if args.report == "transfer":
         if not args.base or not args.variant:
             raise UsageError("eval transfer requires --base and --variant")
-        base_map, var_map = (_clean_curves(f"transfer: {p}", metrics.load_results(p))
-                             for p in (args.base, args.variant))
+        (base, base_map), (variant, var_map) = (_clean_curves(f"transfer: {p}", p)
+                                                for p in (args.base, args.variant))
         unmatched = sorted(base_map.keys() ^ var_map.keys())
         if unmatched:
             raise ValidationError(f"transfer: unmatched curves for {unmatched}")
         if not base_map:
             raise ValidationError(
                 f"transfer: no result rows with a clean curve in {args.base} or {args.variant}")
-        # one pass in report order, so each taxonomy's mean has relative_change's bits
-        changes: dict[str, list[float]] = {}
-        for key in sorted(base_map, key=lambda k: (_taxonomy_rank(base_map[k].taxonomy), k)):
-            row, variant = base_map[key], var_map[key]
-            try:
-                if variant.taxonomy != row.taxonomy:
-                    raise ValidationError(
-                        f"base taxonomy {row.taxonomy!r}, variant taxonomy {variant.taxonomy!r}")
-                changes.setdefault(row.taxonomy, []).extend(
-                    metrics._percent_changes(row.curve, variant.curve)
-                )
-            except ValidationError as exc:
-                raise _curve_error("transfer", row, exc) from None
-        rows = [{"taxonomy": t, "relative_change_percent": float(np.mean(v))}
-                for t, v in changes.items()]
+        keys = sorted(base_map, key=lambda k: (_taxonomy_rank(base.taxonomies[base_map[k]]), k))
+        pairs = [(base_map[k], var_map[k]) for k in keys]
+        # every percent change in report order, so each taxonomy's mean has
+        # relative_change's bits: a taxonomy's rows are consecutive
+        starts = np.cumsum([0, *(len(base.shots[b]) for b, _ in pairs)])
+        changes = np.empty(starts[-1])
+        bad = np.array([base.taxonomies[b] != variant.taxonomies[v]
+                        or base.shots[b] != variant.shots[v] for b, v in pairs], dtype=bool)
+        for grid, positions in _positions_by([base.shots[b] for b, _ in pairs]).items():
+            positions = [p for p in positions if not bad[p]]
+            if positions:
+                b_values = np.array([base.values[pairs[p][0]] for p in positions])
+                v_values = np.array([variant.values[pairs[p][1]] for p in positions])
+                flat = starts[positions][:, None] + np.arange(len(grid))
+                changes[flat], bad[positions] = metrics._percent_changes_rows(b_values, v_values)
+        for p in np.flatnonzero(bad):
+            changes[starts[p]:starts[p + 1]] = _transfer_changes(base, variant, *pairs[p])
+        taxonomies = _positions_by([base.taxonomies[b] for b, _ in pairs])
+        rows = [{"taxonomy": t, "relative_change_percent":
+                 float(np.mean(changes[starts[ps[0]]:starts[ps[-1] + 1]]))}
+                for t, ps in taxonomies.items()]
         average = float(np.mean([r["relative_change_percent"] for r in rows]))
         rows.append({"taxonomy": "Average", "relative_change_percent": average})
         return _report(report, rows, ["Taxonomy", "RelChange%"], "+.3f", args.out)

@@ -19,6 +19,7 @@ from .records import ShotCurve, TAXONOMIES, _read_jsonl, _unchecked
 
 PERTURBATION_KINDS = ("random_replace", "reverse_order", "interference")
 RESULT_MODALITIES = ("und", "gen")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,18 @@ def icl_efficiency(curve: ShotCurve) -> float:
 
     The grid must contain shot 0 and at least one more point.
     """
-    if len(curve.shots) < 2:
-        raise ValidationError("icl_efficiency: single-point curve")
-    if curve.shots[0] != 0:
-        raise ValidationError(f"icl_efficiency: missing shot 0 (grid {curve.shots})")
+    _check_efficiency_grid(curve.shots)
     p0 = curve.values[0]
     deltas = [v - p0 for v in curve.values]
     k_max = curve.shots[-1]
     return _trapezoid(curve.shots, deltas) / k_max
+
+
+def _check_efficiency_grid(shots: tuple[int, ...]) -> None:
+    if len(shots) < 2:
+        raise ValidationError("icl_efficiency: single-point curve")
+    if shots[0] != 0:
+        raise ValidationError(f"icl_efficiency: missing shot 0 (grid {shots})")
 
 
 def summarize(curve: ShotCurve) -> CurveSummary:
@@ -210,6 +215,74 @@ def win_tie_lose(outcomes: Sequence[str]) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# many curves on one grid at once
+#
+# Each function below takes n curves on one shot grid as (n, len(grid))
+# float64 matrices and gives, row by row, every bit its one-curve
+# counterpart above gives: the same operations in the same order, one grid
+# column at a time.  A row that counterpart rejects is only flagged; the
+# caller asks the counterpart for its error.
+
+
+def _trapezoid_rows(shots: tuple[int, ...], ys: np.ndarray) -> np.ndarray:
+    """``_trapezoid(shots, row)`` of every row of ``ys``."""
+    total = np.zeros(len(ys))
+    for i in range(1, len(shots)):
+        total += 0.5 * (ys[:, i] + ys[:, i - 1]) * float(shots[i] - shots[i - 1])
+    return total
+
+
+def _summarize_rows(
+    shots: tuple[int, ...], values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``summarize``'s zero-shot values, peaks and efficiencies of the rows
+    of ``values``, curves on ``shots``; its error for a grid it rejects."""
+    _check_efficiency_grid(shots)
+    with np.errstate(all="ignore"):  # as float arithmetic: inf and NaN, no warning
+        efficiency = _trapezoid_rows(shots, values - values[:, :1]) / float(shots[-1])
+    # argmax takes the first of equal maxima, as max does (-0.0 before 0.0)
+    peak = values[np.arange(len(values)), values.argmax(axis=1)]
+    return values[:, 0], peak, efficiency
+
+
+def _stability_rows(
+    shots: tuple[int, ...], clean: np.ndarray, perturbed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``stability_score`` of each row of ``perturbed`` against the same row
+    of ``clean``, all curves on ``shots``, and a mask of the rows it rejects."""
+    with np.errstate(all="ignore"):
+        base = _trapezoid_rows(shots, clean)
+        deviation = 100.0 * _trapezoid_rows(shots, np.abs(clean - perturbed)) / base
+    return deviation, (clean <= 0).any(axis=1) | (base <= 0)
+
+
+def _percent_changes_rows(base: np.ndarray, variant: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_percent_changes`` of each row of ``variant`` over the same row of
+    ``base``, both on one grid, and a mask of the rows it rejects."""
+    with np.errstate(all="ignore"):
+        changes = 100.0 * (variant - base) / base
+    return changes, (base == 0).any(axis=1)
+
+
+def _average_ranks_rows(values: np.ndarray) -> np.ndarray:
+    """``_average_ranks`` of each row of ``values``."""
+    n = values.shape[1]
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    position = np.broadcast_to(np.arange(n), values.shape)
+    # a run of equal values spans sorted positions first..last
+    starts = np.ones(values.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones(values.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, position, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=1)
+    return ranks
+
+
+# ---------------------------------------------------------------------------
 # result rows (shared input schema of the eval subcommands)
 
 
@@ -275,20 +348,86 @@ class ResultRow:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def load_results(path: str) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-    _read_jsonl(path, lambda obj: _exact_result(obj) or ResultRow.from_json(obj),
-                lambda lineno, row: rows.append(row))
-    return rows
+class ResultTable(Sequence[ResultRow]):
+    """Result rows held as columns: a read-only sequence of ``ResultRow``.
+
+    Per row: ``models``, ``tasks``, ``taxonomies``, ``modalities``,
+    ``perturbations`` (``None`` for a clean curve), and the curve's
+    ``shots`` and ``values``, one tuple each.  A row is built only when it
+    is indexed or iterated.  The ``eval`` reports read the columns directly.
+    """
+
+    def __init__(self) -> None:
+        self.models: list[str] = []
+        self.tasks: list[str] = []
+        self.taxonomies: list[str] = []
+        self.modalities: list[str] = []
+        self.perturbations: list[str | None] = []
+        self.shots: list[tuple[int, ...]] = []
+        self.values: list[tuple[float, ...]] = []
+
+    def _append(
+        self,
+        model: str,
+        task: str,
+        taxonomy: str,
+        modality: str,
+        perturbation: str | None,
+        shots: tuple[int, ...],
+        values: tuple[float, ...],
+    ) -> None:
+        """Add one row, as it is: nothing is checked or converted."""
+        self.models.append(model)
+        self.tasks.append(task)
+        self.taxonomies.append(taxonomy)
+        self.modalities.append(modality)
+        self.perturbations.append(perturbation)
+        self.shots.append(shots)
+        self.values.append(values)
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # negative indices, and IndexError past the end
+        return _unchecked(
+            ResultRow,
+            model=self.models[i],
+            task=self.tasks[i],
+            taxonomy=self.taxonomies[i],
+            modality=self.modalities[i],
+            curve=_unchecked(ShotCurve, shots=self.shots[i], values=self.values[i]),
+            perturbation=self.perturbations[i],
+        )
 
 
-def _exact_result(obj: Any) -> ResultRow | None:
-    """The row ``ResultRow.from_json(obj)`` returns, built without checking a
-    field twice, when every field already has its exact JSON type and is in
-    range; ``None`` for any other object, which ``from_json`` then converts
-    (ints, numeric strings) or rejects with its own message."""
+def _row_fields(row: ResultRow) -> tuple:
+    """``ResultTable._append``'s arguments for ``row``."""
+    return (row.model, row.task, row.taxonomy, row.modality, row.perturbation,
+            row.curve.shots, row.curve.values)
+
+
+def load_results(path: str) -> ResultTable:
+    """Load a result JSONL file into a ``ResultTable``."""
+    table = ResultTable()
+    _read_jsonl(
+        path,
+        lambda obj: _exact_result(table, obj) or table._append(*_row_fields(ResultRow.from_json(obj))),
+        lambda lineno, added: None,
+    )
+    return table
+
+
+def _exact_result(table: ResultTable, obj: Any) -> bool:
+    """Append the row ``ResultRow.from_json(obj)`` returns to ``table``'s
+    columns, taken from ``obj`` without checking a field twice, when every
+    field already has its exact JSON type and is in range; for any other
+    object append nothing and return ``False``, and ``from_json`` then
+    converts it (ints, numeric strings) or rejects it with its own message."""
     if type(obj) is not dict:
-        return None
+        return False
     model, task = obj.get("model"), obj.get("task")
     taxonomy, modality = obj.get("taxonomy"), obj.get("modality")
     shots, values = obj.get("shots"), obj.get("values")
@@ -303,22 +442,14 @@ def _exact_result(obj: Any) -> ResultRow | None:
         and (pert is None or type(pert) is str and pert in PERTURBATION_KINDS)
         and type(shots) is list and type(values) is list and len(shots) == len(values)
     ):
-        return None
+        return False
     prev = -1
     for s in shots:
-        if type(s) is not int or not prev < s <= sys.float_info.max:
-            return None
+        if type(s) is not int or not prev < s <= _FLOAT_MAX:
+            return False
         prev = s
     for v in values:
         if type(v) is not float or v - v != 0.0:  # NaN and +-inf give NaN
-            return None
-    curve = _unchecked(ShotCurve, shots=tuple(shots), values=tuple(values))
-    return _unchecked(
-        ResultRow,
-        model=model,
-        task=task,
-        taxonomy=taxonomy,
-        modality=modality,
-        curve=curve,
-        perturbation=pert,
-    )
+            return False
+    table._append(model, task, taxonomy, modality, pert, tuple(shots), tuple(values))
+    return True

@@ -509,7 +509,7 @@ def _iter_lines(path: str) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
+                if not line.isspace():  # never empty: strip()'s test, without its copy
                     yield lineno, line
         except UnicodeDecodeError:
             raise ValidationError(f"{path}: not valid UTF-8 text") from None
@@ -594,10 +594,13 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
 
     for lineno, line in _iter_lines(path):
         try:
-            # ``find`` scans a long line several times faster than ``count``, so
-            # a line with at most one of each (an embedding) is settled without counting
+            # ``find`` scans a long line several times faster than ``count``, so a
+            # line with at most one "{" and two "[" (an embedding, a result row)
+            # is settled without counting
             fast = (
-                line.find("{", line.find("{") + 1) < 0 and line.find("[", line.find("[") + 1) < 0
+                line.find("{", line.find("{") + 1) < 0
+                and ((i := line.find("[")) < 0 or (i := line.find("[", i + 1)) < 0
+                     or line.find("[", i + 1) < 0)
                 or line.count("{") + line.count("[") <= 128
             )
             if fast:

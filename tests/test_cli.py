@@ -7,14 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctxforge.cli import main
-from ctxforge.errors import ValidationError
+from ctxforge import metrics
+from ctxforge.cli import _jsonl, main
+from ctxforge.errors import NumericGuardError, ValidationError
 from ctxforge.intent import MAX_RULE_DEPTH
 from ctxforge.records import (
     TAXONOMY_ORDER,
@@ -567,6 +570,197 @@ def curve_row(task, shots, values, perturbation=None):
     return row if perturbation is None else dict(row, perturbation=perturbation)
 
 
+# ---------------------------------------------------------------------------
+# the eval reports, one curve at a time: the reference their batched
+# arithmetic must match bit for bit, first error included
+
+
+def _key(row):
+    return (row.model, row.task, row.modality)
+
+
+def _scalar_clean(report, rows):
+    clean = {}
+    for row in rows:
+        if row.perturbation is None:
+            if _key(row) in clean:
+                raise ValidationError(f"{report}: duplicate clean curve for {_key(row)}")
+            clean[_key(row)] = row
+    return clean
+
+
+def _scalar_curve(report, row, f, *args):
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{report}: {_key(row)}: {exc}") from None
+
+
+def scalar_report(report, *paths):
+    """The JSON rows of ``eval report`` on ``paths``, from the public
+    one-curve metric functions; the report's first error is raised."""
+    if report == "curves":
+        clean = _scalar_clean("curves", metrics.load_results(paths[0]))
+        rows = sorted(clean.values(), key=lambda r: (
+            TAXONOMY_ORDER.index(r.taxonomy), r.task, r.model, r.modality))
+        out = []
+        for r in rows:
+            s = _scalar_curve("curves", r, metrics.summarize, r.curve)
+            out.append({"model": r.model, "task": r.task, "taxonomy": r.taxonomy,
+                        "modality": r.modality, "zero_shot": s.zero_shot, "peak": s.peak,
+                        "efficiency": s.efficiency})
+        return out
+    if report == "stability":
+        rows = list(metrics.load_results(paths[0]))
+        clean = _scalar_clean("stability", rows)
+        out = []
+        for r in rows:
+            if r.perturbation is None:
+                continue
+            if _key(r) not in clean:
+                raise ValidationError(f"stability: no clean curve for {_key(r)}")
+            base = clean[_key(r)].curve
+
+            def deviation():
+                twin = base
+                if twin.shots != r.curve.shots:
+                    values = tuple(twin.value_at(s) for s in r.curve.shots)
+                    twin = type(twin)(shots=r.curve.shots, values=values)
+                return metrics.stability_score(twin, r.curve)
+
+            out.append({"model": r.model, "task": r.task, "modality": r.modality,
+                        "perturbation": r.perturbation,
+                        "deviation_percent": _scalar_curve("stability", r, deviation)})
+        return out
+    if report == "transfer":
+        base, variant = (_scalar_clean(f"transfer: {p}", metrics.load_results(p)) for p in paths)
+        unmatched = sorted(base.keys() ^ variant.keys())
+        if unmatched:
+            raise ValidationError(f"transfer: unmatched curves for {unmatched}")
+        if not base:
+            raise ValidationError(
+                f"transfer: no result rows with a clean curve in {paths[0]} or {paths[1]}")
+        changes = {}
+        for key in sorted(base, key=lambda k: (TAXONOMY_ORDER.index(base[k].taxonomy), k)):
+            b, v = base[key], variant[key]
+
+            def percent_changes():
+                if v.taxonomy != b.taxonomy:
+                    raise ValidationError(
+                        f"base taxonomy {b.taxonomy!r}, variant taxonomy {v.taxonomy!r}")
+                return metrics._percent_changes(b.curve, v.curve)
+
+            changes.setdefault(b.taxonomy, []).extend(
+                _scalar_curve("transfer", b, percent_changes))
+        out = [{"taxonomy": t, "relative_change_percent": float(np.mean(c))}
+               for t, c in changes.items()]
+        average = float(np.mean([r["relative_change_percent"] for r in out]))
+        return out + [{"taxonomy": "Average", "relative_change_percent": average}]
+    groups = {}
+    with open(paths[0], encoding="utf-8") as fh:
+        for line in fh:
+            obj = json.loads(line)
+            xs, ys = groups.setdefault(obj["task"], ([], []))
+            xs.append(obj["primary"])
+            ys.append(obj["auxiliary"])
+    out = []
+    for task, (xs, ys) in sorted(groups.items()):
+        try:
+            out.append({"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
+                        "spearman": metrics.spearman(xs, ys)})
+        except ValidationError as exc:
+            raise ValidationError(f"align: task {task!r}: {exc}") from None
+    return out
+
+
+def assert_report_matches(report, *paths):
+    """``forge eval report`` on ``paths`` writes ``scalar_report``'s rows, or
+    exits with its error or the numeric guard's, and warns as it does."""
+    flags = ["--base", paths[0], "--variant", paths[1]] if report == "transfer" else [
+        "--results", paths[0]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["eval", report, *flags])
+        warned = [str(w.message) for w in caught]
+        del caught[:]
+        try:
+            want = "".join(_jsonl(row, f"eval {report}") + "\n"
+                           for row in scalar_report(report, *paths))
+        except ValidationError as exc:
+            assert (code, out, err) == (3, "", f"forge: {exc}\n")
+        except NumericGuardError as exc:
+            assert (code, out, err) == (4, "", f"forge: numeric guard: {exc}\n")
+        else:
+            assert (code, out) == (0, want), err
+        assert warned == [str(w.message) for w in caught]
+
+
+# values a report reads: tied, signed zeros, extremes that overflow an area
+REPORT_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 2.0, 5e-324, 1e308, -1e308])
+REPORT_POSITIVE = st.floats(0.0, 1e308, exclude_min=True) | REPORT_VALUES
+REPORT_GRIDS = st.sampled_from([(0, 1, 2, 4, 8), (0, 2, 4), (0, 1), (1, 2), (0,), (0, 3)]) | st.lists(
+    st.integers(0, 9), min_size=1, max_size=5, unique=True).map(lambda s: tuple(sorted(s)))
+
+
+def _values(draw, grid, strategy):
+    return draw(st.lists(strategy, min_size=len(grid), max_size=len(grid)))
+
+
+@st.composite
+def result_files(draw):
+    """Result rows with clean curves and their perturbed twins, some twins
+    on the clean grid without shot 0; and a transfer variant of the clean
+    rows.  A few grids do not align and a few keys have no clean curve."""
+    rows, variant = [], []
+    keys = draw(st.lists(st.tuples(st.sampled_from(["m1", "m2"]), st.sampled_from(["t1", "t2", "t3"]),
+                                   st.sampled_from(["und", "gen"])), min_size=1, max_size=6, unique=True))
+    for model, task, modality in keys:
+        common = {"model": model, "task": task, "modality": modality,
+                  "taxonomy": draw(st.sampled_from(["Perception", "Analogy"]))}
+        grid = draw(REPORT_GRIDS)
+        clean = dict(common, shots=list(grid), values=_values(draw, grid, REPORT_POSITIVE))
+        rows.append(clean)
+        for _ in range(draw(st.integers(0, 3))):
+            twin_grid = draw(st.sampled_from([grid, grid[1:] or grid]) | REPORT_GRIDS)
+            rows.append(dict(common, shots=list(twin_grid), values=_values(draw, twin_grid, REPORT_VALUES),
+                             perturbation=draw(st.sampled_from(metrics.PERTURBATION_KINDS))))
+        other = draw(st.sampled_from([grid]) | REPORT_GRIDS)
+        variant.append(dict(clean, shots=list(other), values=_values(draw, other, REPORT_VALUES)))
+        if draw(st.integers(0, 9)) == 0:
+            variant[-1]["taxonomy"] = "Deduction"
+    if draw(st.integers(0, 9)) == 0:
+        rows.append(dict(rows[0], model="m3", perturbation="interference"))
+    return draw(st.permutations(rows)), draw(st.permutations(variant))
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in rows)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(result_files())
+def test_curve_reports_match_one_curve_reference(files):
+    rows, variant = files
+    with tempfile.TemporaryDirectory() as tmp:
+        results = _write_rows(os.path.join(tmp, "r.jsonl"), rows)
+        base = _write_rows(os.path.join(tmp, "b.jsonl"), [r for r in rows if "perturbation" not in r])
+        for report in ("curves", "stability"):
+            assert_report_matches(report, results)
+        assert_report_matches("transfer", base, _write_rows(os.path.join(tmp, "v.jsonl"), variant))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([0.0, -0.0, 1.0, 2.5, -7.0]),
+                          st.sampled_from([0.0, 1.0, 1.0, 3.0, -2.0])), min_size=1, max_size=24))
+def test_align_matches_one_curve_reference(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_rows(os.path.join(tmp, "a.jsonl"),
+                           [{"task": t, "primary": x, "auxiliary": y} for t, x, y in pairs])
+        assert_report_matches("align", path)
+
+
 class TestEval:
     @pytest.fixture
     def results(self, tmp_path):
@@ -781,6 +975,20 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["pearson"] == pytest.approx(-(0.75**0.5), abs=1e-12)
         assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [([(1.0, 1.0), (2.0, 3.0)], "pearson: need at least 3 points"),
+         ([(1.0, 1.0), (1.0, 3.0), (1.0, 2.0)], "pearson: constant input")],
+        ids=["two-rows", "constant"],
+    )
+    def test_align_error_names_report_and_task(self, tmp_path, pairs, message):
+        path = tmp_path / "a.jsonl"
+        rows = [{"task": "a", "primary": x, "auxiliary": x} for x in (1.0, 2.0, 3.0)]
+        rows += [{"task": "b", "primary": x, "auxiliary": y} for x, y in pairs]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        got = run_cli(["eval", "align", "--results", str(path)])
+        assert got == (3, "", f"forge: align: task 'b': {message}\n")
 
     def test_list_taxonomy_exits_3(self, tmp_path):
         path = tmp_path / "r.jsonl"

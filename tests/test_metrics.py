@@ -6,10 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxforge.errors import ValidationError
 from ctxforge.metrics import (
     ResultRow,
+    _average_ranks,
+    _average_ranks_rows,
+    _percent_changes,
+    _percent_changes_rows,
+    _stability_rows,
+    _summarize_rows,
     icl_efficiency,
     load_results,
     pearson,
@@ -217,7 +224,7 @@ class TestResultRows:
             '{"model": "m", "task": "t", "taxonomy": "Perception", "modality": "und",'
             ' "perturbation": "reverse_order", "shots": [0, 1], "values": [1.0, 2.0]}\n'
         )
-        assert load_results(path) == [row]
+        assert list(load_results(path)) == [row]
 
     def test_clean_maps_to_none(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -244,3 +251,79 @@ class TestResultRows:
         )
         with pytest.raises(ValidationError):
             load_results(path)
+
+
+# ---------------------------------------------------------------------------
+# the row-wise twins of the one-curve functions give their bits
+
+GRIDS = st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(
+    lambda s: tuple(sorted(s)))
+VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 2.0, 5e-324, 1e308, -1e308])
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def outcome(f, *args):
+    """``f(*args)``, or its error message."""
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# mostly positive: a clean curve or a transfer base with a value <= 0 is rejected
+BASE_VALUES = st.floats(0.0, 1e308, exclude_min=True) | VALUES
+
+
+def matrices(grid, *strategies):
+    """1 to 4 rows of curves on ``grid``, one drawn from each strategy."""
+    return st.lists(st.tuples(*(st.lists(s, min_size=len(grid), max_size=len(grid))
+                                for s in strategies)), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, VALUES))))
+def test_summarize_rows_gives_summarize_bits(case):
+    grid, rows = case
+    want = [outcome(summarize, curve(grid, values)) for (values,) in rows]
+    got = outcome(_summarize_rows, grid, np.array([values for (values,) in rows]))
+    if isinstance(got, str):
+        assert want == [got] * len(rows)
+    else:
+        assert [bits([s.zero_shot, s.peak, s.efficiency]) for s in want] == [
+            bits(column) for column in zip(*got)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, BASE_VALUES, VALUES))))
+def test_stability_rows_give_stability_score_bits(case):
+    grid, rows = case
+    deviation, bad = _stability_rows(grid, *(np.array(m) for m in zip(*rows)))
+    for (clean, perturbed), d, rejected in zip(rows, deviation, bad):
+        want = outcome(stability_score, curve(grid, clean), curve(grid, perturbed))
+        assert rejected == isinstance(want, str)
+        if not rejected:
+            assert bits([d]) == bits([want])
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, BASE_VALUES, VALUES))))
+def test_percent_changes_rows_give_percent_changes_bits(case):
+    grid, rows = case
+    changes, bad = _percent_changes_rows(*(np.array(m) for m in zip(*rows)))
+    for (base, variant), got, rejected in zip(rows, changes, bad):
+        want = outcome(_percent_changes, curve(grid, base), curve(grid, variant))
+        assert rejected == isinstance(want, str)
+        if not rejected:
+            assert bits(got) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, 1e308]), min_size=n, max_size=n),
+    min_size=1, max_size=4)))
+def test_average_ranks_rows_give_average_ranks_bits(rows):
+    got = _average_ranks_rows(np.array(rows))
+    assert [bits(r) for r in got] == [bits(_average_ranks(r)) for r in rows]

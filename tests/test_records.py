@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxforge.errors import ValidationError
-from ctxforge.metrics import ResultRow, _exact_result, load_results
+from ctxforge.metrics import ResultRow, ResultTable, _exact_result, load_results
 from ctxforge.records import (
     CONTAINER_MAGIC,
     EMBEDDING_MODALITIES,
@@ -849,7 +849,7 @@ def _assert_same(objs, load, plain, path):
     "examples, prefix, load, plain",
     [
         (SCENE_EXAMPLES, [], lambda p: list(load_metadata(p)), PLAIN_METADATA),
-        (RESULT_EXAMPLES, [], load_results, PLAIN_RESULTS),
+        (RESULT_EXAMPLES, [], lambda p: list(load_results(p)), PLAIN_RESULTS),
         (EPISODE_EXAMPLES, [], load_episodes, PLAIN_EPISODES),
         # after the prefix, a spoiled id, modality or dim can also collide
         # with a stored id or dim
@@ -883,7 +883,7 @@ def test_load_metadata_matches_from_json(scenes):
 @given(st.lists(spoiled(result_row()) | st.sampled_from(NOT_AN_OBJECT), min_size=1, max_size=3))
 def test_load_results_matches_from_json(rows):
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_same(rows, load_results, PLAIN_RESULTS, os.path.join(tmp, "r.jsonl"))
+        _assert_same(rows, lambda p: list(load_results(p)), PLAIN_RESULTS, os.path.join(tmp, "r.jsonl"))
 
 
 @st.composite
@@ -1028,11 +1028,14 @@ def test_exact_types_take_the_one_pass_path():
     table = SceneTable()
     table._append(*_exact_scene(SCENE_EXAMPLE))
     assert list(table) == [MetadataRecord.from_json(SCENE_EXAMPLE)]
+    results = ResultTable()
     for row in RESULT_EXAMPLES:
-        assert _exact_result(row) == ResultRow.from_json(row)
+        assert _exact_result(results, row)
+    assert list(results) == [ResultRow.from_json(row) for row in RESULT_EXAMPLES]
     # an int where a float belongs goes to from_json, which converts it
     assert _exact_scene(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
-    assert _exact_result(dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0])) is None
+    assert not _exact_result(results, dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0]))
+    assert len(results) == len(RESULT_EXAMPLES)
 
 
 def _count_json_loads(monkeypatch):
@@ -1055,7 +1058,7 @@ def test_lines_that_need_conversion_are_decoded_once(tmp_path, monkeypatch):
     rows = [dict(RESULT_EXAMPLES[0], model=f"m{i}", values=[1, 2, i]) for i in range(40)]
     vectors = [dict(EMBEDDING_EXAMPLES[0], id=f"v{i}", values=[1, i]) for i in range(20)]
     cases = [(scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA),
-             (rows, load_results, PLAIN_RESULTS),
+             (rows, lambda p: list(load_results(p)), PLAIN_RESULTS),
              (vectors, _store_view(load_embeddings), _store_view(PLAIN_EMBEDDINGS))]
     for objs, load, plain in cases:
         path = tmp_path / "records.jsonl"
@@ -1094,6 +1097,6 @@ def test_long_integers_load_as_json_has_them(tmp_path):
             dict(RESULT_EXAMPLES[0], shots=[0, 2, big]),
             dict(RESULT_EXAMPLES[0], shots=[0, 2, low])]
     for objs, load, plain in ((scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA),
-                              (rows, load_results, PLAIN_RESULTS)):
+                              (rows, lambda p: list(load_results(p)), PLAIN_RESULTS)):
         for obj in objs:
             _assert_same([obj], load, plain, tmp_path / "records.jsonl")
