@@ -32,7 +32,9 @@ with a token mask, and every demo-side stage runs once over that batch
    initialization and ``b2`` starts at a positive constant, so a fresh module
    is a near-identity: ``Y' = sigmoid(b2) * Y`` regardless of demos.
 
-Everything is float64 numpy.  The stages are one ordered list, ``_STAGES``:
+Everything is float64 numpy.  The stages are one ordered list, ``_STAGES``,
+which also names the parameter tensors each stage reads and their shapes;
+``PARAM_FIELDS``, ``expected_shapes`` and ``CapmParams`` are derived from it.
 ``capm_forward`` runs it, ``capm_backward`` walks it in reverse for exact
 gradients of every parameter and of the inputs ``h``, ``y`` and the demo
 tokens, and ``gradient_check`` verifies them against central finite
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -100,145 +102,19 @@ class CapmHyper:
             raise ValidationError(
                 f"tau_min must be > 0 and < tau_max ({self.tau_max!r}), got {self.tau_min!r}"
             )
-        for name, shape in expected_shapes(self).items():
+        shapes: dict[str, tuple[int, ...]] = {}
+        for st in _STAGES:
+            shapes.update(st.params(self))
+        for name, shape in shapes.items():
             if math.prod(shape) * 8 > _MAX_SIZE:  # float64 bytes
                 raise ValidationError(f"sizes too large: param {name} would have shape {shape}")
+        # built once per hyperparameter set for ``expected_shapes``; not a field,
+        # so equality, hashing, repr and the saved manifest ignore it
+        object.__setattr__(self, "_shapes", shapes)
 
     @property
     def coef_width(self) -> int:
         return 2 * self.r * self.d_p + self.r
-
-
-@dataclass(eq=False)
-class CapmParams:
-    w_in: np.ndarray
-    queries: np.ndarray
-    enc_wq: np.ndarray
-    enc_wk: np.ndarray
-    enc_wv: np.ndarray
-    enc_wo: np.ndarray
-    rms_gain: np.ndarray
-    phi_ln_gain: np.ndarray
-    phi_ln_bias: np.ndarray
-    hcoef_w1: np.ndarray
-    hcoef_b1: np.ndarray
-    hcoef_w2: np.ndarray
-    hcoef_b2: np.ndarray
-    u_base: np.ndarray
-    v_base: np.ndarray
-    int_ln_gain: np.ndarray
-    int_ln_bias: np.ndarray
-    int_wq: np.ndarray
-    int_wk: np.ndarray
-    int_wv: np.ndarray
-    int_wo: np.ndarray
-    cal_scale: np.ndarray
-    cal_shift: np.ndarray
-    psi: np.ndarray
-    tau_w1: np.ndarray
-    tau_b1: np.ndarray
-    tau_w2: np.ndarray
-    tau_b2: np.ndarray
-    gate_ln_gain: np.ndarray
-    gate_ln_bias: np.ndarray
-    gate_w1: np.ndarray
-    gate_b1: np.ndarray
-    gate_w2: np.ndarray
-    gate_b2: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    def copy(self) -> "CapmParams":
-        return CapmParams(**{k: v.copy() for k, v in self.as_dict().items()})
-
-
-# parameter tensors, in serialization order
-PARAM_FIELDS = tuple(f.name for f in fields(CapmParams))
-
-
-def expected_shapes(hyper: CapmHyper) -> dict[str, tuple[int, ...]]:
-    d_b, d_p, k, r = hyper.d_b, hyper.d_p, hyper.K, hyper.r
-    return {
-        "w_in": (d_b, d_p),
-        "queries": (k + 2, d_p),
-        "enc_wq": (d_p, d_p),
-        "enc_wk": (d_p, d_p),
-        "enc_wv": (d_p, d_p),
-        "enc_wo": (d_p, d_p),
-        "rms_gain": (d_p,),
-        "phi_ln_gain": (4 * d_p,),
-        "phi_ln_bias": (4 * d_p,),
-        "hcoef_w1": (4 * d_p, 2 * d_p),
-        "hcoef_b1": (2 * d_p,),
-        "hcoef_w2": (2 * d_p, hyper.coef_width),
-        "hcoef_b2": (hyper.coef_width,),
-        "u_base": (r, d_p),
-        "v_base": (r, d_p),
-        "int_ln_gain": (d_p,),
-        "int_ln_bias": (d_p,),
-        "int_wq": (d_p, d_p),
-        "int_wk": (d_p, d_p),
-        "int_wv": (d_p, d_p),
-        "int_wo": (d_p, d_p),
-        "cal_scale": (4, d_p),
-        "cal_shift": (4, d_p),
-        "psi": (d_b, d_p),
-        "tau_w1": (d_p, d_p),
-        "tau_b1": (d_p,),
-        "tau_w2": (d_p, 1),
-        "tau_b2": (1,),
-        "gate_ln_gain": (d_b,),
-        "gate_ln_bias": (d_b,),
-        "gate_w1": (d_b + d_p, d_p),
-        "gate_b1": (d_p,),
-        "gate_w2": (d_p, d_b),
-        "gate_b2": (d_b,),
-    }
-
-
-def validate_params(params: CapmParams, hyper: CapmHyper) -> None:
-    for name, shape in expected_shapes(hyper).items():
-        arr = getattr(params, name)
-        if arr.shape != shape:
-            raise ValidationError(f"param {name}: expected shape {shape}, got {arr.shape}")
-
-
-def init_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
-    """Fresh parameters: small random weights, identity norms and calibration,
-    ``gate_w2 = 0`` and ``gate_b2 = b2_init`` so the gate starts near-open."""
-    shapes = expected_shapes(hyper)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        if name.endswith("_gain") or name == "cal_scale":
-            arrays[name] = np.ones(shape)
-        elif name.endswith("_bias") or name.endswith("_b1") or name in ("hcoef_b2", "tau_b2", "cal_shift"):
-            arrays[name] = np.zeros(shape)
-        elif name == "gate_w2":
-            arrays[name] = np.zeros(shape)
-        elif name == "gate_b2":
-            arrays[name] = np.full(shape, hyper.b2_init)
-        else:
-            arrays[name] = 0.05 * rng.standard_normal(shape)
-    return CapmParams(**arrays)
-
-
-def random_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
-    """Trained-like parameters: everything perturbed, nothing at its init value.
-
-    The gate bias is drawn near zero rather than near ``b2_init`` so the gate
-    sits in its responsive range; a saturated sigmoid attenuates every
-    upstream gradient by ~50x, which starves finite-difference comparisons of
-    precision without exercising anything new.
-    """
-    shapes = expected_shapes(hyper)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        if name.endswith("_gain") or name == "cal_scale":
-            arrays[name] = 1.0 + 0.2 * rng.standard_normal(shape)
-        else:
-            arrays[name] = 0.3 * rng.standard_normal(shape)
-    return CapmParams(**arrays)
 
 
 @dataclass(eq=False)
@@ -644,36 +520,121 @@ def _gate_backward(dyp, cache, params: CapmParams, grads, hyper: CapmHyper):
 
 class _Stage(NamedTuple):
     """``forward(*reads, params, hyper) -> (writes, cache)``; ``backward(d writes[0],
-    cache, params, grads, hyper) -> d reads``: only the first write has a gradient."""
+    cache, params, grads, hyper) -> d reads``: only the first write has a gradient.
+    ``params(hyper)`` maps the name of each parameter tensor the stage reads to
+    its shape, in serialization order."""
 
     name: str
     reads: tuple[str, ...]
     writes: tuple[str, ...]
-    params: tuple[str, ...]
+    params: Callable[[CapmHyper], dict[str, tuple[int, ...]]]
     forward: Callable
     backward: Callable
+
+    def uses(self, name: str, hyper: CapmHyper) -> bool:
+        """Whether the stage reads ``name``, an input or a parameter."""
+        return name in self.reads or name in self.params(hyper)
 
 
 # in order; the inputs are ``demos``, ``h`` and ``y``; the rest fill ``CapmTrace``
 _STAGES = (
     _Stage("encode", ("demos",), ("slots",),
-           ("w_in", "queries", "enc_wq", "enc_wk", "enc_wv", "enc_wo"),
+           lambda h: {"w_in": (h.d_b, h.d_p), "queries": (h.K + 2, h.d_p),
+                      "enc_wq": (h.d_p, h.d_p), "enc_wk": (h.d_p, h.d_p),
+                      "enc_wv": (h.d_p, h.d_p), "enc_wo": (h.d_p, h.d_p)},
            _encode_forward, _encode_backward),
     _Stage("modulate", ("slots",), ("z",),
-           ("rms_gain", "phi_ln_gain", "phi_ln_bias", "hcoef_w1", "hcoef_b1", "hcoef_w2",
-            "hcoef_b2", "u_base", "v_base"),
+           lambda h: {"rms_gain": (h.d_p,), "phi_ln_gain": (4 * h.d_p,),
+                      "phi_ln_bias": (4 * h.d_p,), "hcoef_w1": (4 * h.d_p, 2 * h.d_p),
+                      "hcoef_b1": (2 * h.d_p,), "hcoef_w2": (2 * h.d_p, h.coef_width),
+                      "hcoef_b2": (h.coef_width,), "u_base": (h.r, h.d_p),
+                      "v_base": (h.r, h.d_p)},
            _modulate_forward, _modulate_backward),
     _Stage("interact", ("z",), ("z_hat",),
-           ("int_ln_gain", "int_ln_bias", "int_wq", "int_wk", "int_wv", "int_wo"),
+           lambda h: {"int_ln_gain": (h.d_p,), "int_ln_bias": (h.d_p,),
+                      "int_wq": (h.d_p, h.d_p), "int_wk": (h.d_p, h.d_p),
+                      "int_wv": (h.d_p, h.d_p), "int_wo": (h.d_p, h.d_p)},
            _interact_forward, _interact_backward),
-    _Stage("bank", ("z_hat", "slots"), ("bank",), ("cal_scale", "cal_shift"),
+    _Stage("bank", ("z_hat", "slots"), ("bank",),
+           lambda h: {"cal_scale": (4, h.d_p), "cal_shift": (4, h.d_p)},
            _bank_forward, _bank_backward),
     _Stage("route", ("h", "bank", "z_hat"), ("context", "tau", "weights"),
-           ("psi", "tau_w1", "tau_b1", "tau_w2", "tau_b2"), _route_forward, _route_backward),
+           lambda h: {"psi": (h.d_b, h.d_p), "tau_w1": (h.d_p, h.d_p), "tau_b1": (h.d_p,),
+                      "tau_w2": (h.d_p, 1), "tau_b2": (1,)},
+           _route_forward, _route_backward),
     _Stage("gate", ("h", "context", "y"), ("y_prime", "m"),
-           ("gate_ln_gain", "gate_ln_bias", "gate_w1", "gate_b1", "gate_w2", "gate_b2"),
+           lambda h: {"gate_ln_gain": (h.d_b,), "gate_ln_bias": (h.d_b,),
+                      "gate_w1": (h.d_b + h.d_p, h.d_p), "gate_b1": (h.d_p,),
+                      "gate_w2": (h.d_p, h.d_b), "gate_b2": (h.d_b,)},
            _gate_forward, _gate_backward),
 )
+
+
+def expected_shapes(hyper: CapmHyper) -> dict[str, tuple[int, ...]]:
+    """Each parameter tensor's shape, in serialization order."""
+    return dict(hyper._shapes)
+
+
+# parameter tensors, in serialization order; the names do not depend on the sizes
+PARAM_FIELDS = tuple(expected_shapes(CapmHyper(d_b=1, d_p=1, K=1, r=1, heads=1)))
+
+
+class _ParamsMethods:
+    """What ``CapmParams`` adds to its fields, one ndarray per tensor."""
+
+    def as_dict(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in PARAM_FIELDS}
+
+    def copy(self) -> "CapmParams":
+        return CapmParams(**{k: v.copy() for k, v in self.as_dict().items()})
+
+
+# keyword-constructed from every tensor: a missing or unknown one is a TypeError
+CapmParams = make_dataclass("CapmParams", [(name, np.ndarray) for name in PARAM_FIELDS],
+                            bases=(_ParamsMethods,), eq=False)
+CapmParams.__module__ = __name__  # make_dataclass leaves it as "types"
+
+
+def validate_params(params: CapmParams, hyper: CapmHyper) -> None:
+    for name, shape in expected_shapes(hyper).items():
+        arr = getattr(params, name)
+        if arr.shape != shape:
+            raise ValidationError(f"param {name}: expected shape {shape}, got {arr.shape}")
+
+
+def init_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
+    """Fresh parameters: small random weights, identity norms and calibration,
+    ``gate_w2 = 0`` and ``gate_b2 = b2_init`` so the gate starts near-open."""
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in expected_shapes(hyper).items():
+        if name.endswith("_gain") or name == "cal_scale":
+            arrays[name] = np.ones(shape)
+        elif name.endswith("_bias") or name.endswith("_b1") or name in ("hcoef_b2", "tau_b2", "cal_shift"):
+            arrays[name] = np.zeros(shape)
+        elif name == "gate_w2":
+            arrays[name] = np.zeros(shape)
+        elif name == "gate_b2":
+            arrays[name] = np.full(shape, hyper.b2_init)
+        else:
+            arrays[name] = 0.05 * rng.standard_normal(shape)
+    return CapmParams(**arrays)
+
+
+def random_params(hyper: CapmHyper, rng: np.random.Generator) -> CapmParams:
+    """Trained-like parameters: everything perturbed, nothing at its init value.
+
+    The gate bias is drawn near zero rather than near ``b2_init`` so the gate
+    sits in its responsive range; a saturated sigmoid attenuates every
+    upstream gradient by ~50x, which starves finite-difference comparisons of
+    precision without exercising anything new.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in expected_shapes(hyper).items():
+        if name.endswith("_gain") or name == "cal_scale":
+            arrays[name] = 1.0 + 0.2 * rng.standard_normal(shape)
+        else:
+            arrays[name] = 0.3 * rng.standard_normal(shape)
+    return CapmParams(**arrays)
 
 
 def _stages_run(demos) -> tuple[_Stage, ...]:
@@ -694,7 +655,7 @@ def _resume(values: dict[str, Any], name: str, params: CapmParams, hyper: CapmHy
     """``y_prime`` of a forward over ``values`` (a trace's fields and inputs) that
     re-runs only the stages from the first one reading ``name``, a parameter or input."""
     stages = _stages_run(values["demos"])
-    start = next((i for i, st in enumerate(stages) if name in st.reads + st.params), len(stages))
+    start = next((i for i, st in enumerate(stages) if st.uses(name, hyper)), len(stages))
     values = dict(values)
     _run(stages[start:], values, params, hyper)
     return values["y_prime"]

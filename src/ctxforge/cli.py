@@ -100,15 +100,9 @@ def _jsonl(obj: dict[str, Any], report: str) -> str:
 
 
 def _format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(row: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    return "\n".join(line(*row).rstrip() for row in [headers, ["-" * w for w in widths], *rows])
 
 
 def _report(
@@ -477,7 +471,8 @@ def _transfer_changes(
     base: metrics.ResultTable, variant: metrics.ResultTable, b: int, v: int
 ) -> list[float]:
     """The transfer report's percent changes of variant row ``v`` over base
-    row ``b``, one curve at a time; the report's error for a pair it rejects."""
+    row ``b``, one curve at a time; the report's error for a pair it rejects,
+    which is what ``cmd_eval`` calls it for."""
     from . import metrics
 
     row, other = base[b], variant[v]
@@ -493,10 +488,10 @@ def _transfer_changes(
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
-    # Each report computes its curves on one float64 matrix per shot grid
-    # with metrics' row-wise twins of its one-curve functions, which give
-    # their bits.  A row they reject is computed again, in report order, by
-    # the one-curve path, which raises its error.
+    # Each report computes its curves on float64 matrices with metrics'
+    # row-wise twins of its one-curve functions, which give their bits.  The
+    # first row a report rejects, in report order, is named by the error of
+    # its one-curve function.
     report = f"eval {args.report}"
     if args.report != "transfer" and not args.results:
         raise UsageError(f"eval {args.report} requires --results")
@@ -506,20 +501,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                                       table.tasks[i], table.models[i],
                                                       table.modalities[i]))
         summary = np.empty((3, len(order)))
-        bad = np.zeros(len(order), dtype=bool)
+        # grids in first-appearance order: a rejected grid's first row is the
+        # report's first rejected curve
         for grid, positions in _positions_by([table.shots[i] for i in order]).items():
             values = np.array([table.values[order[p]] for p in positions])
             try:
                 summary[:, positions] = metrics._summarize_rows(grid, values)
-            except ValidationError:
-                bad[positions] = True
-        for p in np.flatnonzero(bad):
-            row = table[order[p]]
-            try:
-                s = metrics.summarize(row.curve)
             except ValidationError as exc:
-                raise _curve_error("curves", row, exc) from None
-            summary[:, p] = s.zero_shot, s.peak, s.efficiency
+                raise _curve_error("curves", table[order[positions[0]]], exc) from None
         rows = [
             {
                 "model": table.models[i],
@@ -625,21 +614,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"transfer: no result rows with a clean curve in {args.base} or {args.variant}")
         keys = sorted(base_map, key=lambda k: (_taxonomy_rank(base.taxonomies[base_map[k]]), k))
         pairs = [(base_map[k], var_map[k]) for k in keys]
+        for b, v in pairs:  # the pairs _transfer_changes rejects, in report order
+            if (base.taxonomies[b] != variant.taxonomies[v] or base.shots[b] != variant.shots[v]
+                    or 0.0 in base.values[b]):
+                _transfer_changes(base, variant, b, v)
         # every percent change in report order, so each taxonomy's mean has
         # relative_change's bits: a taxonomy's rows are consecutive
         starts = np.cumsum([0, *(len(base.shots[b]) for b, _ in pairs)])
-        changes = np.empty(starts[-1])
-        bad = np.array([base.taxonomies[b] != variant.taxonomies[v]
-                        or base.shots[b] != variant.shots[v] for b, v in pairs], dtype=bool)
-        for grid, positions in _positions_by([base.shots[b] for b, _ in pairs]).items():
-            positions = [p for p in positions if not bad[p]]
-            if positions:
-                b_values = np.array([base.values[pairs[p][0]] for p in positions])
-                v_values = np.array([variant.values[pairs[p][1]] for p in positions])
-                flat = starts[positions][:, None] + np.arange(len(grid))
-                changes[flat], bad[positions] = metrics._percent_changes_rows(b_values, v_values)
-        for p in np.flatnonzero(bad):
-            changes[starts[p]:starts[p + 1]] = _transfer_changes(base, variant, *pairs[p])
+        (changes,), _ = metrics._percent_changes_rows(
+            np.array([[x for b, _ in pairs for x in base.values[b]]]),
+            np.array([[x for _, v in pairs for x in variant.values[v]]]))
         taxonomies = _positions_by([base.taxonomies[b] for b, _ in pairs])
         rows = [{"taxonomy": t, "relative_change_percent":
                  float(np.mean(changes[starts[ps[0]]:starts[ps[-1] + 1]]))}

@@ -440,7 +440,7 @@ def _exact_result(table: ResultTable, obj: Any) -> bool:
         and type(taxonomy) is str and taxonomy in TAXONOMIES
         and type(modality) is str and modality in RESULT_MODALITIES
         and (pert is None or type(pert) is str and pert in PERTURBATION_KINDS)
-        and type(shots) is list and type(values) is list and len(shots) == len(values)
+        and type(shots) is list and type(values) is list and len(shots) == len(values) > 0
     ):
         return False
     prev = -1

@@ -484,6 +484,8 @@ class ShotCurve:
             raise ValidationError(
                 f"curve: {len(self.shots)} shots vs {len(self.values)} values"
             )
+        if not self.shots:
+            raise ValidationError("curve: needs at least one shot")
         for i, s in enumerate(self.shots):
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ValidationError(f"shots[{i}]: must be a non-negative integer, got {s!r}")

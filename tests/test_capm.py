@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf, expit
 
 from ctxforge import capm
 from ctxforge.capm import (
     CapmHyper,
+    CapmParams,
     STAGE_ORDER,
     capm_backward,
     capm_forward,
@@ -22,6 +26,7 @@ from ctxforge.capm import (
     save_params,
 )
 from ctxforge.errors import ValidationError
+from ctxforge.records import read_vector_block
 
 HYPER = CapmHyper(d_b=12, d_p=8, K=2, r=2, heads=2)
 
@@ -641,6 +646,25 @@ class TestSerialization:
         )
         assert not path.exists()
 
+    @settings(max_examples=30, deadline=None)
+    @given(d_b=st.integers(1, 4), heads=st.integers(1, 3), head_width=st.integers(1, 3),
+           K=st.integers(1, 3), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_tensors_are_saved_and_loaded_in_field_order_with_their_shapes(
+            self, d_b, heads, head_width, K, r, seed):
+        hyper = CapmHyper(d_b=d_b, d_p=heads * head_width, K=K, r=r, heads=heads)
+        shapes = list(capm.expected_shapes(hyper).items())
+        assert tuple(name for name, _ in shapes) == capm.PARAM_FIELDS
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "p.capm")
+            save_params(random_params(hyper, np.random.default_rng(seed)), hyper, path)
+            with open(path, "rb") as fh:
+                fh.readline()  # the manifest
+                ids = [read_vector_block(fh)[0] for _ in capm.PARAM_FIELDS]
+                assert fh.read() == b""
+            loaded, _ = load_params(path)
+        assert ids == [[f"{name} {'x'.join(map(str, shape))}"] for name, shape in shapes]
+        assert [(name, arr.shape) for name, arr in loaded.as_dict().items()] == shapes
+
     def test_manifest_value_too_large_for_float_rejected(self, tmp_path):
         path = tmp_path / "p.capm"
         save_params(random_params(HYPER, np.random.default_rng(25)), HYPER, path)
@@ -649,6 +673,27 @@ class TestSerialization:
         path.write_bytes(blob.replace(b'"eta": 0.1,', b'"eta": ' + str(10**400).encode() + b","))
         with pytest.raises(ValidationError, match=f"{path}: manifest: eta must be a finite number"):
             load_params(path)
+
+
+class TestParams:
+    def test_a_missing_tensor_is_a_type_error(self):
+        arrays = init_params(HYPER, np.random.default_rng(27)).as_dict()
+        del arrays["tau_b2"]
+        with pytest.raises(TypeError, match="'tau_b2'"):
+            CapmParams(**arrays)
+
+    def test_an_unknown_tensor_is_a_type_error(self):
+        arrays = init_params(HYPER, np.random.default_rng(28)).as_dict()
+        with pytest.raises(TypeError, match="'tau_b3'"):
+            CapmParams(**arrays, tau_b3=np.zeros(1))
+
+    def test_copy_holds_equal_tensors_in_new_arrays(self):
+        params = random_params(HYPER, np.random.default_rng(29))
+        copied = params.copy()
+        assert list(copied.as_dict()) == list(capm.PARAM_FIELDS)
+        for name, arr in params.as_dict().items():
+            assert getattr(copied, name) is not arr
+            np.testing.assert_array_equal(getattr(copied, name), arr)
 
 
 # ---------------------------------------------------------------------------

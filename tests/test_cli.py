@@ -947,6 +947,18 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err == f"forge: {message}\n".replace("{dir}", str(tmp_path))
 
+    @pytest.mark.parametrize("report", ["curves", "stability", "transfer"])
+    def test_a_curve_with_no_points_exits_3_naming_file_and_line(self, tmp_path, report):
+        path = str(tmp_path / "e.jsonl")
+        _write_rows(path, [{"model": "m", "task": "t", "taxonomy": "Perception",
+                            "modality": "und", "shots": [], "values": []}])
+        flags = ["--base", path, "--variant", path] if report == "transfer" else ["--results", path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["eval", report, *flags])
+        assert (code, out, err) == (3, "", f"forge: {path}: line 1: result: curve: needs at least one shot\n")
+        assert not caught
+
     def test_transfer_reads_only_clean_curves(self, tmp_path):
         # a perturbed twin in the base no longer stands in for its clean curve
         base, var = tmp_path / "b.jsonl", tmp_path / "v.jsonl"

@@ -7,9 +7,11 @@ change that alters an output on purpose regenerates the file::
 
     python tests/test_golden.py --write
 
-and names each command whose digest changed.  CAPM outputs depend on the
-BLAS build, so a ``capm`` digest is compared only where numpy and BLAS are
-the versions the file records.
+and prints a line per command whose digest changed, was added or was
+removed: ``old -> new  command``, each digest cut to 12 hex digits, and
+``added`` or ``removed`` in place of a digest that is not there.  CAPM
+outputs depend on the BLAS build, so a ``capm`` digest is compared only
+where numpy and BLAS are the versions the file records.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ EXTRA_FILES = {
                        _row("t", [0, 1], [-1.7e308, -1.7e308], "reverse_order")],
     "unmatched.jsonl": [_row("u", [0, 1], [1.0, 2.0])],
     "other-taxonomy.jsonl": [_row("t", [0, 1], [2.0, 2.0], taxonomy="Analogy")],
+    "empty-curve.jsonl": [_row("t", [], [])],
     "cfg-capm-list.json": {"capm": []},
 }
 
@@ -126,6 +129,9 @@ COMMANDS = [
     "eval stability --results overflow.jsonl",
     "eval transfer --base one-clean.jsonl --variant unmatched.jsonl",
     "eval transfer --base twin-variant.jsonl --variant other-taxonomy.jsonl",
+    "eval curves --results empty-curve.jsonl",
+    "eval stability --results empty-curve.jsonl",
+    "eval transfer --base empty-curve.jsonl --variant empty-curve.jsonl",
     # capm
     f"capm demo --seed 3 {TINY} --shots 2",
     f"capm demo --seed 3 {TINY} --shots 2 --save-params params-tiny.bin",
@@ -242,6 +248,12 @@ def write() -> None:
     with tempfile.TemporaryDirectory() as directory:
         build_corpus(directory)
         found = run_all(directory)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        old = json.load(fh)["digests"]
+    for command in {**old, **found}:
+        before, after = old.get(command, "added"), found.get(command, "removed")
+        if before != after:
+            print(f"{before[:12]:<12} -> {after[:12]:<12}  {command}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"platform": platform(), "digests": found}, fh, indent=1)
         fh.write("\n")

@@ -235,6 +235,10 @@ class TestShotCurve:
         with pytest.raises(ValidationError):
             ShotCurve(shots=(0, 1), values=(1.0, float("nan")))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="^curve: needs at least one shot$"):
+            ShotCurve(shots=(), values=())
+
 
 HUGE = 10**400  # an int that float arithmetic cannot hold
 
@@ -1035,7 +1039,18 @@ def test_exact_types_take_the_one_pass_path():
     # an int where a float belongs goes to from_json, which converts it
     assert _exact_scene(dict(SCENE_EXAMPLE, scores={"q": 1})) is None
     assert not _exact_result(results, dict(RESULT_EXAMPLES[0], values=[1, 2.0, 3.0]))
+    # an empty curve goes to from_json, which rejects it
+    assert not _exact_result(results, dict(RESULT_EXAMPLES[0], shots=[], values=[]))
     assert len(results) == len(RESULT_EXAMPLES)
+
+
+def test_a_result_curve_with_no_points_is_a_load_error(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(RESULT_EXAMPLES[0]) + "\n"
+                    + json.dumps(dict(RESULT_EXAMPLES[0], shots=[], values=[])) + "\n")
+    with pytest.raises(ValidationError) as info:
+        load_results(str(path))
+    assert str(info.value) == f"{path}: line 2: result: curve: needs at least one shot"
 
 
 def _count_json_loads(monkeypatch):
