@@ -61,9 +61,8 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LN_EPS = 1e-6
 
-# slot kinds index the calibration table rows
+# slot kinds (z, c_in, c_out, context) index the calibration table rows
 _KIND_Z, _KIND_C_IN, _KIND_C_OUT, _KIND_CONTEXT = 0, 1, 2, 3
-SLOT_KINDS = ("z", "c_in", "c_out", "context")
 
 STAGE_ORDER = ("hidden", "attention_out", "context", "output")
 

@@ -556,42 +556,24 @@ def _decode_json(text: str) -> Any:
         raise ValidationError(str(exc)) from None
 
 
-def _holds_lone_surrogate(obj: Any) -> bool:
-    """Whether a key or string of ``obj``, a value ``json`` decoded, holds a
-    lone surrogate (``json`` decodes one from an escape such as ``"\\ud800"``)."""
-    todo = [obj]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            try:
-                item.encode("utf-8")
-            except UnicodeEncodeError:
-                return True
-        elif isinstance(item, dict):
-            todo += item
-            todo += item.values()
-        elif isinstance(item, list):
-            todo += item
-    return False
-
-
 def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any], None]) -> None:
     """Call ``add(lineno, parse(value))`` for each line of the JSONL file at
     ``path``; a ``ValidationError`` from ``parse`` or ``add`` is raised again
     naming the file and line.
 
     orjson decodes a line first: it returns json's doubles several times
-    faster.  It accepts nesting deeper than ``MAX_JSON_DEPTH``, which an
-    extra key or a duplicated key's discarded value can hide, so it reads
-    only lines holding at most 128 "{" and "[" together.  ``_decode_json``
-    (json under the nesting bound) decodes the lines orjson refuses
-    (NaN, ``1e400``, an escaped lone surrogate, ...), and a line json decodes
-    to a lone surrogate is refused, as no UTF-8 text can carry it.  orjson's
-    value differs from json's only in an integer literal of 19 or more
-    digits, which orjson may turn into the double ``float()`` makes of json's
-    int; so ``parse`` runs again on json's value when it rejects orjson's
-    value of a line holding 19 digits in a row.  Every value and error is
-    thus the one json's value gives."""
+    faster and keeps a duplicated key's last value, as json does.  It accepts
+    nesting deeper than ``MAX_JSON_DEPTH``, which an extra key or a duplicated
+    key's discarded value can hide, so it reads only a line
+    ``_nested_too_deep`` does not flag: the one depth rule, which
+    ``_decode_json`` enforces on every JSON input.  ``_decode_json`` decodes the other lines
+    and those orjson refuses (NaN, ``1e400``, an escaped lone surrogate, ...),
+    and a value json decodes is refused when it holds a lone surrogate, as no
+    UTF-8 text can carry it.  orjson's value differs from json's only in an
+    integer literal of 19 or more digits, which orjson may turn into the
+    double ``float()`` makes of json's int; so ``parse`` runs again on json's
+    value when it rejects orjson's value of a line holding 19 digits in a row.
+    Every value and error is thus the one json's value gives."""
     import orjson  # here, not at the top: ``import ctxforge.cli`` must not load it
 
     for lineno, line in _iter_lines(path):
@@ -603,7 +585,7 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
                 line.find("{", line.find("{") + 1) < 0
                 and ((i := line.find("[")) < 0 or (i := line.find("[", i + 1)) < 0
                      or line.find("[", i + 1) < 0)
-                or line.count("{") + line.count("[") <= 128
+                or not _nested_too_deep(line)
             )
             if fast:
                 try:
@@ -619,9 +601,11 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
                     value = _decode_json(line)
                 except ValidationError as exc:
                     raise ValidationError(f"parse error: {exc}") from None
-                if _holds_lone_surrogate(value):
+                try:
+                    json.dumps(value, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
                     raise ValidationError("parse error: a string holds an escaped lone surrogate, "
-                                          "which is not UTF-8 text")
+                                          "which is not UTF-8 text") from None
                 fields = parse(value)
             add(lineno, fields)
         except ValidationError as exc:
@@ -849,7 +833,8 @@ class EmbeddingStore:
 
     Each modality is one float64 ``(n, d)`` matrix, rows in insertion order,
     plus an ``id -> row`` dict.  The matrix lives in a buffer that doubles in
-    rows as it fills.  ``EmbeddingRecord`` values are built on demand by
+    rows as it fills; ``load_embeddings`` trims it to the rows it loaded.
+    ``EmbeddingRecord`` values are built on demand by
     ``get``, ``require`` and iteration.
     """
 
@@ -980,6 +965,11 @@ def load_embeddings(path: str, normalize: bool = False) -> EmbeddingStore:
         _check_rows(store, positions, normalize, path, unit)
         raise
     _check_rows(store, positions, normalize, path, unit)
+    for modality, rows in store._rows.items():
+        # give back the doubling slack in place (``resize`` refuses a buffer a
+        # view still shares); a later ``add`` grows a new buffer, and views
+        # taken before it keep this one
+        store._buffers[modality].resize((len(rows), store._buffers[modality].shape[1]))
     return store
 
 

@@ -533,6 +533,28 @@ def test_store_add_after_load(tmp_path):
         store.add(EmbeddingRecord(id="z", modality="text", dim=3, values=(1.0, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["jsonl", "container"])
+def test_loaded_store_holds_exactly_its_rows(tmp_path, binary):
+    recs = [EmbeddingRecord(id=f"v{i}", modality="visual", dim=3, values=(1.0, i, 2.0))
+            for i in range(20)]  # past the first buffer's 16 rows
+    path = tmp_path / "emb"
+    if binary:
+        save_embeddings_binary(recs, path)
+    else:
+        save_embeddings_jsonl(recs + [EmbeddingRecord(id="t", modality="text", dim=2,
+                                                      values=(1.0, 0.0))], path)
+    store = load_embeddings(path, normalize=True)
+    for modality in ("visual", "text"):
+        view = store.matrix(modality)
+        assert view.base.shape == view.shape  # the buffer the view is cut from
+    before = store.matrix("visual")
+    kept = before.copy()
+    store.add(EmbeddingRecord(id="new", modality="visual", dim=3, values=(0.0, 0.0, 1.0)))
+    after = store.matrix("visual")
+    assert after.shape == (21, 3) and after[20].tolist() == [0.0, 0.0, 1.0]
+    assert np.array_equal(before, kept) and np.array_equal(after[:20], kept)
+
+
 # ---------------------------------------------------------------------------
 # one-pass loaders against the plain from_json path
 
@@ -928,10 +950,11 @@ ORJSON_DIVERGENCES = {
     "duplicate-id": '"dim": 2, "values": [1.0, 2.0], "id": "c"',
     "duplicate-values": '"dim": 2, "values": [1.0, 2.0], "values": [3.0, 4.0]',
     "duplicate-dim": '"dim": 3, "values": [1.0, 2.0], "dim": 2',
-    # nesting too deep for json, which orjson accepts
+    # nesting that orjson reads up to MAX_JSON_DEPTH, and accepts past it
+    # where json is refused
     **{
         f"nested-{depth}-{where}": line
-        for depth in (990, 1000, 1100)
+        for depth in (300, MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1, 990, 1000, 1100)
         for where, line in [
             ("extra-key", f'"dim": 2, "values": [1.0, 2.0], "x": {_nested(depth)}'),
             ("duplicate-key", f'"dim": {_nested(depth)}, "dim": 2, "values": [1.0, 2.0]'),
@@ -988,10 +1011,16 @@ def test_decode_json_bounds_nesting_by_the_text_alone(document):
     "line",
     ['  {"a": 1}', '{"a": 1} \t\r', '{"a": 1} x', '{"a": 1}{"b": 2}', '{"a": 1}\x0c', '\ufeff{"a": 1}',
      '{"a": 1', '[1, 2] 3', '"\\ud800"', '{"a\\udfff": 1}', '["x", {"a": "\\ud83d\\ude00"}]',
-     '{"a": "\\\\ud800"}', '{"a": "\\ud800", "a": 1}', "1" * 5000, "[" * 100_000],
+     '{"a": "\\\\ud800"}', '{"a": "\\ud800", "a": 1}', '[{"k": {"\\ud800": 1}}]',
+     '{"a": [1, {"b": "x\\udc00"}], "c": 2}', '{"a": {"b": ["\\ud800"]}, "a": 2}', "1" * 5000,
+     "[" * 100_000, _nested(300), "[" + "[], " * 300 + _nested(MAX_JSON_DEPTH - 1) + "]",
+     _nested(MAX_JSON_DEPTH + 1), '{"a": 1, "b": ' + _nested(MAX_JSON_DEPTH + 1) + "}"],
     ids=["leading-space", "trailing-space", "extra-data", "two-values", "form-feed", "bom",
          "truncated", "array-extra", "lone-surrogate", "lone-surrogate-key", "surrogate-pair",
-         "escaped-backslash", "lone-surrogate-dropped", "integer-digits", "nesting"],
+         "escaped-backslash", "lone-surrogate-dropped", "lone-surrogate-nested-key",
+         "lone-surrogate-nested-value", "lone-surrogate-nested-dropped", "integer-digits",
+         "nesting", "brackets-300-deep", "brackets-800-at-depth-500", "nested-501",
+         "nested-501-in-a-key"],
 )
 def test_line_reader_matches_json_loads(tmp_path, line):
     path = tmp_path / "lines.jsonl"
@@ -1067,9 +1096,13 @@ def _count_json_loads(monkeypatch):
 
 def test_lines_that_need_conversion_are_decoded_once(tmp_path, monkeypatch):
     # ints where floats belong fail the exact-type paths; from_json converts
-    # them from the first decoder's value, with no second decode
+    # them from the first decoder's value, with no second decode.  orjson
+    # reads a line within MAX_JSON_DEPTH however many brackets it holds.
     scenes = [dict(SCENE_EXAMPLE, scene_id=f"s{i}", scores={"q": i},
                    instances=[{"category": "mug", "bbox": [0, 0, 1, 1]}]) for i in range(40)]
+    scenes[1]["x"] = json.loads(_nested(300))
+    scenes[2]["x"] = [[]] * 600
+    scenes[3]["x"] = [json.loads(_nested(MAX_JSON_DEPTH - 2))] * 2
     rows = [dict(RESULT_EXAMPLES[0], model=f"m{i}", values=[1, 2, i]) for i in range(40)]
     vectors = [dict(EMBEDDING_EXAMPLES[0], id=f"v{i}", values=[1, i]) for i in range(20)]
     cases = [(scenes, lambda p: list(load_metadata(p)), PLAIN_METADATA),

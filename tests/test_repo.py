@@ -162,3 +162,54 @@ def test_benchmark_tracer_sees_one_ranking_per_query(tmp_path):
     assert code == 0, err.getvalue()
     ranked = [c for n, c in zip(recorder.names, recorder.counts) if n == "fusion.rank_top_n"]
     assert ranked == [{"candidates": 5}] * 3
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and constants a module's top level defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def _mentions(tree: ast.AST) -> set[str]:
+    """Every name read, imported or reached as an attribute in ``tree``, and
+    every string that is a name or ends in ``.name`` (``getattr``, tracing
+    and export tables name functions by string); a plain assignment to a
+    name, the one way a constant is defined, is not a mention."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value.rpartition(".")[2])
+    return found
+
+
+def test_every_module_level_name_is_used():
+    # a function, class or constant nothing names is dead code; ``cli.main``
+    # finds its ``cmd_*`` functions by the command's name
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in ("src", "tests", "ctxbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    mentioned = set().union(*map(_mentions, trees.values()))
+    unused = [
+        f"{path.relative_to(ROOT).as_posix()}: {name}"
+        for path, tree in trees.items()
+        if path.parent == ROOT / "src" / "ctxforge"
+        for name in _module_level_names(tree)
+        if name not in mentioned
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (path.name == "cli.py" and name.startswith("cmd_"))
+    ]
+    assert not unused, f"defined but never named elsewhere: {unused}"
