@@ -34,7 +34,6 @@ from .errors import NumericGuardError, UsageError, ValidationError
 from .records import (
     Demonstration,
     Episode,
-    TAXONOMY_ORDER,
     UnknownSubtaskWarning,
     _decode_json,
     _known_labels,
@@ -47,7 +46,7 @@ from .records import (
 )
 
 if TYPE_CHECKING:
-    from . import capm, metrics
+    from . import capm
 
 DEFAULT_K = 4
 # CAPM sizes; the other CAPM defaults are ``capm.CapmHyper``'s own
@@ -413,255 +412,34 @@ def cmd_filter(args: argparse.Namespace) -> int:
 # eval
 
 
-def _taxonomy_rank(taxonomy: str) -> int:
-    return TAXONOMY_ORDER.index(taxonomy)
-
-
-def _curve_error(report: str, row: Any, exc: ValidationError) -> ValidationError:
-    """``exc`` prefixed with ``report`` and the (model, task, modality) of the
-    result row whose curve it is about."""
-    return ValidationError(f"{report}: {(row.model, row.task, row.modality)}: {exc}")
-
-
-def _clean_curves(report: str, path: str) -> tuple[metrics.ResultTable, dict[tuple, int]]:
-    """The result rows at ``path``, and the index of the clean row of each
-    (model, task, modality), in file order: the one curve an ``eval`` report
-    reads.  A second one is a data error."""
-    from . import metrics
-
-    table = metrics.load_results(path)
-    clean = {}
-    for i, key in enumerate(zip(table.models, table.tasks, table.modalities)):
-        if table.perturbations[i] is None:
-            if key in clean:
-                raise ValidationError(f"{report}: duplicate clean curve for {key}")
-            clean[key] = i
-    return table, clean
-
-
-def _positions_by(keys: Sequence[Any]) -> dict[Any, list[int]]:
-    """The positions in ``keys`` of each distinct key, in order."""
-    positions: dict[Any, list[int]] = {}
-    for p, key in enumerate(keys):
-        positions.setdefault(key, []).append(p)
-    return positions
-
-
-def _twin_deviation(table: metrics.ResultTable, i: int, twin: int | None) -> float:
-    """The stability report's deviation of perturbed row ``i`` from its clean
-    twin, one curve at a time; the report's error for a row it rejects."""
-    from . import metrics
-
-    row = table[i]
-    if twin is None:
-        raise ValidationError(
-            f"stability: no clean curve for {(row.model, row.task, row.modality)}")
-    base = table[twin].curve
-    try:
-        if base.shots != row.curve.shots:
-            # perturbation grids may start later (k >= 1); align on the subset
-            values = tuple(base.value_at(s) for s in row.curve.shots)
-            base = type(base)(shots=row.curve.shots, values=values)
-        return metrics.stability_score(base, row.curve)
-    except ValidationError as exc:
-        raise _curve_error("stability", row, exc) from None
-
-
-def _transfer_changes(
-    base: metrics.ResultTable, variant: metrics.ResultTable, b: int, v: int
-) -> list[float]:
-    """The transfer report's percent changes of variant row ``v`` over base
-    row ``b``, one curve at a time; the report's error for a pair it rejects,
-    which is what ``cmd_eval`` calls it for."""
-    from . import metrics
-
-    row, other = base[b], variant[v]
-    try:
-        if other.taxonomy != row.taxonomy:
-            raise ValidationError(
-                f"base taxonomy {row.taxonomy!r}, variant taxonomy {other.taxonomy!r}")
-        return metrics._percent_changes(row.curve, other.curve)
-    except ValidationError as exc:
-        raise _curve_error("transfer", row, exc) from None
+# the headers and float format of each report's table
+_EVAL_TABLES = {
+    "curves": (("Model", "Task", "Taxonomy", "Mod", "Z-S", "Peak", "Eff"), ".3f"),
+    "stability": (("Model", "Task", "Mod", "Perturbation", "Dev%"), ".3f"),
+    "align": (("Task", "N", "Pearson", "Spearman"), ".4f"),
+    "transfer": (("Taxonomy", "RelChange%"), "+.3f"),
+    "human": (("Metric", "Win%", "Tie%", "Lose%"), ".1f"),
+}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
 
-    # Each report computes its curves on float64 matrices with metrics'
-    # row-wise twins of its one-curve functions, which give their bits.  The
-    # first row a report rejects, in report order, is named by the error of
-    # its one-curve function.
-    report = f"eval {args.report}"
-    if args.report != "transfer" and not args.results:
-        raise UsageError(f"eval {args.report} requires --results")
-    if args.report == "curves":
-        table, clean = _clean_curves("curves", args.results)
-        order = sorted(clean.values(), key=lambda i: (_taxonomy_rank(table.taxonomies[i]),
-                                                      table.tasks[i], table.models[i],
-                                                      table.modalities[i]))
-        summary = np.empty((3, len(order)))
-        # grids in first-appearance order: a rejected grid's first row is the
-        # report's first rejected curve
-        for grid, positions in _positions_by([table.shots[i] for i in order]).items():
-            values = np.array([table.values[order[p]] for p in positions])
-            try:
-                summary[:, positions] = metrics._summarize_rows(grid, values)
-            except ValidationError as exc:
-                raise _curve_error("curves", table[order[positions[0]]], exc) from None
-        rows = [
-            {
-                "model": table.models[i],
-                "task": table.tasks[i],
-                "taxonomy": table.taxonomies[i],
-                "modality": table.modalities[i],
-                "zero_shot": zero_shot,
-                "peak": peak,
-                "efficiency": efficiency,
-            }
-            for i, zero_shot, peak, efficiency in zip(order, *summary.tolist())
-        ]
-        headers = ["Model", "Task", "Taxonomy", "Mod", "Z-S", "Peak", "Eff"]
-        return _report(report, rows, headers, ".3f", args.out)
-
-    if args.report == "stability":
-        table, clean = _clean_curves("stability", args.results)
-        order = [i for i, pert in enumerate(table.perturbations) if pert is not None]
-        twins = [clean.get((table.models[i], table.tasks[i], table.modalities[i])) for i in order]
-        deviation = np.empty(len(order))
-        bad = np.array([twin is None for twin in twins], dtype=bool)
-        pairs = [(table.shots[twin], table.shots[i]) if twin is not None else None
-                 for i, twin in zip(order, twins)]
-        for pair, positions in _positions_by(pairs).items():
-            if pair is None:
-                continue
-            base_grid, grid = pair
-            if not set(grid) <= set(base_grid):
-                bad[positions] = True
-                continue
-            # perturbation grids may start later (k >= 1); align on the subset
-            columns = [base_grid.index(s) for s in grid]
-            base = np.array([table.values[twins[p]] for p in positions])[:, columns]
-            perturbed = np.array([table.values[order[p]] for p in positions])
-            deviation[positions], bad[positions] = metrics._stability_rows(grid, base, perturbed)
-        for p in np.flatnonzero(bad):
-            deviation[p] = _twin_deviation(table, order[p], twins[p])
-        rows = [
-            {
-                "model": table.models[i],
-                "task": table.tasks[i],
-                "modality": table.modalities[i],
-                "perturbation": table.perturbations[i],
-                "deviation_percent": d,
-            }
-            for i, d in zip(order, deviation.tolist())
-        ]
-        headers = ["Model", "Task", "Mod", "Perturbation", "Dev%"]
-        return _report(report, rows, headers, ".3f", args.out)
-
-    if args.report == "align":
-        groups: dict[str, tuple[list[float], list[float]]] = {}
-
-        def pair(obj: Any) -> tuple[str, float, float]:
-            if not isinstance(obj, dict):
-                raise ValidationError("expected an object")
-            task = obj.get("task", "all")
-            if not isinstance(task, str):
-                raise ValidationError(f"task must be a string, got {task!r}")
-            try:
-                x, y = float(obj[args.x_field]), float(obj[args.y_field])
-                if math.isfinite(x) and math.isfinite(y):
-                    return task, x, y
-            except (KeyError, TypeError, ValueError, OverflowError):
-                pass
-            raise ValidationError(f"needs numeric {args.x_field!r} and {args.y_field!r}")
-
-        def add_pair(lineno: int, fields: tuple[str, float, float]) -> None:
-            task, x, y = fields
-            xs, ys = groups.setdefault(task, ([], []))
-            xs.append(x)
-            ys.append(y)
-
-        _read_jsonl(args.results, pair, add_pair)
-        tasks = sorted(groups)
-        # spearman's average ranks, for all tasks of one size at once
-        ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for positions in _positions_by([len(groups[t][0]) for t in tasks]).values():
-            x_ranks, y_ranks = (
-                metrics._average_ranks_rows(np.array([groups[tasks[p]][axis] for p in positions]))
-                for axis in (0, 1))
-            ranks.update((tasks[p], (x, y)) for p, x, y in zip(positions, x_ranks, y_ranks))
-        rows = []
-        for task in tasks:
-            xs, ys = groups[task]
-            try:
-                rows.append({"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
-                             "spearman": metrics.pearson(*ranks[task])})
-            except ValidationError as exc:
-                raise ValidationError(f"align: task {task!r}: {exc}") from None
-        return _report(report, rows, ["Task", "N", "Pearson", "Spearman"], ".4f", args.out)
-
     if args.report == "transfer":
         if not args.base or not args.variant:
             raise UsageError("eval transfer requires --base and --variant")
-        (base, base_map), (variant, var_map) = (_clean_curves(f"transfer: {p}", p)
-                                                for p in (args.base, args.variant))
-        unmatched = sorted(base_map.keys() ^ var_map.keys())
-        if unmatched:
-            raise ValidationError(f"transfer: unmatched curves for {unmatched}")
-        if not base_map:
-            raise ValidationError(
-                f"transfer: no result rows with a clean curve in {args.base} or {args.variant}")
-        keys = sorted(base_map, key=lambda k: (_taxonomy_rank(base.taxonomies[base_map[k]]), k))
-        pairs = [(base_map[k], var_map[k]) for k in keys]
-        for b, v in pairs:  # the pairs _transfer_changes rejects, in report order
-            if (base.taxonomies[b] != variant.taxonomies[v] or base.shots[b] != variant.shots[v]
-                    or 0.0 in base.values[b]):
-                _transfer_changes(base, variant, b, v)
-        # every percent change in report order, so each taxonomy's mean has
-        # relative_change's bits: a taxonomy's rows are consecutive
-        starts = np.cumsum([0, *(len(base.shots[b]) for b, _ in pairs)])
-        (changes,), _ = metrics._percent_changes_rows(
-            np.array([[x for b, _ in pairs for x in base.values[b]]]),
-            np.array([[x for _, v in pairs for x in variant.values[v]]]))
-        taxonomies = _positions_by([base.taxonomies[b] for b, _ in pairs])
-        rows = [{"taxonomy": t, "relative_change_percent":
-                 float(np.mean(changes[starts[ps[0]]:starts[ps[-1] + 1]]))}
-                for t, ps in taxonomies.items()]
-        average = float(np.mean([r["relative_change_percent"] for r in rows]))
-        rows.append({"taxonomy": "Average", "relative_change_percent": average})
-        return _report(report, rows, ["Taxonomy", "RelChange%"], "+.3f", args.out)
-
-    # human study outcomes
-    by_metric: dict[str, list[str]] = {}
-    pooled: list[str] = []
-
-    def judgment(obj: Any) -> tuple[str, str]:
-        if not isinstance(obj, dict) or "outcome" not in obj:
-            raise ValidationError("expected an 'outcome' field")
-        metric = obj.get("metric", "all")
-        if not isinstance(metric, str):
-            raise ValidationError(f"metric must be a string, got {metric!r}")
-        if metric == "Overall":
-            raise ValidationError("metric 'Overall' is reserved for the pooled row")
-        outcome = obj["outcome"]
-        if outcome not in ("win", "tie", "lose"):  # indexed as in the pooled outcomes
-            raise ValidationError(f"outcomes[{len(pooled)}] = {outcome!r} not win/tie/lose")
-        return metric, outcome
-
-    def add_judgment(lineno: int, fields: tuple[str, str]) -> None:
-        metric, outcome = fields
-        by_metric.setdefault(metric, []).append(outcome)
-        pooled.append(outcome)
-
-    _read_jsonl(args.results, judgment, add_judgment)
-    if not pooled:
-        raise ValidationError(f"{args.results}: no outcomes")
-    rows = []
-    for metric, outcomes in [*sorted(by_metric.items()), ("Overall", pooled)]:
-        win, tie, lose = metrics.win_tie_lose(outcomes)
-        rows.append({"metric": metric, "win": win, "tie": tie, "lose": lose})
-    return _report(report, rows, ["Metric", "Win%", "Tie%", "Lose%"], ".1f", args.out)
+        rows = metrics.transfer_report(args.base, args.variant)
+    elif not args.results:
+        raise UsageError(f"eval {args.report} requires --results")
+    elif args.report == "curves":
+        rows = metrics.curves_report(args.results)
+    elif args.report == "stability":
+        rows = metrics.stability_report(args.results)
+    elif args.report == "align":
+        rows = metrics.align_report(args.results, args.x_field, args.y_field)
+    else:
+        rows = metrics.human_report(args.results)
+    return _report(f"eval {args.report}", rows, *_EVAL_TABLES[args.report], args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, help="inclusive upper bound")
 
     p = sub.add_parser("eval", parents=[common], help="metric reports over result curves")
-    p.add_argument("report", choices=("curves", "stability", "align", "transfer", "human"))
+    p.add_argument("report", choices=tuple(_EVAL_TABLES))
     p.add_argument("--results", help="results JSONL")
     p.add_argument("--base", help="baseline results JSONL (transfer)")
     p.add_argument("--variant", help="variant results JSONL (transfer)")

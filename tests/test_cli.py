@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import one_curve
 from ctxforge import metrics
 from ctxforge.cli import _jsonl, main
 from ctxforge.errors import NumericGuardError, ValidationError
@@ -571,8 +572,9 @@ def curve_row(task, shots, values, perturbation=None):
 
 
 # ---------------------------------------------------------------------------
-# the eval reports, one curve at a time: the reference their batched
-# arithmetic must match bit for bit, first error included
+# the eval reports, one curve at a time with the reference formulas of
+# tests/one_curve.py: the reports' batched arithmetic must match them bit for
+# bit, first error included
 
 
 def _key(row):
@@ -597,15 +599,15 @@ def _scalar_curve(report, row, f, *args):
 
 
 def scalar_report(report, *paths):
-    """The JSON rows of ``eval report`` on ``paths``, from the public
-    one-curve metric functions; the report's first error is raised."""
+    """The JSON rows of ``eval report`` on ``paths``, from the one-curve
+    reference formulas; the report's first error is raised."""
     if report == "curves":
         clean = _scalar_clean("curves", metrics.load_results(paths[0]))
         rows = sorted(clean.values(), key=lambda r: (
             TAXONOMY_ORDER.index(r.taxonomy), r.task, r.model, r.modality))
         out = []
         for r in rows:
-            s = _scalar_curve("curves", r, metrics.summarize, r.curve)
+            s = _scalar_curve("curves", r, one_curve.summarize, r.curve)
             out.append({"model": r.model, "task": r.task, "taxonomy": r.taxonomy,
                         "modality": r.modality, "zero_shot": s.zero_shot, "peak": s.peak,
                         "efficiency": s.efficiency})
@@ -626,7 +628,7 @@ def scalar_report(report, *paths):
                 if twin.shots != r.curve.shots:
                     values = tuple(twin.value_at(s) for s in r.curve.shots)
                     twin = type(twin)(shots=r.curve.shots, values=values)
-                return metrics.stability_score(twin, r.curve)
+                return one_curve.stability_score(twin, r.curve)
 
             out.append({"model": r.model, "task": r.task, "modality": r.modality,
                         "perturbation": r.perturbation,
@@ -648,7 +650,7 @@ def scalar_report(report, *paths):
                 if v.taxonomy != b.taxonomy:
                     raise ValidationError(
                         f"base taxonomy {b.taxonomy!r}, variant taxonomy {v.taxonomy!r}")
-                return metrics._percent_changes(b.curve, v.curve)
+                return one_curve.percent_changes(b.curve, v.curve)
 
             changes.setdefault(b.taxonomy, []).extend(
                 _scalar_curve("transfer", b, percent_changes))
@@ -667,7 +669,7 @@ def scalar_report(report, *paths):
     for task, (xs, ys) in sorted(groups.items()):
         try:
             out.append({"task": task, "n": len(xs), "pearson": metrics.pearson(xs, ys),
-                        "spearman": metrics.spearman(xs, ys)})
+                        "spearman": one_curve.spearman(xs, ys)})
         except ValidationError as exc:
             raise ValidationError(f"align: task {task!r}: {exc}") from None
     return out
@@ -931,11 +933,35 @@ class TestEval:
                           "variant": [curve_row("t", [0, 1], [1.0, 1.0]),
                                       curve_row("t", [0, 1], [2.0, 2.0])]},
              "transfer: {dir}/variant.jsonl: duplicate clean curve for ('m', 't', 'und')"),
+            # a one-point twin spans no area
+            ("stability", {"results": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                       curve_row("t", [1], [1.0], "interference")]},
+             "stability: ('m', 't', 'und'): stability_score: non-positive clean area"),
+            ("stability", {"results": [curve_row("t", [0, 1], [1.0, 1.0]),
+                                       curve_row("u", [0, 1], [1.0, 1.0], "interference")]},
+             "stability: no clean curve for ('m', 'u', 'und')"),
+            # t2's twin is on another grid than t1's and t3's, and its error
+            # comes first in report order
+            ("stability", {"results": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                       curve_row("t2", [0, 1], [1.0, 1.0]),
+                                       curve_row("t3", [0, 1], [0.0, 1.0]),
+                                       curve_row("t1", [0, 1], [1.0, 1.0], "interference"),
+                                       curve_row("t2", [1], [1.0], "interference"),
+                                       curve_row("t3", [0, 1], [1.0, 1.0], "interference")]},
+             "stability: ('m', 't2', 'und'): stability_score: non-positive clean area"),
+            # a zero base value in an earlier pair wins over a later grid mismatch
+            ("transfer", {"base": [curve_row("t1", [0, 1], [0.0, 1.0]),
+                                   curve_row("t2", [0, 1], [1.0, 1.0])],
+                          "variant": [curve_row("t1", [0, 1], [1.0, 1.0]),
+                                      curve_row("t2", [0, 2], [1.0, 1.0])]},
+             "transfer: ('m', 't1', 'und'): zero base value at point 0"),
         ],
         ids=["curves-no-shot-0", "stability-zero-clean", "stability-off-grid",
              "transfer-zero-base", "transfer-grid-mismatch", "stability-duplicate-clean",
              "transfer-unmatched", "transfer-taxonomy-mismatch", "curves-duplicate-clean",
-             "transfer-duplicate-clean-base", "transfer-duplicate-clean-variant"],
+             "transfer-duplicate-clean-base", "transfer-duplicate-clean-variant",
+             "stability-one-point-twin", "stability-no-clean-twin",
+             "stability-first-rejected-in-report-order", "transfer-zero-base-before-grid-mismatch"],
     )
     def test_curve_error_names_the_curve(self, tmp_path, report, files, message):
         argv = ["eval", report]

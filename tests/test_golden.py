@@ -70,6 +70,18 @@ EXTRA_FILES = {
     "unmatched.jsonl": [_row("u", [0, 1], [1.0, 2.0])],
     "other-taxonomy.jsonl": [_row("t", [0, 1], [2.0, 2.0], taxonomy="Analogy")],
     "empty-curve.jsonl": [_row("t", [], [])],
+    # a one-point twin, whose clean curve spans no area on its grid
+    "one-point-twin.jsonl": [_row("t", [0, 1], [1.0, 1.0]), _row("t", [1], [1.0], "interference")],
+    "no-twin.jsonl": [_row("t", [0, 1], [1.0, 1.0]), _row("u", [0, 1], [1.0, 1.0], "interference")],
+    # rejected twins on two grids: t2's, the first in report order, is named
+    "stability-order.jsonl": [_row("t1", [0, 1], [1.0, 1.0]), _row("t2", [0, 1], [1.0, 1.0]),
+                              _row("t3", [0, 1], [0.0, 1.0]),
+                              _row("t1", [0, 1], [1.0, 1.0], "interference"),
+                              _row("t2", [1], [1.0], "interference"),
+                              _row("t3", [0, 1], [1.0, 1.0], "interference")],
+    # t1's zero base value comes before t2's grid mismatch
+    "order-base.jsonl": [_row("t1", [0, 1], [0.0, 1.0]), _row("t2", [0, 1], [1.0, 1.0])],
+    "order-variant.jsonl": [_row("t1", [0, 1], [1.0, 1.0]), _row("t2", [0, 2], [1.0, 1.0])],
     "cfg-capm-list.json": {"capm": []},
 }
 
@@ -132,6 +144,10 @@ COMMANDS = [
     "eval curves --results empty-curve.jsonl",
     "eval stability --results empty-curve.jsonl",
     "eval transfer --base empty-curve.jsonl --variant empty-curve.jsonl",
+    "eval stability --results one-point-twin.jsonl",
+    "eval stability --results no-twin.jsonl",
+    "eval stability --results stability-order.jsonl",
+    "eval transfer --base order-base.jsonl --variant order-variant.jsonl",
     # capm
     f"capm demo --seed 3 {TINY} --shots 2",
     f"capm demo --seed 3 {TINY} --shots 2 --save-params params-tiny.bin",

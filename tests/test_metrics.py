@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import one_curve
+from ctxforge import metrics
 from ctxforge.errors import ValidationError
 from ctxforge.metrics import (
     ResultRow,
-    _average_ranks,
+    _RowError,
     _average_ranks_rows,
-    _percent_changes,
     _percent_changes_rows,
     _stability_rows,
     _summarize_rows,
@@ -254,7 +255,8 @@ class TestResultRows:
 
 
 # ---------------------------------------------------------------------------
-# the row-wise twins of the one-curve functions give their bits
+# the row functions against the one-curve reference (tests/one_curve.py):
+# the same bits, and the error of the first row the reference rejects
 
 GRIDS = st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True).map(
     lambda s: tuple(sorted(s)))
@@ -273,6 +275,21 @@ def outcome(f, *args):
         return str(exc)
 
 
+def row_outcome(want, f, *args):
+    """``f(*args)`` when the reference outcomes ``want``, one per row, reject
+    none; else None, once ``f`` has raised the reference's error for the
+    first row the reference rejects."""
+    rejected = [r for r, w in enumerate(want) if isinstance(w, str)]
+    try:
+        got = f(*args)
+    except _RowError as exc:
+        assert rejected, exc
+        assert (exc.row, str(exc)) == (rejected[0], want[rejected[0]])
+        return None
+    assert not rejected, want
+    return got
+
+
 # mostly positive: a clean curve or a transfer base with a value <= 0 is rejected
 BASE_VALUES = st.floats(0.0, 1e308, exclude_min=True) | VALUES
 
@@ -287,11 +304,9 @@ def matrices(grid, *strategies):
 @given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, VALUES))))
 def test_summarize_rows_gives_summarize_bits(case):
     grid, rows = case
-    want = [outcome(summarize, curve(grid, values)) for (values,) in rows]
-    got = outcome(_summarize_rows, grid, np.array([values for (values,) in rows]))
-    if isinstance(got, str):
-        assert want == [got] * len(rows)
-    else:
+    want = [outcome(one_curve.summarize, curve(grid, values)) for (values,) in rows]
+    got = row_outcome(want, _summarize_rows, grid, np.array([values for (values,) in rows]))
+    if got is not None:
         assert [bits([s.zero_shot, s.peak, s.efficiency]) for s in want] == [
             bits(column) for column in zip(*got)]
 
@@ -300,24 +315,22 @@ def test_summarize_rows_gives_summarize_bits(case):
 @given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, BASE_VALUES, VALUES))))
 def test_stability_rows_give_stability_score_bits(case):
     grid, rows = case
-    deviation, bad = _stability_rows(grid, *(np.array(m) for m in zip(*rows)))
-    for (clean, perturbed), d, rejected in zip(rows, deviation, bad):
-        want = outcome(stability_score, curve(grid, clean), curve(grid, perturbed))
-        assert rejected == isinstance(want, str)
-        if not rejected:
-            assert bits([d]) == bits([want])
+    want = [outcome(one_curve.stability_score, curve(grid, clean), curve(grid, perturbed))
+            for clean, perturbed in rows]
+    got = row_outcome(want, _stability_rows, grid, *(np.array(m) for m in zip(*rows)))
+    if got is not None:
+        assert bits(got) == bits(want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, BASE_VALUES, VALUES))))
 def test_percent_changes_rows_give_percent_changes_bits(case):
     grid, rows = case
-    changes, bad = _percent_changes_rows(*(np.array(m) for m in zip(*rows)))
-    for (base, variant), got, rejected in zip(rows, changes, bad):
-        want = outcome(_percent_changes, curve(grid, base), curve(grid, variant))
-        assert rejected == isinstance(want, str)
-        if not rejected:
-            assert bits(got) == bits(want)
+    want = [outcome(one_curve.percent_changes, curve(grid, base), curve(grid, variant))
+            for base, variant in rows]
+    got = row_outcome(want, _percent_changes_rows, *(np.array(m) for m in zip(*rows)))
+    if got is not None:
+        assert [bits(r) for r in got] == [bits(w) for w in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,4 +339,24 @@ def test_percent_changes_rows_give_percent_changes_bits(case):
     min_size=1, max_size=4)))
 def test_average_ranks_rows_give_average_ranks_bits(rows):
     got = _average_ranks_rows(np.array(rows))
-    assert [bits(r) for r in got] == [bits(_average_ranks(r)) for r in rows]
+    assert [bits(r) for r in got] == [bits(one_curve.average_ranks(r)) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRIDS.flatmap(lambda g: st.tuples(st.just(g), matrices(g, BASE_VALUES, VALUES))))
+def test_one_curve_functions_give_the_reference_outcome(case):
+    # repr tells apart every float but NaNs, -0.0 from 0.0 included, and a
+    # numpy scalar from a float
+    grid, rows = case
+    base = [curve(grid, b) for b, _ in rows]
+    other = [curve(grid, v) for _, v in rows]
+    for name, args in [
+        *(("summarize", (b,)) for b in base),
+        *(("icl_efficiency", (b,)) for b in base),
+        *(("stability_score", pair) for pair in zip(base, other)),
+        *(("spearman", (b.values, v.values)) for b, v in zip(base, other)),
+        ("relative_change", (base, other)),
+    ]:
+        with np.errstate(all="ignore"):  # np.mean of inf and -inf, on both sides
+            want = outcome(getattr(one_curve, name), *args)
+            assert repr(outcome(getattr(metrics, name), *args)) == repr(want), name

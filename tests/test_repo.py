@@ -213,3 +213,28 @@ def test_every_module_level_name_is_used():
         and not (path.name == "cli.py" and name.startswith("cmd_"))
     ]
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def _private_metrics_names(tree: ast.AST) -> list[str]:
+    """Each private ``metrics`` name that ``tree`` reaches as an attribute of
+    a name ``metrics`` or imports from the metrics module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "metrics":
+                found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "metrics":
+            found += [alias.name for alias in node.names]
+    return [name for name in found if name.startswith("_") and not name.endswith("__")]
+
+
+def test_only_metrics_uses_its_private_names():
+    # each curve formula has one body, in metrics; a caller that reached a
+    # private helper could grow a second one around it
+    stray = [
+        f"{path.relative_to(ROOT).as_posix()}: metrics.{name}"
+        for path in sorted((ROOT / "src" / "ctxforge").rglob("*.py"))
+        if path.name != "metrics.py"
+        for name in _private_metrics_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert not stray, f"private metrics names used outside metrics.py: {stray}"
