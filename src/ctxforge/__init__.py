@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "fusion": (
         "FusionConfig", "CandidatePool", "DppFactor", "cosine", "fused_score",
-        "rank_top_n", "build_dpp_factor", "greedy_dpp_select", "brute_force_map",
+        "rank_top_n", "build_dpp_factor", "greedy_dpp_select", "select_shots", "brute_force_map",
     ),
     "intent": ("parse_rule", "pretty_print", "evaluate", "retrieve_by_rule"),
     "capm": (

@@ -258,30 +258,6 @@ _EPISODE_LABELS = {
 }
 
 
-def _dpp_shots(
-    qid: str, ids: list[str], phi: np.ndarray, scores: list[float], beta: float, k: int
-) -> list[str]:
-    """The diverse shots of one query's ranked pool.  The pool and its factor
-    are local here, so they are freed before the next query builds its own."""
-    from . import fusion
-
-    pool = fusion.CandidatePool(ids=tuple(ids), phi=phi, scores=np.asarray(scores), beta=beta)
-    factor = fusion.build_dpp_factor(pool)
-    want = min(k, len(ids))
-    chosen = fusion.greedy_dpp_select(factor, want)
-    if len(chosen) < want:
-        why = (
-            "no remaining candidate's squared residual reaches it"
-            if chosen
-            else "every squared quality exp(2*beta*s) is below it"
-        )
-        _log(
-            f"retrieve: {qid}: k={want}: returned {len(chosen)} shot(s); "
-            f"stopped at the residual floor {fusion.RESIDUAL_EPS:g}: {why}"
-        )
-    return [ids[i] for i in chosen]
-
-
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     k = _setting(args.k, config, "k", DEFAULT_K)
@@ -313,28 +289,31 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 raise UsageError("--s-field requires --metadata")
             table = load_metadata(args.metadata)
             scores_by_scene = dict(zip(table.scene_ids, table.scores))
-        visual = store.matrix("visual")
         episodes: list[Episode] = []
         for qid in query_ids:
             ranked = fusion.rank_top_n(qid, store, cfg)
-            ids = [cid for cid, _ in ranked]
             if args.s_field:
-                scores = []
-                for cid in ids:
+                for i, (cid, _) in enumerate(ranked):
                     bucket = scores_by_scene.get(cid)
                     if bucket is None or args.s_field not in bucket:
                         raise ValidationError(
                             f"candidate {cid!r}: no metadata score {args.s_field!r}"
                         )
-                    scores.append(bucket[args.s_field])
-            else:
-                scores = [s for _, s in ranked]
-            if k > len(ids):
-                _log(f"retrieve: {qid}: clamping k={k} to pool size {len(ids)}")
-            selected = (
-                _dpp_shots(qid, ids, visual[store.rows(ids, "visual")], scores, beta, k)
-                if ids else []
-            )
+                    ranked[i] = (cid, bucket[args.s_field])
+            want = min(k, len(ranked))
+            if k > want:
+                _log(f"retrieve: {qid}: clamping k={k} to pool size {want}")
+            selected = fusion.select_shots(store, ranked, beta, k)
+            if len(selected) < want:
+                why = (
+                    "no remaining candidate's squared residual reaches it"
+                    if selected
+                    else "every squared quality exp(2*beta*s) is below it"
+                )
+                _log(
+                    f"retrieve: {qid}: k={want}: returned {len(selected)} shot(s); "
+                    f"stopped at the residual floor {fusion.RESIDUAL_EPS:g}: {why}"
+                )
             episodes.append(
                 _episode(
                     episode_id=qid,

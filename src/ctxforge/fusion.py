@@ -228,6 +228,21 @@ def greedy_dpp_select(factor: DppFactor, k: int, return_gains: bool = False):
     return picked
 
 
+def select_shots(
+    store: EmbeddingStore, ranked: list[tuple[str, float]], beta: float, k: int
+) -> list[str]:
+    """Ids of one query's shots in pick order: at most ``k`` of its ranked
+    ``(id, relevance)`` pool, greedily selected over their visual rows.  The pool
+    and its factor are locals, so they are freed before the next query's are built."""
+    if not ranked:
+        return []
+    ids = [cid for cid, _ in ranked]
+    phi = store.matrix("visual")[store.rows(ids, "visual")]
+    pool = CandidatePool(tuple(ids), phi, np.asarray([s for _, s in ranked]), beta)
+    factor = build_dpp_factor(pool)
+    return [ids[i] for i in greedy_dpp_select(factor, min(k, len(ids)))]
+
+
 def brute_force_map(factor: DppFactor, k: int) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of ``det(L_Y)`` over all size-``k`` subsets.
 

@@ -139,7 +139,8 @@ def relative_change(base: Sequence[ShotCurve], variant: Sequence[ShotCurve]) -> 
             changes.append(_percent_changes_rows(_row(b.values), _row(v.values)))
         except ValidationError as exc:
             raise ValidationError(f"relative_change: curve {i}: {exc}") from None
-    return float(np.mean(np.concatenate(changes, axis=None)))
+    with np.errstate(invalid="ignore"):  # a mean of +inf and -inf is NaN, and says so itself
+        return float(np.mean(np.concatenate(changes, axis=None)))
 
 
 def win_tie_lose(outcomes: Sequence[str]) -> tuple[float, float, float]:
@@ -622,11 +623,13 @@ def transfer_report(base_path: str, variant_path: str) -> list[dict[str, Any]]:
             p = positions[exc.row]
             errors.append((p, f"transfer: {keys[p]}: {exc}"))
     _raise_first(errors)
-    # each taxonomy's points in report order, so its mean has relative_change's bits
-    rows = [{"taxonomy": t, "relative_change_percent":
-             float(np.mean(np.concatenate([changes[p] for p in ps])))}
-            for t, ps in _positions_by([base.taxonomies[b] for b, _ in pairs]).items()]
-    average = float(np.mean([r["relative_change_percent"] for r in rows]))
+    # each taxonomy's points in report order, so its mean has relative_change's bits;
+    # a mean of +inf and -inf is NaN, which the JSON writer's numeric guard rejects
+    with np.errstate(invalid="ignore"):
+        rows = [{"taxonomy": t, "relative_change_percent":
+                 float(np.mean(np.concatenate([changes[p] for p in ps])))}
+                for t, ps in _positions_by([base.taxonomies[b] for b, _ in pairs]).items()]
+        average = float(np.mean([r["relative_change_percent"] for r in rows]))
     return [*rows, {"taxonomy": "Average", "relative_change_percent": average}]
 
 

@@ -95,4 +95,5 @@ def relative_change(base: Sequence[ShotCurve], variant: Sequence[ShotCurve]) -> 
             diffs.extend(percent_changes(b, v))
         except ValidationError as exc:
             raise ValidationError(f"relative_change: curve {i}: {exc}") from None
-    return float(np.mean(diffs))
+    with np.errstate(invalid="ignore"):
+        return float(np.mean(diffs))

@@ -654,9 +654,10 @@ def scalar_report(report, *paths):
 
             changes.setdefault(b.taxonomy, []).extend(
                 _scalar_curve("transfer", b, percent_changes))
-        out = [{"taxonomy": t, "relative_change_percent": float(np.mean(c))}
-               for t, c in changes.items()]
-        average = float(np.mean([r["relative_change_percent"] for r in out]))
+        with np.errstate(invalid="ignore"):
+            out = [{"taxonomy": t, "relative_change_percent": float(np.mean(c))}
+                   for t, c in changes.items()]
+            average = float(np.mean([r["relative_change_percent"] for r in out]))
         return out + [{"taxonomy": "Average", "relative_change_percent": average}]
     groups = {}
     with open(paths[0], encoding="utf-8") as fh:
@@ -983,6 +984,18 @@ class TestEval:
             warnings.simplefilter("always")
             code, out, err = run_cli(["eval", report, *flags])
         assert (code, out, err) == (3, "", f"forge: {path}: line 1: result: curve: needs at least one shot\n")
+        assert not caught
+
+    def test_transfer_of_opposite_infinite_changes_exits_4_without_a_warning(self, tmp_path):
+        # the changes are +inf and -inf, whose mean is NaN
+        base, var = str(tmp_path / "b.jsonl"), str(tmp_path / "v.jsonl")
+        _write_rows(base, [curve_row("t", [0, 1], [1e-300, 1e-300])])
+        _write_rows(var, [curve_row("t", [0, 1], [1e308, -1e308])])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["eval", "transfer", "--base", base, "--variant", var])
+        assert (code, out, err) == (
+            4, "", "forge: numeric guard: eval transfer: relative_change_percent is not finite\n")
         assert not caught
 
     def test_transfer_reads_only_clean_curves(self, tmp_path):

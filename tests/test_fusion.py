@@ -1,4 +1,5 @@
-"""Fused similarity ranking: cosine, score fusion, top-N prefilter."""
+"""Fused similarity ranking: cosine, score fusion, top-N prefilter, and one
+query's shot selection."""
 
 from __future__ import annotations
 
@@ -10,7 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxforge.errors import ValidationError
-from ctxforge.fusion import FusionConfig, cosine, fused_score, rank_top_n
+from ctxforge import fusion
+from ctxforge.fusion import (
+    CandidatePool,
+    FusionConfig,
+    build_dpp_factor,
+    cosine,
+    fused_score,
+    greedy_dpp_select,
+    rank_top_n,
+    select_shots,
+)
 from ctxforge.records import EmbeddingRecord, EmbeddingStore
 
 
@@ -271,3 +282,76 @@ def test_rank_top_n_scores_match_gathered_rows_bit_for_bit():
                 ranked = rank_top_n(query_id, store, FusionConfig(lam=0.3, top_n=top_n))
                 assert_same_ranking(ranked, gathered_rank(query_id, store, 0.3, top_n))
 
+
+
+# ---------------------------------------------------------------------------
+# select_shots
+
+
+def unit_store(rng, n, dv, dt):
+    """A store of ``n`` random unit-norm pairs, as ``forge retrieve`` loads
+    one, and its visual rows by id."""
+    pairs = {}
+    for i in rng.permutation(n):
+        vis, txt = rng.standard_normal(dv), rng.standard_normal(dt)
+        pairs[f"c{i:03d}"] = (vis / np.linalg.norm(vis), txt / np.linalg.norm(txt))
+    return store_with(pairs), {rid: vis for rid, (vis, _) in pairs.items()}
+
+
+def hand_built_shots(visual, ranked, beta, k):
+    ids = [rid for rid, _ in ranked]
+    pool = CandidatePool(tuple(ids), np.array([visual[rid] for rid in ids]),
+                         np.array([score for _, score in ranked]), beta)
+    return [ids[i] for i in greedy_dpp_select(build_dpp_factor(pool), min(k, len(ids)))]
+
+
+def test_select_shots_picks_what_the_hand_built_chain_picks():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n, dv = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        store, visual = unit_store(rng, n, dv, 5)
+        query_id = f"c{int(rng.integers(n)):03d}"
+        ranked = rank_top_n(query_id, store, FusionConfig(lam=0.4, top_n=int(rng.integers(1, n))))
+        beta, k = float(rng.uniform(0.5, 20.0)), int(rng.integers(1, 8))
+        replaced = [(rid, float(rng.uniform(-1.0, 1.0))) for rid, _ in ranked]
+        for pairs in (ranked, replaced):
+            assert select_shots(store, pairs, beta, k) == hand_built_shots(visual, pairs, beta, k)
+
+
+def test_select_shots_clamps_k_to_the_pool():
+    store, visual = unit_store(np.random.default_rng(37), 6, 8, 3)
+    ranked = rank_top_n("c000", store, FusionConfig(top_n=3))
+    shots = select_shots(store, ranked, 2.0, 10)
+    assert shots == hand_built_shots(visual, ranked, 2.0, 3)
+    assert sorted(shots) == sorted(rid for rid, _ in ranked)
+
+
+def test_select_shots_of_an_empty_pool_builds_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an empty pool built a CandidatePool")
+
+    store, _ = unit_store(np.random.default_rng(41), 3, 4, 4)
+    monkeypatch.setattr(fusion, "CandidatePool", no_pool)
+    assert select_shots(store, [], 8.0, 4) == []
+
+
+def test_select_shots_stops_at_the_residual_floor_of_a_rank_deficient_pool():
+    # five candidates in a plane: no third row has a residual above RESIDUAL_EPS
+    angles = np.linspace(0.1, 2.9, 5)
+    plane = {f"c{i}": ((float(np.cos(a)), float(np.sin(a)), 0.0), (1.0, 0.0))
+             for i, a in enumerate(angles)}
+    store = store_with({"q": ((0.0, 0.0, 1.0), (1.0, 0.0)), **plane})
+    ranked = rank_top_n("q", store, FusionConfig(lam=0.5, top_n=5))
+    visual = {rid: np.array(vis) for rid, (vis, _) in plane.items()}
+    shots = select_shots(store, ranked, 1.0, 4)
+    assert len(shots) == 2
+    assert shots == hand_built_shots(visual, ranked, 1.0, 4)
+
+
+def test_select_shots_takes_the_smaller_id_of_twin_rows_first():
+    twin = ((1.0, 0.0), (1.0, 0.0))
+    store = store_with({"q": twin, "b": twin, "a": twin, "x": ((0.0, 1.0), (0.0, 1.0))})
+    ranked = rank_top_n("q", store, FusionConfig(lam=0.5, top_n=3))
+    assert [rid for rid, _ in ranked] == ["a", "b", "x"]
+    # the twin left behind has no residual, so selection stops at two shots
+    assert select_shots(store, ranked, 1.0, 3) == ["a", "x"]

@@ -83,6 +83,9 @@ EXTRA_FILES = {
     "order-base.jsonl": [_row("t1", [0, 1], [0.0, 1.0]), _row("t2", [0, 1], [1.0, 1.0])],
     "order-variant.jsonl": [_row("t1", [0, 1], [1.0, 1.0]), _row("t2", [0, 2], [1.0, 1.0])],
     "cfg-capm-list.json": {"capm": []},
+    # a score for every store id, so --s-field replaces each fused score
+    "scores-all.jsonl": [{"scene_id": f"it{i:06d}", "instances": [], "scene_attributes": {},
+                          "scores": {"q": (i % 10) / 10}} for i in range(FUSION_SMALL["items"])],
 }
 
 # Every command, in the order it runs: a later command may read a file an
@@ -98,6 +101,9 @@ COMMANDS = [
     f"{FUSION} --k 400",
     f"{FUSION} --s-field quality",
     f"{FUSION} --s-field quality --metadata scenes-g.jsonl",
+    f"{FUSION} --k 3 --s-field q --metadata scores-all.jsonl",
+    f"{FUSION} --top-n 0",
+    f"{FUSION} --top-n 2 --k 4 --beta 1e6",
     "retrieve --mode fusion --embeddings store-g.jsonl --queries dup-queries.jsonl",
     "retrieve --mode fusion --embeddings bad.jsonl --queries queries-g.jsonl",
     "retrieve --mode fusion",

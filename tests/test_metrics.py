@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,13 @@ class TestRelativeChange:
     def test_count_mismatch(self):
         with pytest.raises(ValidationError):
             relative_change([curve([0], [1.0])], [])
+
+    def test_opposite_infinite_changes_mean_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_change([curve([0, 1], [1e-300, 1e-300])],
+                                  [curve([0, 1], [1e308, -1e308])])
+        assert math.isnan(got)
 
 
 class TestWinTieLose:

@@ -238,3 +238,22 @@ def test_only_metrics_uses_its_private_names():
         for name in _private_metrics_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert not stray, f"private metrics names used outside metrics.py: {stray}"
+
+
+def test_cli_holds_no_selection_code():
+    # one query's pool, factor and greedy pick live behind fusion.select_shots;
+    # cli ranks, logs and writes episodes, so it never gathers rows itself
+    tree = ast.parse((ROOT / "src" / "ctxforge" / "cli.py").read_text(encoding="utf-8"))
+    selection = {"CandidatePool", "DppFactor", "build_dpp_factor", "greedy_dpp_select"}
+    named, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(node.func.attr)
+    assert not named & selection, f"cli.py names {sorted(named & selection)}"
+    assert not called & {"matrix", "rows"}, f"cli.py calls {sorted(called & {'matrix', 'rows'})}"
