@@ -12,6 +12,10 @@ diagnose`` mirrors the JSON rows written to stdout, one column per field.
 that supplies defaults explicit flags override; the seed falls back to the
 ``FORGE_SEED`` environment variable.  Exit codes: 0 success, 2 usage,
 3 data/validation or out of memory, 4 numeric guard.
+
+Every data stream is written by ``records._write_jsonl``, all of it or
+nothing; JSON is decoded and encoded only in ``records``, and numpy is
+imported only by ``cmd_capm``, the one command that calls it.
 """
 
 from __future__ import annotations
@@ -20,14 +24,11 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
 import warnings
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
-
-import numpy as np
 
 from . import __version__
 from .errors import NumericGuardError, UsageError, ValidationError
@@ -35,9 +36,11 @@ from .records import (
     Demonstration,
     Episode,
     UnknownSubtaskWarning,
+    _ENCODER,
     _decode_json,
     _known_labels,
     _read_jsonl,
+    _write_jsonl,
     is_container,
     is_finite_number,
     load_embeddings,
@@ -46,6 +49,8 @@ from .records import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import capm
 
 DEFAULT_K = 4
@@ -57,22 +62,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit_lines(lines: Sequence[str], out: str | None) -> None:
-    """Write ``lines`` to ``out`` or stdout, or nothing if they are not
-    valid UTF-8 (a string can hold a lone surrogate)."""
-    text = "".join(line + "\n" for line in lines)
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        line = text.count("\n", 0, exc.start) + 1
-        raise ValidationError(f"data line {line} cannot be written as UTF-8: {exc.reason}") from None
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(text)
-
-
 def _non_finite_fields(obj: Any, path: str) -> Iterator[str]:
     if isinstance(obj, float) and not math.isfinite(obj):
         yield path
@@ -82,10 +71,6 @@ def _non_finite_fields(obj: Any, path: str) -> Iterator[str]:
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from _non_finite_fields(value, f"{path}[{i}]")
-
-
-# ``json.dumps`` with these arguments builds a new encoder on every call
-_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
 def _jsonl(obj: dict[str, Any], report: str) -> str:
@@ -114,7 +99,7 @@ def _report(
     """Write ``rows`` as the data stream, then log the table that mirrors
     them: one column per field in order, a float formatted with ``spec`` and
     any other value with ``str``."""
-    _emit_lines([_jsonl(row, report) for row in rows], out)
+    _write_jsonl([_jsonl(row, report) for row in rows], out)
     table = [
         [format(v, spec) if isinstance(v, float) else str(v) for v in row.values()]
         for row in rows
@@ -351,7 +336,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         ]
         _log(f"retrieve: rule matched {len(matched)} scene(s), kept {len(selected)}")
 
-    _emit_lines([_jsonl(ep.to_json(), "retrieve") for ep in episodes], args.out)
+    _write_jsonl([_jsonl(ep.to_json(), "retrieve") for ep in episodes], args.out)
     _log(f"retrieve: wrote {len(episodes)} episode(s)")
     return 0
 
@@ -379,7 +364,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         kept.append(rec)
     if missing:
         _log(f"filter: warning: {missing} record(s) lack score {args.score_field!r}")
-    _emit_lines([_jsonl(rec.to_json(), "filter") for rec in kept], args.out)
+    _write_jsonl([_jsonl(rec.to_json(), "filter") for rec in kept], args.out)
     _log(
         f"filter: kept={len(kept)} dropped={missing + out_of_range} "
         f"(missing_field={missing}, out_of_range={out_of_range})"
@@ -427,16 +412,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _capm_hyper(args: argparse.Namespace, config: dict[str, Any]) -> capm.CapmHyper:
     """Each ``CapmHyper`` field from its flag, then the config's ``capm``
-    section, then its default; a value ``CapmHyper`` rejects is a usage error."""
+    section, then its default; a value ``CapmHyper`` rejects is a usage error,
+    and so is any field a flag or the config sets beside ``--params``."""
     from . import capm
 
     section = config.get("capm", {})
     if not isinstance(section, dict):
         raise ValidationError("config 'capm' section must be an object")
-    values = {
-        f.name: _resolve(getattr(args, f.name), section, f.name, DEFAULT_CAPM.get(f.name, f.default))
-        for f in dataclasses.fields(capm.CapmHyper)
-    }
+    values = {}
+    for f in dataclasses.fields(capm.CapmHyper):
+        flag = getattr(args, f.name)
+        if args.params is not None and (flag is not None or f.name in section):
+            key = f"config capm.{f.name}" if flag is None else "--" + f.name.replace("_", "-")
+            raise UsageError(f"{key} cannot be used with --params, whose manifest sets {f.name}")
+        values[f.name] = _resolve(flag, section, f.name, DEFAULT_CAPM.get(f.name, f.default))
     try:
         return capm.CapmHyper(**values)
     except ValidationError as exc:
@@ -469,7 +458,9 @@ def _capm_inputs(
 
 
 def cmd_capm(args: argparse.Namespace) -> int:
-    # imported here: capm pulls in scipy, which no other command needs
+    # imported here: no other command needs capm, which pulls in scipy, or numpy
+    import numpy as np
+
     from . import capm
 
     # only demo reads or writes a parameter file, whose manifest sets every size
@@ -478,16 +469,6 @@ def cmd_capm(args: argparse.Namespace) -> int:
             if getattr(args, name) is not None:
                 raise UsageError(f"capm {args.action} takes no --{name.replace('_', '-')}")
     config = _load_config(args)
-    section = config.get("capm", {})
-    if args.params is not None and isinstance(section, dict):
-        for f in dataclasses.fields(capm.CapmHyper):
-            if getattr(args, f.name) is not None:
-                key = "--" + f.name.replace("_", "-")
-            elif f.name in section:
-                key = f"config capm.{f.name}"
-            else:
-                continue
-            raise UsageError(f"{key} cannot be used with --params, whose manifest sets {f.name}")
     hyper = _capm_hyper(args, config)
     seed = _setting(args.seed, config, "seed", _env_int("FORGE_SEED", 0))
     # independent streams so loading parameters from a file does not shift
@@ -520,7 +501,7 @@ def cmd_capm(args: argparse.Namespace) -> int:
             },
             "output_sha256": digest,
         }
-        _emit_lines([_jsonl(report, "capm demo")], args.out)
+        _write_jsonl([_jsonl(report, "capm demo")], args.out)
         _log(f"capm demo: shots={shots} tau={trace.tau} sha256={digest[:16]}...")
         return 0
 
@@ -538,7 +519,7 @@ def cmd_capm(args: argparse.Namespace) -> int:
         worst = sorted(report.per_tensor.items(), key=lambda kv: -kv[1])[:8]
         _log(_format_table(["Tensor", "RelErr"], [[n, f"{e:.3e}"] for n, e in worst]))
         verdict = "PASS" if report.passed else "FAIL"
-        _emit_lines(
+        _write_jsonl(
             [
                 _jsonl(
                     {
@@ -599,7 +580,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             lines.append(
                 _jsonl({"file": path, "kind": kind, "records": records, "status": "ok"}, "validate")
             )
-    _emit_lines(lines, args.out)
+    _write_jsonl(lines, args.out)
     return 0
 
 

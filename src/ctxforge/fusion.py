@@ -184,6 +184,17 @@ def build_dpp_factor(pool: CandidatePool) -> DppFactor:
     return DppFactor(b=q[:, None] * pool.phi)
 
 
+def _pool_size(factor: DppFactor, k: int, caller: str) -> int:
+    """The number of rows of ``factor``; ``caller`` raises unless there is
+    one and ``k`` is an integer in [1, rows]."""
+    n = factor.b.shape[0]
+    if n == 0:
+        raise ValidationError(f"{caller}: empty pool")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
+        raise ValidationError(f"{caller}: k must lie in [1, {n}], got {k!r}")
+    return n
+
+
 def greedy_dpp_select(factor: DppFactor, k: int, return_gains: bool = False):
     """Greedily select ``k`` rows maximizing ``det(L_Y)`` step by step.
 
@@ -198,11 +209,7 @@ def greedy_dpp_select(factor: DppFactor, k: int, return_gains: bool = False):
     ``i``-th Cholesky direction, so a step costs one pass over ``b`` and one
     over ``C[:i]``.
     """
-    n = factor.b.shape[0]
-    if n == 0:
-        raise ValidationError("greedy_dpp_select: empty pool")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
-        raise ValidationError(f"greedy_dpp_select: k must lie in [1, {n}], got {k!r}")
+    n = _pool_size(factor, k, "greedy_dpp_select")
     b = np.asarray(factor.b, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", b, b)
     c = np.empty((k, n))
@@ -249,11 +256,7 @@ def brute_force_map(factor: DppFactor, k: int) -> tuple[tuple[int, ...], float]:
     Reference oracle: guarded to small instances (n <= 20 and at most
     200k subsets).  Ties return the lexicographically smallest subset.
     """
-    n = factor.b.shape[0]
-    if n == 0:
-        raise ValidationError("brute_force_map: empty pool")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > n:
-        raise ValidationError(f"brute_force_map: k must lie in [1, {n}], got {k!r}")
+    n = _pool_size(factor, k, "brute_force_map")
     if n > BRUTE_FORCE_MAX_N or math.comb(n, k) > BRUTE_FORCE_MAX_SUBSETS:
         raise ValidationError(
             f"brute_force_map: instance too large (n={n}, C(n,k)={math.comb(n, k)})"

@@ -15,12 +15,15 @@ Three line-oriented JSON formats plus one binary container:
 Vectors pass between a file and a matrix only as numpy rows: a container
 block is read into, and written from, one ``(n, dim)`` float64 array (a
 finite value beyond float32 is refused before any byte is written), and
-rows from either embedding format get the same checks and normalization.
-Scene metadata loads into a ``SceneTable``: columns from which a
-``MetadataRecord`` is built only on demand.  All records are immutable after
-construction and safe to share across threads.  Loaders report parse errors
-with line (or container record) numbers and invariant violations with field
-paths; they never return partially valid data.
+rows from either embedding format get the same checks and normalization;
+an ``EmbeddingStore`` hands its vectors out only as arrays.  Every JSONL
+file, and ``forge``'s data stream, is written by ``_write_jsonl``, which
+writes all of its lines or none.  Scene metadata loads into a
+``SceneTable``: columns from which a ``MetadataRecord`` is built only on
+demand.  All records are immutable after construction and safe to share
+across threads.  Loaders report parse errors with line (or container
+record) numbers and invariant violations with field paths; they never
+return partially valid data.
 """
 
 from __future__ import annotations
@@ -313,7 +316,7 @@ class EmbeddingRecord:
             raise ValidationError(
                 f"modality: {self.modality!r} is not one of {EMBEDDING_MODALITIES}"
             )
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise ValidationError(f"dim: must be a positive integer, got {self.dim!r}")
         if len(self.values) != self.dim:
             raise ValidationError(
@@ -612,11 +615,27 @@ def _read_jsonl(path: str, parse: Callable[[Any], Any], add: Callable[[int, Any]
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
 
 
-def _write_jsonl(path: str, objs: Iterable[dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+# Every JSON line written: RFC 8259 has no NaN or Infinity, so a non-finite
+# value raises ValueError (``json.dumps`` would build a new encoder per call)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def _write_jsonl(lines: Sequence[str], path: str | None) -> None:
+    """The one JSONL writer: ``lines``, each with a newline, to the file at
+    ``path`` or, when it is None or empty, to stdout.  Every line is encoded
+    as UTF-8 before any is written, so one that cannot be (a string can hold
+    a lone surrogate) raises ``ValidationError`` naming it and writes nothing."""
+    text = "".join(line + "\n" for line in lines)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        raise ValidationError(f"data line {line} cannot be written as UTF-8: {exc.reason}") from None
+    if path:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    else:
+        sys.stdout.write(text)
 
 
 def load_episodes(path: str, max_shots: int = DEFAULT_MAX_SHOTS) -> list[Episode]:
@@ -641,7 +660,7 @@ def load_episodes(path: str, max_shots: int = DEFAULT_MAX_SHOTS) -> list[Episode
 
 
 def save_episodes(episodes: Iterable[Episode], path: str) -> None:
-    _write_jsonl(path, (ep.to_json() for ep in episodes))
+    _write_jsonl([_ENCODER.encode(ep.to_json()) for ep in episodes], path)
 
 
 class SceneTable(Sequence[MetadataRecord]):
@@ -821,7 +840,7 @@ def _exact_scene(obj: Any) -> tuple[str, list[tuple[str, dict, list]], dict, dic
 
 
 def save_metadata(records: Iterable[MetadataRecord], path: str) -> None:
-    _write_jsonl(path, (r.to_json() for r in records))
+    _write_jsonl([_ENCODER.encode(r.to_json()) for r in records], path)
 
 
 # ---------------------------------------------------------------------------
@@ -834,14 +853,14 @@ class EmbeddingStore:
     Each modality is one float64 ``(n, d)`` matrix, rows in insertion order,
     plus an ``id -> row`` dict.  The matrix lives in a buffer that doubles in
     rows as it fills; ``load_embeddings`` trims it to the rows it loaded.
-    ``EmbeddingRecord`` values are built on demand by
-    ``get``, ``require`` and iteration.
+    Vectors leave the store only as arrays: ``matrix``, ``rows``,
+    ``row_norms`` and ``paired``.
     """
 
     def __init__(self) -> None:
         self._rows: dict[str, dict[str, int]] = {m: {} for m in EMBEDDING_MODALITIES}
         self._buffers: dict[str, np.ndarray] = {m: np.empty((0, 0)) for m in EMBEDDING_MODALITIES}
-        # derived from the rows; dropped whenever a row is added
+        # derived from the rows; dropped by ``add``
         self._norms: dict[str, np.ndarray] = {}
         self._paired: tuple[list[str], np.ndarray, np.ndarray] | None = None
 
@@ -857,8 +876,6 @@ class EmbeddingStore:
             self._buffers[modality] = buf = grown
         buf[n] = values
         rows[item_id] = n
-        self._norms.pop(modality, None)
-        self._paired = None
 
     def _check_new_id(self, item_id: str, modality: str) -> None:
         """Raise unless ``item_id`` is non-empty and not yet held for ``modality``."""
@@ -874,21 +891,9 @@ class EmbeddingStore:
             raise ValidationError(f"embedding {record.id!r}: dim {record.dim} inconsistent "
                                   f"with {record.modality} dim {expect}")
         self._append(record.id, record.modality, record.values)
-
-    def get(self, item_id: str, modality: str) -> EmbeddingRecord | None:
-        row = self._rows[modality].get(item_id)
-        if row is None:
-            return None
-        values = self._buffers[modality][row]
-        return EmbeddingRecord(
-            id=item_id, modality=modality, dim=len(values), values=tuple(values.tolist())
-        )
-
-    def require(self, item_id: str, modality: str) -> EmbeddingRecord:
-        rec = self.get(item_id, modality)
-        if rec is None:
-            raise ValidationError(f"missing embedding for id {item_id!r} ({modality})")
-        return rec
+        # the one intake that can follow a read (a load fills a new store)
+        self._norms.pop(record.modality, None)
+        self._paired = None
 
     def ids(self, modality: str) -> list[str]:
         return list(self._rows[modality])
@@ -901,11 +906,6 @@ class EmbeddingStore:
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._rows.values())
 
-    def __iter__(self) -> Iterator[EmbeddingRecord]:
-        for modality in EMBEDDING_MODALITIES:
-            for item_id in self._rows[modality]:
-                yield self.get(item_id, modality)  # type: ignore[misc]
-
     def matrix(self, modality: str) -> np.ndarray:
         """The modality's ``(n, d)`` rows in ``ids`` order, as a read-only view."""
         view = self._buffers[modality][: len(self._rows[modality])]
@@ -914,7 +914,7 @@ class EmbeddingStore:
 
     def rows(self, ids: Sequence[str], modality: str) -> np.ndarray:
         """Row indices of ``ids`` in ``matrix(modality)``; a missing id raises
-        as ``require`` does."""
+        ``ValidationError`` naming it."""
         index = self._rows[modality]
         try:
             return np.fromiter((index[i] for i in ids), dtype=np.intp, count=len(ids))
@@ -1064,7 +1064,7 @@ def _check_rows(
 
 
 def save_embeddings_jsonl(records: Iterable[EmbeddingRecord], path: str) -> None:
-    _write_jsonl(path, (r.to_json() for r in records))
+    _write_jsonl([_ENCODER.encode(r.to_json()) for r in records], path)
 
 
 def save_embeddings_binary(records: Sequence[EmbeddingRecord], path: str) -> None:

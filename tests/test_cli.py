@@ -553,13 +553,13 @@ class TestFilter:
         assert code == 0 and json.loads(out)["scene_id"] == "s\U0001f600"
 
     def test_emit_lines_writes_nothing_that_is_not_utf8(self, tmp_path, capsys):
-        from ctxforge.cli import _emit_lines
+        from ctxforge.records import _write_jsonl
 
         out_file = tmp_path / "out.jsonl"
         for out in (str(out_file), None):
             with pytest.raises(ValidationError,
                                match="^data line 2 cannot be written as UTF-8: surrogates not allowed$"):
-                _emit_lines(["{}", '{"a": "s\ud800"}'], out)
+                _write_jsonl(["{}", '{"a": "s\ud800"}'], out)
         assert not out_file.exists()
         assert capsys.readouterr().out == ""
 

@@ -211,6 +211,17 @@ class TestSelectionValidation:
         with pytest.raises(ValidationError, match="empty"):
             greedy_dpp_select(build_dpp_factor(pool), 1)
 
+    @pytest.mark.parametrize("select", [greedy_dpp_select, brute_force_map])
+    def test_each_selector_names_itself(self, select):
+        empty = DppFactor(b=np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match=f"^{select.__name__}: empty pool$"):
+            select(empty, 1)
+        factor = build_dpp_factor(random_pool(np.random.default_rng(3), n=4))
+        for k in (0, 5, True, 2.0):
+            with pytest.raises(ValidationError) as info:
+                select(factor, k)
+            assert str(info.value) == f"{select.__name__}: k must lie in [1, 4], got {k!r}"
+
 
 @st.composite
 def twin_pools(draw):

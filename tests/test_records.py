@@ -64,6 +64,11 @@ def make_episode(episode_id="ep1", n_shots=2, taxonomy="Perception", subtask="Vi
     return Episode(episode_id=episode_id, taxonomy=taxonomy, subtask=subtask, shots=shots, query=query)
 
 
+def stored(store, item_id, modality):
+    """The stored values of ``item_id`` in ``modality``, as Python floats."""
+    return tuple(store.matrix(modality)[store.rows([item_id], modality)[0]].tolist())
+
+
 class TestDemonstration:
     def test_requires_content(self):
         with pytest.raises(ValidationError):
@@ -276,7 +281,11 @@ class TestEmbeddingStore:
     def test_require_missing(self):
         store = EmbeddingStore()
         with pytest.raises(ValidationError, match="missing embedding"):
-            store.require("ghost", "visual")
+            store.rows(["ghost"], "visual")
+
+    def test_vectors_leave_only_as_arrays(self):
+        for name in ("get", "require", "__iter__"):
+            assert not hasattr(EmbeddingStore, name)
 
 
 class TestJsonlEmbeddings:
@@ -288,14 +297,51 @@ class TestJsonlEmbeddings:
         ]
         save_embeddings_jsonl(recs, path)
         store = load_embeddings(path)
-        assert store.require("a", "visual").values == (1.0, 2.0, 3.0)
-        assert store.require("a", "text").dim == 2
+        assert stored(store, "a", "visual") == (1.0, 2.0, 3.0)
+        assert store.dim("text") == 2
+
+    def test_bool_dim_refused(self, tmp_path):
+        # from_json refuses a bool dim, so a record holding one would save a
+        # file that does not load
+        with pytest.raises(ValidationError, match=r"^dim: must be a positive integer, got True$"):
+            EmbeddingRecord(id="a", modality="visual", dim=True, values=(1.0,))
+        path = tmp_path / "emb.jsonl"
+        save_embeddings_jsonl([EmbeddingRecord(id="a", modality="visual", dim=1, values=(1.0,))], path)
+        assert '"dim": 1,' in path.read_text() and len(load_embeddings(path)) == 1
 
     def test_dim_mismatch_detected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "a", "modality": "visual", "dim": 3, "values": [1.0, 2.0]}\n')
         with pytest.raises(ValidationError, match="dim"):
             load_embeddings(path)
+
+
+class TestJsonlWriter:
+    def test_lines_are_json_dumps_lines(self, tmp_path):
+        recs = [MetadataRecord(scene_id="β", instances=(Instance(category="mug", bbox=(0, 0.5, 1, 1)),),
+                               scene_attributes={"room": "küche"}, scores={"q": 0.1}),
+                MetadataRecord(scene_id="s2")]
+        path = tmp_path / "meta.jsonl"
+        save_metadata(recs, path)
+        want = "".join(json.dumps(r.to_json(), ensure_ascii=False) + "\n" for r in recs)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "save, records",
+        [
+            (save_episodes, [make_episode("e1"), make_episode("e\ud800")]),
+            (save_metadata, [MetadataRecord(scene_id="s1"), MetadataRecord(scene_id="s\ud800")]),
+            (save_embeddings_jsonl,
+             [EmbeddingRecord(id=i, modality="visual", dim=1, values=(1.0,)) for i in ("a", "b\ud800")]),
+        ],
+        ids=["episodes", "metadata", "embeddings"],
+    )
+    def test_lone_surrogate_writes_no_file(self, tmp_path, save, records):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValidationError) as info:
+            save(records, path)
+        assert str(info.value) == "data line 2 cannot be written as UTF-8: surrogates not allowed"
+        assert not path.exists()
 
 
 class TestBinaryContainer:
@@ -310,8 +356,8 @@ class TestBinaryContainer:
             assert fh.read(4) == CONTAINER_MAGIC
         store = load_embeddings(path)
         # values chosen exactly representable in float32
-        assert store.require("alpha", "visual").values == (0.25, -1.5, 3.0, 0.0)
-        assert store.require("β-scene", "visual").dim == 4
+        assert stored(store, "alpha", "visual") == (0.25, -1.5, 3.0, 0.0)
+        assert store.dim("visual") == 4
 
     def test_container_rows_are_visual(self, tmp_path):
         path = tmp_path / "emb.bin"
@@ -319,7 +365,7 @@ class TestBinaryContainer:
             [EmbeddingRecord(id="a", modality="text", dim=1, values=(1.0,))], path
         )
         store = load_embeddings(path)  # the container stores no modality
-        assert store.require("a", "visual").values == (1.0,)
+        assert stored(store, "a", "visual") == (1.0,)
         assert store.ids("text") == []
 
     def test_truncated_container(self, tmp_path):
@@ -442,7 +488,7 @@ def test_loader_normalize_flag(tmp_path):
         [EmbeddingRecord(id="a", modality="visual", dim=2, values=(3.0, 4.0))], path
     )
     store = load_embeddings(path, normalize=True)
-    np.testing.assert_allclose(store.require("a", "visual").values, (0.6, 0.8))
+    np.testing.assert_allclose(stored(store, "a", "visual"), (0.6, 0.8))
 
 
 GOOD_LINES = (
@@ -509,8 +555,8 @@ def test_loader_takes_what_float_takes(tmp_path):
         GOOD_LINES + '{"id": "b", "modality": "visual", "dim": 2, "values": ["1.5", true]}\n'
     )
     store = load_embeddings(path)
-    assert store.require("b", "visual").values == (1.5, 1.0)
-    assert store.require("a", "text").values == (3.0, 4.0)
+    assert stored(store, "b", "visual") == (1.5, 1.0)
+    assert stored(store, "a", "text") == (3.0, 4.0)
 
 
 def test_store_add_after_load(tmp_path):
@@ -518,15 +564,20 @@ def test_store_add_after_load(tmp_path):
     path.write_text(GOOD_LINES)
     store = load_embeddings(path, normalize=True)
     np.testing.assert_allclose(store.row_norms("visual"), [1.0])
+    np.testing.assert_allclose(store.row_norms("text"), [1.0])
+    assert store.paired()[0] == ["a"]
     for i in range(40):  # past the loaded matrix's capacity
         store.add(EmbeddingRecord(id=f"n{i}", modality="visual", dim=2, values=(0.0, float(i + 1))))
     assert len(store) == 42
     assert store.ids("visual")[:2] == ["a", "n0"]
-    np.testing.assert_allclose(store.require("a", "visual").values, (0.2**0.5, 0.8**0.5))
-    assert store.require("n39", "visual").values == (0.0, 40.0)
+    np.testing.assert_allclose(stored(store, "a", "visual"), (0.2**0.5, 0.8**0.5))
+    assert stored(store, "n39", "visual") == (0.0, 40.0)
     assert store.matrix("visual").shape == (41, 2)
     assert store.row_norms("visual")[-1] == 40.0
-    assert [r.id for r in store] == ["a", *(f"n{i}" for i in range(40)), "a"]
+    assert store.ids("visual") + store.ids("text") == ["a", *(f"n{i}" for i in range(40)), "a"]
+    store.add(EmbeddingRecord(id="n0", modality="text", dim=2, values=(1.0, 0.0)))
+    assert store.paired()[0] == ["a", "n0"]
+    np.testing.assert_allclose(store.row_norms("text"), [1.0, 1.0])
     with pytest.raises(ValidationError, match="duplicate id 'n3'"):
         store.add(EmbeddingRecord(id="n3", modality="visual", dim=2, values=(1.0, 0.0)))
     with pytest.raises(ValidationError, match="inconsistent"):

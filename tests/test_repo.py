@@ -32,9 +32,9 @@ def test_no_tracked_file_is_gitignored():
     assert listed.stdout == "", f"tracked files that .gitignore names:\n{listed.stdout}"
 
 
-def _imported_top_level(path: Path) -> set[str]:
+def _imported_top_level(tree: ast.AST) -> set[str]:
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -53,7 +53,8 @@ def test_every_third_party_import_is_a_declared_dependency():
     declared = {_canonical(re.match(r"[A-Za-z0-9._-]+", r).group()) for r in requirements}
     imported = {}
     for path in sorted((ROOT / "src" / "ctxforge").rglob("*.py")):
-        for name in _imported_top_level(path) - sys.stdlib_module_names - {"ctxforge"}:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name in _imported_top_level(tree) - sys.stdlib_module_names - {"ctxforge"}:
             imported.setdefault(name, path.relative_to(ROOT).as_posix())
     undeclared = {n: p for n, p in imported.items() if _canonical(n) not in declared}
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
@@ -257,3 +258,15 @@ def test_cli_holds_no_selection_code():
             called.add(node.func.attr)
     assert not named & selection, f"cli.py names {sorted(named & selection)}"
     assert not called & {"matrix", "rows"}, f"cli.py calls {sorted(called & {'matrix', 'rows'})}"
+
+
+def test_cli_imports_numpy_only_where_it_runs_and_no_json():
+    # numpy serves only ``forge capm``, which imports it; records decodes
+    # JSON and holds the one encoder of the lines every command writes
+    tree = ast.parse((ROOT / "src" / "ctxforge" / "cli.py").read_text(encoding="utf-8"))
+    module_level = ast.Module(
+        body=[node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))],
+        type_ignores=[],
+    )
+    assert "numpy" not in _imported_top_level(module_level), "cli.py imports numpy at module level"
+    assert "json" not in _imported_top_level(tree), "cli.py imports json"
